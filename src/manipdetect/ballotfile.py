@@ -7,7 +7,8 @@ File format (one statement per line, `#` starts a comment):
     2x b>a>c                 a ballot with a repeat count
     a>c>b                    a single ballot
 
-Voter indices are 0-based positions in the expanded ballot list.
+Voter indices are 0-based positions in the expanded ballot list, which may
+hold at most MAX_BALLOTS ballots.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from typing import Sequence
 
 from .core import ElectionInstance, Preference
 from .errors import ParseError
+
+# Each expanded ballot costs about 115 bytes, so the cap keeps a file's
+# election near 1 GB.
+MAX_BALLOTS = 10_000_000
 
 _COUNT_RE = re.compile(r"^(\d+)x\s+(.*)$")
 _NAME_RE = re.compile(r"^[^\s,>#]+$")
@@ -86,10 +91,16 @@ def parse_election(text: str) -> ElectionInstance:
         ballot_raw = line
         match = _COUNT_RE.match(line)
         if match:
-            count = int(match.group(1))
+            digits = match.group(1)
+            # checked before int(): huge digit strings must not be converted
+            if len(digits.lstrip("0")) > len(str(MAX_BALLOTS)):
+                raise ParseError(f"election has more than {MAX_BALLOTS} ballots", line_no)
+            count = int(digits)
             if count < 1:
                 raise ParseError("ballot count must be >= 1", line_no)
             ballot_raw = match.group(2)
+        if len(ballots) + count > MAX_BALLOTS:
+            raise ParseError(f"election has more than {MAX_BALLOTS} ballots", line_no)
         ballots.extend([_parse_ballot(ballot_raw, ids, line_no)] * count)
     if names is None:
         raise ParseError("missing candidates line", max(1, text.count("\n") + 1))

@@ -55,8 +55,10 @@ def rule_from_string(text: str, m: int) -> VotingRule:
 
 
 def _read_election(path: str) -> ElectionInstance:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-    return parse_election(text)
+    if path == "-":
+        return parse_election(sys.stdin.read())
+    with open(path, encoding="utf-8") as handle:
+        return parse_election(handle.read())
 
 
 def _parse_suspects(raw: str) -> tuple[int, ...]:

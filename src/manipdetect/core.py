@@ -32,7 +32,7 @@ class Preference:
         r = self.ranking
         if len(r) == 0:
             raise ValidationError("a preference must rank at least one candidate")
-        if set(r) != set(range(len(r))) or len(set(r)) != len(r):
+        if set(r) != set(range(len(r))):
             raise ValidationError(f"ranking {r!r} is not a permutation of 0..{len(r) - 1}")
 
     @property

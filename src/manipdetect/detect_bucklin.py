@@ -16,8 +16,6 @@ start beating y.  The fill walks the open slots depth-first under those caps
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Preference
 from .detection import (
     DetectionQuery,
@@ -33,14 +31,6 @@ from .rules import BUCKLIN, topk_counts, winner_from_ballots
 METHOD_BUCKLIN = "bucklin-greedy"
 
 
-@dataclass(frozen=True)
-class BucklinGuess:
-    """One guessed witness shape: the target's final level and x's rank."""
-
-    target_level: int
-    x_position: int  # one of: 1, target_level - 1, target_level, target_level + 1
-
-
 def _compositions(total: int, parts: int):
     if parts == 1:
         yield (total,)
@@ -53,15 +43,6 @@ def _compositions(total: int, parts: int):
 def case_positions(beta: int, m: int) -> tuple[int, ...]:
     """Admissible ranks for x in a witness ballot, given the target's level."""
     return tuple(sorted({p for p in (1, beta - 1, beta, beta + 1) if 1 <= p <= m - 1}))
-
-
-def enumerate_guesses(m: int) -> list[BucklinGuess]:
-    """Every (target level, x position) pair the search will consider."""
-    return [
-        BucklinGuess(beta, p)
-        for beta in range(1, m + 1)
-        for p in case_positions(beta, m)
-    ]
 
 
 def cpmw_bucklin(query: DetectionQuery) -> DetectionVerdict:
@@ -205,22 +186,3 @@ def _fill_top_segments(m, beta, ballot_cases, others, caps, tb_rank, y, safe_lev
     if not dfs(0):
         return None
     return [(p, fill[bi]) for bi, p in enumerate(ballot_cases)]
-
-
-def cpm_bucklin(query: DetectionQuery) -> DetectionVerdict:
-    """Coalition CPM for Bucklin: try every alternative winner in tie-break order."""
-    inst = query.instance
-    if inst.m == 1:
-        return no_verdict(METHOD_BUCKLIN)
-    if query.rule.kind != BUCKLIN:
-        raise DispatchError(f"bucklin detector cannot handle a {query.rule.kind} rule")
-    x = current_winner(query)
-    for y in inst.tiebreak.ranking:
-        if y == x:
-            continue
-        verdict = cpmw_bucklin(
-            DetectionQuery(inst, query.rule, query.suspects, actual_winner=y)
-        )
-        if verdict.answer:
-            return verdict
-    return no_verdict(METHOD_BUCKLIN)

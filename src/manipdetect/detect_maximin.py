@@ -17,8 +17,6 @@ NO is exhaustive over all ballots consistent with the guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Preference, margin_matrix
 from .detection import (
     DetectionQuery,
@@ -34,22 +32,6 @@ from .rules import MAXIMIN, maximin_scores_from_margins, winner_from_ballots
 METHOD_MAXIMIN = "maximin-single"
 
 GUESS_ORDER = ((-1, -1), (-1, +1), (+1, -1), (+1, +1))
-
-
-@dataclass(frozen=True)
-class WitnessSets:
-    """Worst opponents of x and of y in the profile without the suspect."""
-
-    b_x: frozenset[int]
-    b_y: frozenset[int]
-
-
-def witness_sets(margins, scores, x: int, y: int) -> WitnessSets:
-    m = len(margins)
-    return WitnessSets(
-        frozenset(z for z in range(m) if z != x and margins[x][z] == scores[x]),
-        frozenset(z for z in range(m) if z != y and margins[y][z] == scores[y]),
-    )
 
 
 def cpmw_maximin_single(query: DetectionQuery) -> DetectionVerdict:
@@ -68,11 +50,13 @@ def cpmw_maximin_single(query: DetectionQuery) -> DetectionVerdict:
 
     margins = margin_matrix(m, inst.ballots_excluding([i]))
     scores = maximin_scores_from_margins(margins)
-    sets = witness_sets(margins, scores, x, y)
+    # worst opponents of x and of y in the profile without the suspect
+    b_x = frozenset(z for z in range(m) if z != x and margins[x][z] == scores[x])
+    b_y = frozenset(z for z in range(m) if z != y and margins[y][z] == scores[y])
     tb_rank = inst.tiebreak.positions()
-    x_in_by = x in sets.b_y
-    bx_pool = sets.b_x - {y}
-    by_pool = sets.b_y - {x}
+    x_in_by = x in b_y
+    bx_pool = b_x - {y}
+    by_pool = b_y - {x}
     ballots = list(inst.ballots)
 
     def target_beats(sy: int, c: int, sc: int) -> bool:
@@ -237,22 +221,3 @@ def _fill_ballot(
         return None
 
     return dfs(1, False, False)
-
-
-def cpm_maximin_single(query: DetectionQuery) -> DetectionVerdict:
-    """Single-suspect CPM for maximin: try every alternative winner in tie-break order."""
-    inst = query.instance
-    if inst.m == 1:
-        return no_verdict(METHOD_MAXIMIN)
-    if query.rule.kind != MAXIMIN:
-        raise DispatchError(f"maximin detector cannot handle a {query.rule.kind} rule")
-    x = current_winner(query)
-    for y in inst.tiebreak.ranking:
-        if y == x:
-            continue
-        verdict = cpmw_maximin_single(
-            DetectionQuery(inst, query.rule, query.suspects, actual_winner=y)
-        )
-        if verdict.answer:
-            return verdict
-    return no_verdict(METHOD_MAXIMIN)

@@ -208,18 +208,26 @@ def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
     ballot shifts the target-minus-winner score gap by a fixed amount; sorting
     voters by that shift makes every prefix the best coalition of its size.
     Each prefix is confirmed by full winner determination (maintained
-    incrementally) before a YES is reported.
+    incrementally) before a YES is reported; the current winner is read from
+    the same score table before the search starts.
     """
     vector = _require_scoring(query)
     if not vector.is_convex():
         raise DispatchError("greedy search needs a convex scoring vector")
     inst = query.instance
-    x = current_winner(query)
+    m, n = inst.m, inst.n
+    scores = positional_scores(m, inst.ballots, vector)
+    tb_rank = inst.tiebreak.positions()
+
+    def leader() -> int:
+        best = max(scores)
+        return min((c for c in range(m) if scores[c] == best), key=lambda c: tb_rank[c])
+
+    x = leader()
     y = require_target(query, x)
     if query.bound is None:
         raise InvalidQueryError("bounded search needs a coalition bound")
     k = query.bound
-    m, n = inst.m, inst.n
     alphas = vector.alphas
     if k == 0:
         return no_verdict(METHOD_GREEDY)
@@ -231,8 +239,6 @@ def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
         deltas.append((delta, idx))
     deltas.sort(key=lambda t: (-t[0], t[1]))
 
-    scores = positional_scores(m, inst.ballots, vector)
-    tb_rank = inst.tiebreak.positions()
     witness: dict[int, Preference] = {}
     for t in range(min(k, n)):
         _, idx = deltas[t]
@@ -243,52 +249,6 @@ def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
         for p, c in enumerate(new.ranking):
             scores[c] += alphas[p]
         witness[idx] = new
-        best = max(scores)
-        w = min((c for c in range(m) if scores[c] == best), key=lambda c: tb_rank[c])
-        if w == y:
+        if leader() == y:
             return yes_verdict(witness, y, METHOD_GREEDY)
-    return no_verdict(METHOD_GREEDY)
-
-
-def cpm_scoring(
-    query: DetectionQuery,
-    *,
-    budget: int = DEFAULT_REPLAY_BUDGET,
-    force: bool = False,
-) -> DetectionVerdict:
-    """CPM for scoring rules: try every alternative winner in tie-break order."""
-    inst = query.instance
-    if inst.m == 1:
-        return no_verdict(METHOD_SINGLE if len(query.suspects) == 1 else METHOD_COALITION)
-    _require_scoring(query)
-    x = current_winner(query)
-    last: DetectionVerdict | None = None
-    for y in inst.tiebreak.ranking:
-        if y == x:
-            continue
-        sub = DetectionQuery(inst, query.rule, query.suspects, actual_winner=y)
-        if len(query.suspects) == 1:
-            verdict = cpmw_scoring_single(sub)
-        else:
-            verdict = cpmw_scoring_coalition(sub, budget=budget, force=force)
-        if verdict.answer:
-            return verdict
-        last = verdict
-    return last if last is not None else no_verdict(METHOD_COALITION)
-
-
-def cpms_scoring(query: DetectionQuery) -> DetectionVerdict:
-    """CPMS for convex scoring rules: bounded search over alternative winners."""
-    inst = query.instance
-    if inst.m == 1:
-        return no_verdict(METHOD_GREEDY)
-    _require_scoring(query)
-    x = current_winner(query)
-    for y in inst.tiebreak.ranking:
-        if y == x:
-            continue
-        sub = DetectionQuery(inst, query.rule, (), actual_winner=y, bound=query.bound)
-        verdict = cpmsw_scoring_greedy(sub)
-        if verdict.answer:
-            return verdict
     return no_verdict(METHOD_GREEDY)

@@ -5,17 +5,19 @@ scoring vectors (Borda, k-approval for k >= 2, veto) and plurality for any
 coalition; maximin with one suspect; Bucklin for any coalition.  Everything
 else (STV, maximin coalitions, irregular scoring vectors with coalitions)
 goes to the exhaustive oracle under a replay budget, and the verdict is
-flagged as exhaustive.
+flagged as exhaustive.  CPM and CPMS are CPMW and CPMSW tried against every
+alternative winner, in tie-break order, by one loop.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .core import ElectionInstance
-from .detection import DetectionQuery, DetectionVerdict, no_verdict
-from .detect_bucklin import cpm_bucklin, cpmw_bucklin
-from .detect_maximin import cpm_maximin_single, cpmw_maximin_single
+from .detection import DetectionQuery, DetectionVerdict, no_verdict, require_target
+from .detect_bucklin import cpmw_bucklin
+from .detect_maximin import cpmw_maximin_single
 from .detect_scoring import (
-    cpm_scoring,
     cpmsw_scoring_greedy,
     cpmw_plurality_coalition,
     cpmw_scoring_coalition,
@@ -24,11 +26,33 @@ from .detect_scoring import (
 from .oracle import (
     DEFAULT_REPLAY_BUDGET,
     DEFAULT_SUBSET_BUDGET,
-    oracle_cpm,
     oracle_cpmw,
     search_coalitions,
 )
 from .rules import BUCKLIN, MAXIMIN, SCORING, VotingRule, winner
+
+
+def _first_yes(
+    instance: ElectionInstance,
+    rule: VotingRule,
+    problem: str,
+    decide: Callable[[int], DetectionVerdict],
+) -> DetectionVerdict:
+    """The first YES of `decide(y)` over every alternative winner y, in tie-break order.
+
+    Without a YES, the last NO, so the verdict names the route that decided
+    it; `no_verdict(problem)` when the roster leaves no alternative winner.
+    """
+    if instance.m == 1:
+        return no_verdict(problem)
+    x = winner(instance, rule)
+    for y in instance.tiebreak.ranking:
+        if y == x:
+            continue
+        verdict = decide(y)
+        if verdict.answer:
+            return verdict
+    return verdict
 
 
 def decide_cpmw(
@@ -63,15 +87,12 @@ def decide_cpm(
     force: bool = False,
 ) -> DetectionVerdict:
     query = DetectionQuery(instance, rule, tuple(suspects))
-    if instance.m == 1:
-        return no_verdict("cpm")
-    if rule.kind == SCORING:
-        return cpm_scoring(query, budget=budget, force=force)
-    if rule.kind == MAXIMIN and len(query.suspects) == 1:
-        return cpm_maximin_single(query)
-    if rule.kind == BUCKLIN:
-        return cpm_bucklin(query)
-    return oracle_cpm(instance, rule, query.suspects, budget=budget, force=force)
+    return _first_yes(
+        instance,
+        rule,
+        "cpm",
+        lambda y: decide_cpmw(instance, rule, query.suspects, y, budget=budget, force=force),
+    )
 
 
 def _plurality_skip(instance: ElectionInstance, y: int):
@@ -93,8 +114,9 @@ def decide_cpmsw(
     subset_budget: int = DEFAULT_SUBSET_BUDGET,
     force: bool = False,
 ) -> DetectionVerdict:
+    query = DetectionQuery(instance, rule, (), actual_winner=y, bound=k)
+    require_target(query, winner(instance, rule))
     if rule.kind == SCORING and rule.vector.is_convex():
-        query = DetectionQuery(instance, rule, (), actual_winner=y, bound=k)
         return cpmsw_scoring_greedy(query)
     if rule.kind == SCORING and rule.vector.is_plurality_like():
         return search_coalitions(
@@ -131,18 +153,11 @@ def decide_cpms(
     subset_budget: int = DEFAULT_SUBSET_BUDGET,
     force: bool = False,
 ) -> DetectionVerdict:
-    if instance.m == 1:
-        return no_verdict("cpms")
-    x = winner(instance, rule)
-    last: DetectionVerdict | None = None
-    for y in instance.tiebreak.ranking:
-        if y == x:
-            continue
-        verdict = decide_cpmsw(
-            instance, rule, y, k,
-            budget=budget, subset_budget=subset_budget, force=force,
-        )
-        if verdict.answer:
-            return verdict
-        last = verdict
-    return last if last is not None else no_verdict("cpms")
+    return _first_yes(
+        instance,
+        rule,
+        "cpms",
+        lambda y: decide_cpmsw(
+            instance, rule, y, k, budget=budget, subset_budget=subset_budget, force=force
+        ),
+    )

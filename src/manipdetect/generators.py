@@ -9,33 +9,17 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .core import ElectionInstance, Preference
+from .core import ElectionInstance, Preference, WeightedMajorityGraph
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class MarginFunction:
-    """A target pairwise-margin table: antisymmetric, zero diagonal, all even."""
-
-    margins: tuple[tuple[int, ...], ...]
+class MarginFunction(WeightedMajorityGraph):
+    """A target pairwise-margin table: a margin matrix whose entries are all even."""
 
     def __post_init__(self):
-        t = self.margins
-        m = len(t)
-        for a in range(m):
-            if len(t[a]) != m:
-                raise ValidationError("margin table must be square")
-            if t[a][a] != 0:
-                raise ValidationError("margin table must have a zero diagonal")
-            for b in range(m):
-                if t[a][b] != -t[b][a]:
-                    raise ValidationError("margin table must be antisymmetric")
-                if t[a][b] % 2 != 0:
-                    raise ValidationError("margins must all be even")
-
-    @property
-    def m(self) -> int:
-        return len(self.margins)
+        super().__post_init__()
+        if any(v % 2 for row in self.margins for v in row):
+            raise ValidationError("margins must all be even")
 
     @classmethod
     def from_pairs(cls, m: int, pairs: Mapping[tuple[int, int], int]) -> "MarginFunction":

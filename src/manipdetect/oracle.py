@@ -16,11 +16,13 @@ from typing import Callable, Iterable, Sequence
 
 from .core import ElectionInstance, Preference
 from .detection import (
+    DetectionQuery,
     DetectionVerdict,
     no_verdict,
+    require_target,
     yes_verdict,
 )
-from .errors import BudgetExceededError, InvalidQueryError, RosterError
+from .errors import BudgetExceededError, InvalidQueryError
 from .rules import VotingRule, winner, winner_from_ballots
 
 DEFAULT_REPLAY_BUDGET = 10_000_000
@@ -38,17 +40,6 @@ def admissible_preferences(m: int, x: int, y: int) -> list[Preference]:
     return prefs
 
 
-def _check_suspects(instance: ElectionInstance, suspects: Sequence[int]) -> tuple[int, ...]:
-    seen = set()
-    for i in suspects:
-        if not 0 <= i < instance.n:
-            raise RosterError(f"suspect index {i} outside 0..{instance.n - 1}")
-        if i in seen:
-            raise InvalidQueryError(f"duplicate suspect index {i}")
-        seen.add(i)
-    return tuple(sorted(suspects))
-
-
 def oracle_cpmw(
     instance: ElectionInstance,
     rule: VotingRule,
@@ -63,13 +54,11 @@ def oracle_cpmw(
     The witness reported on YES is the lexicographically first admissible
     ballot combination (suspects in index order, ballots as id sequences).
     """
-    suspects = _check_suspects(instance, suspects)
+    query = DetectionQuery(instance, rule, tuple(suspects), actual_winner=y)
+    suspects = query.suspects
     m = instance.m
-    if not 0 <= y < m:
-        raise RosterError(f"candidate id {y} outside roster")
     x = winner(instance, rule)
-    if y == x:
-        raise InvalidQueryError("actual winner must differ from the current winner")
+    require_target(query, x)
 
     half = factorial(m) // 2
     cost = half ** len(suspects)
@@ -98,7 +87,7 @@ def oracle_cpm(
     force: bool = False,
 ) -> DetectionVerdict:
     """Disjunction of oracle_cpmw over every alternative winner, in tie-break order."""
-    suspects = _check_suspects(instance, suspects)
+    suspects = DetectionQuery(instance, rule, tuple(suspects)).suspects
     if instance.m == 1:
         return no_verdict(ORACLE, exhaustive=True)
     x = winner(instance, rule)
@@ -121,6 +110,18 @@ def _subsets_up_to(n: int, k: int) -> Iterable[tuple[int, ...]]:
 
 def _subset_count(n: int, k: int) -> int:
     return sum(comb(n, size) for size in range(1, min(k, n) + 1))
+
+
+def _check_search(n: int, k: int, subset_budget: int, force: bool) -> None:
+    if k < 0:
+        raise InvalidQueryError("coalition bound must be >= 0")
+    count = _subset_count(n, k)
+    if count > subset_budget and not force:
+        raise BudgetExceededError(
+            f"search would enumerate {count} coalitions, budget is {subset_budget}",
+            count,
+            subset_budget,
+        )
 
 
 def _default_decider(
@@ -153,16 +154,8 @@ def search_coalitions(
     subset is decided by `decide` when supplied (letting callers plug in a
     polynomial procedure), else by the oracle.
     """
-    if k < 0:
-        raise InvalidQueryError("coalition bound must be >= 0")
     n = instance.n
-    count = _subset_count(n, k)
-    if count > subset_budget and not force:
-        raise BudgetExceededError(
-            f"search would enumerate {count} coalitions, budget is {subset_budget}",
-            count,
-            subset_budget,
-        )
+    _check_search(n, k, subset_budget, force)
     if decide is None:
         decide = _default_decider(instance, rule, y, budget, force)
     for subset in _subsets_up_to(n, k):
@@ -187,16 +180,8 @@ def all_minimal_coalitions(
     force: bool = False,
 ) -> list[tuple[int, ...]]:
     """Every YES coalition of size <= k that contains no smaller YES coalition."""
-    if k < 0:
-        raise InvalidQueryError("coalition bound must be >= 0")
     n = instance.n
-    count = _subset_count(n, k)
-    if count > subset_budget and not force:
-        raise BudgetExceededError(
-            f"search would enumerate {count} coalitions, budget is {subset_budget}",
-            count,
-            subset_budget,
-        )
+    _check_search(n, k, subset_budget, force)
     if decide is None:
         decide = _default_decider(instance, rule, y, budget, force)
     hits: list[tuple[int, ...]] = []

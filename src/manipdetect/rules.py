@@ -106,10 +106,9 @@ class VotingRule:
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Per-candidate scores; for Bucklin, scores are the (level) values."""
+    """Per-candidate positional scores."""
 
     scores: tuple[Score, ...]
-    levels: tuple[int, ...] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +242,6 @@ def maximin_score(instance: ElectionInstance, candidate: int) -> int:
 def bucklin_score(instance: ElectionInstance, candidate: int) -> int:
     """Bucklin level of `candidate` (always in 1..m)."""
     return bucklin_levels(instance.m, instance.n, instance.ballots)[candidate]
-
-
-def score_table(instance: ElectionInstance, rule: VotingRule) -> ScoreTable:
-    if rule.kind == SCORING:
-        return evaluate_scores(instance, rule.vector)
-    if rule.kind == MAXIMIN:
-        return ScoreTable(tuple(maximin_scores(instance.m, instance.ballots)))
-    if rule.kind == BUCKLIN:
-        levels = tuple(bucklin_levels(instance.m, instance.n, instance.ballots))
-        return ScoreTable(levels, levels)
-    raise ConfigError("STV has no score table; use stv_elimination_order")
 
 
 def stv_elimination_order(instance: ElectionInstance) -> tuple[int, ...]:

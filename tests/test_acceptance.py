@@ -14,13 +14,12 @@ from manipdetect.detection import DetectionQuery, verify_verdict
 from manipdetect.detect_bucklin import cpmw_bucklin
 from manipdetect.detect_maximin import cpmw_maximin_single
 from manipdetect.detect_scoring import (
-    cpms_scoring,
     cpmsw_scoring_greedy,
     cpmw_plurality_coalition,
     cpmw_scoring_coalition,
     cpmw_scoring_single,
 )
-from manipdetect.dispatch import decide_cpmsw, decide_cpmw
+from manipdetect.dispatch import decide_cpms, decide_cpmsw, decide_cpmw
 from manipdetect.generators import (
     MarginFunction,
     X3CInstance,
@@ -278,7 +277,7 @@ def test_criterion_8_search_consistency():
         inst = ElectionInstance(names, ballots)
         x = winner(inst, rule)
         for k in (1, 2):
-            cpms_answer = cpms_scoring(DetectionQuery(inst, rule, (), bound=k)).answer
+            cpms_answer = decide_cpms(inst, rule, k).answer
             for y in range(3):
                 if y == x:
                     continue

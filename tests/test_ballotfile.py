@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from manipdetect import ballotfile
 from manipdetect.ballotfile import Report, parse_election, render_election
 from manipdetect.core import ElectionInstance
 from manipdetect.errors import ParseError
@@ -54,6 +55,20 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_election("candidates: a,b\n0x a>b\n")
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("digits", [20, 5000])
+def test_parse_rejects_huge_counts(digits):
+    with pytest.raises(ParseError) as err:
+        parse_election("candidates: a,b\n" + "9" * digits + "x a>b\n")
+    assert err.value.line == 2
+
+
+def test_parse_caps_total_ballots(monkeypatch):
+    monkeypatch.setattr(ballotfile, "MAX_BALLOTS", 3)
+    with pytest.raises(ParseError) as err:
+        parse_election("candidates: a,b\n2x a>b\n2x b>a\n")
+    assert err.value.line == 3
 
 
 def test_parse_rejects_bad_tiebreak():

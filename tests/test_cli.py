@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -81,6 +83,21 @@ def test_oracle_command(e1_file, capsys):
     report = Report.from_dict(json.loads(capsys.readouterr().out))
     assert report.problem == "oracle"
     assert report.exhaustive
+
+
+def test_winner_closes_election_file(e1_file, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["winner", e1_file, "--rule", "borda"]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_huge_count_exit_two(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("candidates: a,b\n" + "9" * 20 + "x a>b\n")
+    assert main(["winner", str(path), "--rule", "borda"]) == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_error_exit_two(tmp_path, capsys):

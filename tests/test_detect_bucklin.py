@@ -5,7 +5,8 @@ import pytest
 
 from manipdetect.core import ElectionInstance
 from manipdetect.detection import DetectionQuery, verify_verdict
-from manipdetect.detect_bucklin import cpm_bucklin, cpmw_bucklin
+from manipdetect.detect_bucklin import cpmw_bucklin
+from manipdetect.dispatch import decide_cpm
 from manipdetect.errors import InvalidQueryError
 from manipdetect.oracle import oracle_cpm, oracle_cpmw
 from manipdetect.rules import VotingRule, bucklin_score, winner
@@ -42,13 +43,13 @@ def test_rejects_current_winner_target():
 
 
 def test_cpm_examples():
-    assert cpm_bucklin(DetectionQuery(e4(), BUCKLIN, (0,))).answer
-    assert not cpm_bucklin(DetectionQuery(e3(), BUCKLIN, (0,))).answer
+    assert decide_cpm(e4(), BUCKLIN, (0,)).answer
+    assert not decide_cpm(e3(), BUCKLIN, (0,)).answer
 
 
 def test_cpm_unanimous_profile_single_suspect_no():
     inst = ElectionInstance(("a", "b", "c"), [(0, 1, 2)] * 4)
-    assert not cpm_bucklin(DetectionQuery(inst, BUCKLIN, (1,))).answer
+    assert not decide_cpm(inst, BUCKLIN, (1,)).answer
 
 
 def test_witness_realizes_an_enumerated_level():
@@ -124,6 +125,6 @@ def test_cpm_matches_oracle():
         perms = list(permutations(range(m)))
         inst = ElectionInstance([f"c{i}" for i in range(m)], [rng.choice(perms) for _ in range(n)])
         for i in range(n):
-            got = cpm_bucklin(DetectionQuery(inst, BUCKLIN, (i,)))
+            got = decide_cpm(inst, BUCKLIN, (i,))
             want = oracle_cpm(inst, BUCKLIN, (i,))
             assert got.answer == want.answer

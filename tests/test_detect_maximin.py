@@ -5,7 +5,8 @@ import pytest
 
 from manipdetect.core import ElectionInstance
 from manipdetect.detection import DetectionQuery, verify_verdict
-from manipdetect.detect_maximin import cpm_maximin_single, cpmw_maximin_single
+from manipdetect.detect_maximin import cpmw_maximin_single
+from manipdetect.dispatch import decide_cpm
 from manipdetect.errors import DispatchError, InvalidQueryError
 from manipdetect.oracle import oracle_cpm, oracle_cpmw
 from manipdetect.rules import VotingRule, maximin_score, winner
@@ -51,10 +52,10 @@ def test_rejects_non_maximin_rule():
 
 
 def test_cpm_examples():
-    assert cpm_maximin_single(DetectionQuery(e6(), MAXIMIN, (0,))).answer
-    assert not cpm_maximin_single(DetectionQuery(e1(), MAXIMIN, (0,))).answer
+    assert decide_cpm(e6(), MAXIMIN, (0,)).answer
+    assert not decide_cpm(e1(), MAXIMIN, (0,)).answer
     single = ElectionInstance(("a",), [(0,)])
-    assert not cpm_maximin_single(DetectionQuery(single, MAXIMIN, (0,))).answer
+    assert not decide_cpm(single, MAXIMIN, (0,)).answer
 
 
 def test_witness_has_target_right_below_current_winner():
@@ -115,6 +116,6 @@ def test_cpm_matches_oracle_small():
         perms = list(permutations(range(m)))
         inst = ElectionInstance([f"c{i}" for i in range(m)], [rng.choice(perms) for _ in range(n)])
         for i in range(n):
-            got = cpm_maximin_single(DetectionQuery(inst, MAXIMIN, (i,)))
+            got = decide_cpm(inst, MAXIMIN, (i,))
             want = oracle_cpm(inst, MAXIMIN, (i,))
             assert got.answer == want.answer

@@ -7,13 +7,12 @@ from manipdetect.core import ElectionInstance, Preference
 from manipdetect.detection import DetectionQuery, verify_verdict
 from manipdetect.detect_scoring import (
     canonical_manipulated_preference,
-    cpm_scoring,
-    cpms_scoring,
     cpmsw_scoring_greedy,
     cpmw_plurality_coalition,
     cpmw_scoring_coalition,
     cpmw_scoring_single,
 )
+from manipdetect.dispatch import decide_cpm, decide_cpms
 from manipdetect.errors import DispatchError, InvalidQueryError
 from manipdetect.oracle import oracle_cpmw, search_coalitions
 from manipdetect.rules import ScoringVector, VotingRule, positional_scores, winner
@@ -192,26 +191,26 @@ def test_greedy_monotone_in_k():
                     assert answers[k + 1]
 
 
-# --- wrappers ----------------------------------------------------------------
+# --- CPM and CPMS through dispatch ------------------------------------------
 
 
 def test_cpm_e1_yes_via_b():
-    verdict = cpm_scoring(DetectionQuery(e1(), BORDA3, (0,)))
+    verdict = decide_cpm(e1(), BORDA3, (0,))
     assert verdict.answer
     assert verdict.witness_actual_winner == B
 
 
 def test_cpm_e2_no():
-    assert not cpm_scoring(DetectionQuery(e2(), BORDA3, (0,))).answer
+    assert not decide_cpm(e2(), BORDA3, (0,)).answer
 
 
 def test_cpm_single_candidate_roster_no():
     inst = ElectionInstance(("a",), [(0,)])
-    assert not cpm_scoring(DetectionQuery(inst, BORDA3, (0,))).answer
+    assert not decide_cpm(inst, BORDA3, (0,)).answer
 
 
 def test_cpms_matches_oracle_search_on_e1():
-    verdict = cpms_scoring(DetectionQuery(e1(), BORDA3, (), bound=1))
+    verdict = decide_cpms(e1(), BORDA3, 1)
     assert verdict.answer == search_coalitions(e1(), BORDA3, 1).answer
 
 

@@ -1,8 +1,11 @@
 import random
 from itertools import permutations
 
+import pytest
+
 from manipdetect.core import ElectionInstance
 from manipdetect.dispatch import decide_cpm, decide_cpms, decide_cpmsw, decide_cpmw
+from manipdetect.errors import InvalidQueryError, RosterError
 from manipdetect.oracle import oracle_cpm, oracle_cpmw, search_coalitions
 from manipdetect.rules import ScoringVector, VotingRule, winner
 
@@ -24,6 +27,36 @@ def test_routing_methods():
     y = 1 if winner(e1(), irregular) != 1 else 2
     assert decide_cpmw(e1(), irregular, (0, 1), y).method == "oracle-fallback"
 
+    # A NO from a loop over alternative winners keeps the label of the route
+    # that decided its last target.
+    unanimous = ElectionInstance(("a", "b", "c"), [(0, 1, 2)] * 5)
+    maximin, bucklin, stv = VotingRule.maximin(), VotingRule.bucklin(), VotingRule.stv()
+    for rule, suspects, method, exhaustive in (
+        (borda, (0,), "scoring-single", False),
+        (borda, (0, 1), "scoring-coalition", False),
+        (plur, (0, 1), "plurality-capacity", False),
+        (irregular, (0, 1), "oracle-fallback", True),
+        (maximin, (0,), "maximin-single", False),
+        (bucklin, (0, 1), "bucklin-greedy", False),
+        (maximin, (0, 1), "oracle", True),
+        (stv, (0,), "oracle", True),
+    ):
+        verdict = decide_cpm(unanimous, rule, suspects)
+        assert (verdict.answer, verdict.method, verdict.exhaustive) == (False, method, exhaustive)
+    for rule, method, exhaustive in (
+        (borda, "delta-greedy", False),
+        (plur, "oracle", True),
+        (irregular, "oracle", True),
+        (maximin, "oracle", True),
+        (bucklin, "oracle", True),
+        (stv, "oracle", True),
+    ):
+        verdict = decide_cpms(unanimous, rule, 1)
+        assert (verdict.answer, verdict.method, verdict.exhaustive) == (False, method, exhaustive)
+    single = ElectionInstance(("a",), [(0,)] * 2)
+    assert decide_cpm(single, stv, (0,)).method == "cpm"
+    assert decide_cpms(single, stv, 1).method == "cpms"
+
 
 def test_search_routing():
     borda = VotingRule.scoring(ScoringVector.borda(3))
@@ -33,6 +66,22 @@ def test_search_routing():
     verdict = decide_cpmsw(inst, plur, 1, 2)
     assert verdict.method == "plurality-capacity"
     assert verdict.answer
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("rule", [
+    VotingRule.scoring(ScoringVector.borda(3)),
+    VotingRule.scoring(ScoringVector.plurality(3)),
+    VotingRule.maximin(),
+    VotingRule.bucklin(),
+    VotingRule.stv(),
+], ids=["borda", "plurality", "maximin", "bucklin", "stv"])
+def test_cpmsw_validates_target_on_every_route(rule, k):
+    inst = e1()
+    with pytest.raises(InvalidQueryError):
+        decide_cpmsw(inst, rule, winner(inst, rule), k)
+    with pytest.raises(RosterError):
+        decide_cpmsw(inst, rule, inst.m, k)
 
 
 def test_dispatch_agrees_with_oracle_across_rules():
