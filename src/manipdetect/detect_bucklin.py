@@ -56,7 +56,8 @@ def cpmw_bucklin(query: DetectionQuery) -> DetectionVerdict:
     m, n = inst.m, inst.n
     majority = (n + 1) // 2
     tb_rank = inst.tiebreak.positions()
-    ext = topk_counts(m, inst.ballots_excluding(suspects))
+    ext_profile = inst.ballots_excluding(suspects)
+    ext = topk_counts(m, ext_profile)
     c = len(suspects)
     if c == 0:
         return no_verdict(METHOD_BUCKLIN)
@@ -127,10 +128,8 @@ def cpmw_bucklin(query: DetectionQuery) -> DetectionVerdict:
                         ranking[pos] = next(it)
                 witness[idx] = Preference(ranking)
 
-            ballots = list(inst.ballots)
-            for idx, pref in witness.items():
-                ballots[idx] = pref
-            if winner_from_ballots(m, ballots, inst.tiebreak, query.rule) == y:
+            replay = ext_profile + [(pref, 1) for pref in witness.values()]
+            if winner_from_ballots(m, replay, inst.tiebreak, query.rule) == y:
                 return yes_verdict(witness, y, METHOD_BUCKLIN)
     return no_verdict(METHOD_BUCKLIN)
 

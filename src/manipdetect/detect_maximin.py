@@ -48,7 +48,8 @@ def cpmw_maximin_single(query: DetectionQuery) -> DetectionVerdict:
     y = require_target(query, x)
     (i,) = query.suspects
 
-    margins = margin_matrix(m, inst.ballots_excluding([i]))
+    ext = inst.ballots_excluding([i])
+    margins = margin_matrix(m, ext)
     scores = maximin_scores_from_margins(margins)
     # worst opponents of x and of y in the profile without the suspect
     b_x = frozenset(z for z in range(m) if z != x and margins[x][z] == scores[x])
@@ -57,7 +58,6 @@ def cpmw_maximin_single(query: DetectionQuery) -> DetectionVerdict:
     x_in_by = x in b_y
     bx_pool = b_x - {y}
     by_pool = b_y - {x}
-    ballots = list(inst.ballots)
 
     def target_beats(sy: int, c: int, sc: int) -> bool:
         return sy > sc or (sy == sc and tb_rank[y] < tb_rank[c])
@@ -101,10 +101,8 @@ def cpmw_maximin_single(query: DetectionQuery) -> DetectionVerdict:
             if ballot is None:
                 continue
             pref = Preference(ballot)
-            ballots[i] = pref
-            if winner_from_ballots(m, ballots, inst.tiebreak, query.rule) == y:
+            if winner_from_ballots(m, ext + [(pref, 1)], inst.tiebreak, query.rule) == y:
                 return yes_verdict({i: pref}, y, METHOD_MAXIMIN)
-            ballots[i] = inst.ballots[i]
     return no_verdict(METHOD_MAXIMIN)
 
 

@@ -15,6 +15,7 @@ Four procedures cover the scoring family:
 
 from __future__ import annotations
 
+from itertools import chain, compress, islice
 from typing import Sequence
 
 from .core import Preference
@@ -101,12 +102,11 @@ def cpmw_scoring_single(query: DetectionQuery) -> DetectionVerdict:
     y = require_target(query, x)
     (i,) = query.suspects
     m = inst.m
-    external = positional_scores(m, inst.ballots_excluding([i]), vector)
-    ballots = list(inst.ballots)
+    ext = inst.ballots_excluding([i])
+    external = positional_scores(m, ext, vector)
     for j in range(1, m):
         pref = canonical_manipulated_preference(external, x, y, j, inst.tiebreak)
-        ballots[i] = pref
-        if winner_from_ballots(m, ballots, inst.tiebreak, query.rule) == y:
+        if winner_from_ballots(m, ext + [(pref, 1)], inst.tiebreak, query.rule) == y:
             return yes_verdict({i: pref}, y, METHOD_SINGLE)
     return no_verdict(METHOD_SINGLE)
 
@@ -137,10 +137,9 @@ def cpmw_scoring_coalition(
         witness = {
             i: _coalition_test_ballot(inst.ballots[i], x, y) for i in query.suspects
         }
-        ballots = list(inst.ballots)
-        for i, pref in witness.items():
-            ballots[i] = pref
-        if winner_from_ballots(inst.m, ballots, inst.tiebreak, query.rule) == y:
+        replay = inst.ballots_excluding(query.suspects)
+        replay += [(pref, 1) for pref in witness.values()]
+        if winner_from_ballots(inst.m, replay, inst.tiebreak, query.rule) == y:
             return yes_verdict(witness, y, METHOD_COALITION)
         return no_verdict(METHOD_COALITION)
     if vector.is_plurality_like():
@@ -170,8 +169,8 @@ def cpmw_plurality_coalition(query: DetectionQuery) -> DetectionVerdict:
     tb_rank = inst.tiebreak.positions()
 
     base = [0] * m
-    for ballot in inst.ballots_excluding(suspects):
-        base[ballot.ranking[0]] += 1
+    for ballot, w in inst.ballots_excluding(suspects):
+        base[ballot.ranking[0]] += w
     cap = {}
     for z in range(m):
         if z == y:
@@ -205,18 +204,19 @@ def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
     """Bounded coalition search (CPMSW) for convex scoring vectors.
 
     For each voter, replacing their ballot with a winner-first/target-second
-    ballot shifts the target-minus-winner score gap by a fixed amount; sorting
-    voters by that shift makes every prefix the best coalition of its size.
-    Each prefix is confirmed by full winner determination (maintained
-    incrementally) before a YES is reported; the current winner is read from
-    the same score table before the search starts.
+    ballot shifts the target-minus-winner score gap by a fixed amount that
+    depends only on the ballot, so it is computed once per ballot class.
+    Ordering voters by that shift makes every prefix the best coalition of
+    its size.  Each prefix is confirmed by full winner determination
+    (maintained incrementally) before a YES is reported; the current winner
+    is read from the same score table before the search starts.
     """
     vector = _require_scoring(query)
     if not vector.is_convex():
         raise DispatchError("greedy search needs a convex scoring vector")
     inst = query.instance
     m, n = inst.m, inst.n
-    scores = positional_scores(m, inst.ballots, vector)
+    scores = positional_scores(m, inst.classes, vector)
     tb_rank = inst.tiebreak.positions()
 
     def leader() -> int:
@@ -232,16 +232,19 @@ def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
     if k == 0:
         return no_verdict(METHOD_GREEDY)
 
-    deltas = []
-    for idx, ballot in enumerate(inst.ballots):
+    shift = []
+    for ballot, _ in inst.classes:
         pos = ballot.positions()
-        delta = alphas[1] - alphas[pos[y]] - alphas[0] + alphas[pos[x]]
-        deltas.append((delta, idx))
-    deltas.sort(key=lambda t: (-t[0], t[1]))
+        shift.append(alphas[1] - alphas[pos[y]] - alphas[0] + alphas[pos[x]])
+    # Voters by largest shift first, ties by voter index: one lazy scan of the
+    # voters per shift value, so a small k reads only the first few groups.
+    groups = ([s == d for s in shift] for d in sorted(set(shift), reverse=True))
+    order = chain.from_iterable(
+        compress(range(n), map(group.__getitem__, inst.voter_class)) for group in groups
+    )
 
     witness: dict[int, Preference] = {}
-    for t in range(min(k, n)):
-        _, idx = deltas[t]
+    for idx in islice(order, k):
         old = inst.ballots[idx]
         new = _coalition_test_ballot(old, x, y)
         for p, c in enumerate(old.ranking):

@@ -176,11 +176,8 @@ def x3c_to_stv(inst: X3CInstance) -> StvGadget:
         votes.append((1, prefix_ballot(f"abar{i}", f"bbar{i}", f"g{i}", "x", "y")))
         votes.append((2, prefix_ballot(f"abar{i}", f"a{i}", f"g{i}", "x", "y")))
 
-    ballots: list[list[int]] = []
-    for count, ballot in votes:
-        ballots.extend([ballot] * count)
-    suspect_index = len(ballots)
-    ballots.append(prefix_ballot("x"))
+    suspect_index = sum(count for count, _ in votes)
+    votes.append((1, prefix_ballot("x")))
 
     # Tie-break: y first, then the d-block, then g, b, bbar, abar, a, x last.
     # Dropping the tie-break-last candidate must take a_i before abar_i (so
@@ -198,7 +195,9 @@ def x3c_to_stv(inst: X3CInstance) -> StvGadget:
     )
     tiebreak = Preference([ids[name] for name in tb_names])
 
-    instance = ElectionInstance(names, ballots, tiebreak=tiebreak)
+    instance = ElectionInstance(
+        names, [ballot for _, ballot in votes], tiebreak, counts=[count for count, _ in votes]
+    )
     return StvGadget(instance, suspect_index, ids["x"], ids["y"], inst)
 
 

@@ -67,14 +67,15 @@ def oracle_cpmw(
             f"exhaustive search needs {cost} replays, budget is {budget}", cost, budget
         )
 
-    prefs = admissible_preferences(m, x, y)
-    ballots = list(instance.ballots)
+    slots = [(pref, 1) for pref in admissible_preferences(m, x, y)]
+    profile = instance.ballots_excluding(suspects)
+    base = len(profile)
     tiebreak = instance.tiebreak
-    for combo in product(prefs, repeat=len(suspects)):
-        for i, pref in zip(suspects, combo):
-            ballots[i] = pref
-        if winner_from_ballots(m, ballots, tiebreak, rule) == y:
-            return yes_verdict(dict(zip(suspects, combo)), y, ORACLE, exhaustive=True)
+    for combo in product(slots, repeat=len(suspects)):
+        profile[base:] = combo
+        if winner_from_ballots(m, profile, tiebreak, rule) == y:
+            witness = {i: pref for i, (pref, _) in zip(suspects, combo)}
+            return yes_verdict(witness, y, ORACLE, exhaustive=True)
     return no_verdict(ORACLE, exhaustive=True)
 
 
@@ -152,12 +153,15 @@ def search_coalitions(
 
     Subsets are tried in size-then-index order; the first hit wins.  Each
     subset is decided by `decide` when supplied (letting callers plug in a
-    polynomial procedure), else by the oracle.
+    polynomial procedure), else by the oracle.  Without a hit, the NO of the
+    last subset decided, so the verdict names the procedure that decided it;
+    the oracle's exhaustive NO when no subset was decided.
     """
     n = instance.n
     _check_search(n, k, subset_budget, force)
     if decide is None:
         decide = _default_decider(instance, rule, y, budget, force)
+    verdict = None
     for subset in _subsets_up_to(n, k):
         if skip is not None and skip(subset):
             continue
@@ -165,7 +169,9 @@ def search_coalitions(
         if verdict.answer:
             verdict.coalition = subset
             return verdict
-    return no_verdict(ORACLE, exhaustive=True)
+    if verdict is None:
+        return no_verdict(ORACLE, exhaustive=True)
+    return verdict
 
 
 def all_minimal_coalitions(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import ElectionInstance, Preference, margin_matrix
+from .core import ElectionInstance, Preference, Profile, margin_matrix
 from .errors import ConfigError, DegenerateRosterError
 
 Score = int | Fraction
@@ -112,19 +112,21 @@ class ScoreTable:
 
 
 # ---------------------------------------------------------------------------
-# Raw-ballot internals.  These skip instance re-validation so that search
-# loops can replay candidate ballots cheaply.
+# Weighted-profile internals.  These take (ballot, count) pairs and skip
+# instance re-validation, so that search loops can replay candidate ballots
+# against the classes of the rest of the profile cheaply.
 # ---------------------------------------------------------------------------
 
 
-def positional_scores(m: int, ballots: Iterable[Preference], vector: ScoringVector) -> list[Score]:
+def positional_scores(m: int, profile: Profile, vector: ScoringVector) -> list[Score]:
     if len(vector) != m:
         raise ConfigError(f"scoring vector length {len(vector)} does not match roster size {m}")
     alphas = vector.alphas
     scores: list[Score] = [0] * m
-    for ballot in ballots:
+    for ballot, w in profile:
+        weighted = alphas if w == 1 else [a * w for a in alphas]
         for p, c in enumerate(ballot.ranking):
-            scores[c] += alphas[p]
+            scores[c] += weighted[p]
     return scores
 
 
@@ -135,16 +137,16 @@ def maximin_scores_from_margins(margins: Sequence[Sequence[int]]) -> list[int]:
     return [min(margins[c][z] for z in range(m) if z != c) for c in range(m)]
 
 
-def maximin_scores(m: int, ballots: Iterable[Preference]) -> list[int]:
-    return maximin_scores_from_margins(margin_matrix(m, ballots))
+def maximin_scores(m: int, profile: Profile) -> list[int]:
+    return maximin_scores_from_margins(margin_matrix(m, profile))
 
 
-def topk_counts(m: int, ballots: Iterable[Preference]) -> list[list[int]]:
-    """counts[c][l] = number of ballots ranking c within the top l (l in 0..m)."""
+def topk_counts(m: int, profile: Profile) -> list[list[int]]:
+    """counts[c][l] = number of voters ranking c within the top l (l in 0..m)."""
     first = [[0] * (m + 1) for _ in range(m)]
-    for ballot in ballots:
-        for p, c in enumerate(ballot.ranking):
-            first[c][p + 1] += 1
+    for ballot, w in profile:
+        for p, c in enumerate(ballot.ranking, 1):
+            first[c][p] += w
     for c in range(m):
         row = first[c]
         for l in range(1, m + 1):
@@ -152,9 +154,10 @@ def topk_counts(m: int, ballots: Iterable[Preference]) -> list[list[int]]:
     return first
 
 
-def bucklin_levels(m: int, n: int, ballots: Iterable[Preference]) -> list[int]:
+def bucklin_levels(m: int, profile: Profile) -> list[int]:
     """Least level l at which each candidate is in the top l of at least half the voters."""
-    counts = topk_counts(m, ballots)
+    counts = topk_counts(m, profile)
+    n = counts[0][m]  # every voter ranks every candidate within the top m
     levels = []
     for c in range(m):
         row = counts[c]
@@ -165,25 +168,24 @@ def bucklin_levels(m: int, n: int, ballots: Iterable[Preference]) -> list[int]:
     return levels
 
 
-def stv_order(m: int, ballots: Sequence[Preference], tb_rank: Sequence[int]) -> list[int]:
+def stv_order(m: int, profile: Profile, tb_rank: Sequence[int]) -> list[int]:
     """Elimination order, winner last.
 
-    Each round drops the candidate with the least count of ballots currently
-    topping it; among tied candidates the one latest in the tie-break order is
-    dropped, so tie-break-favored candidates stay alive.
+    Each round drops the candidate with the least count of voters whose
+    ballot currently tops it; among tied candidates the one latest in the
+    tie-break order is dropped, so tie-break-favored candidates stay alive.
+    Only the ballots that topped the dropped candidate move on, each to its
+    next candidate still alive.
     """
     alive = [True] * m
-    pointers = [0] * len(ballots)
+    counts = [0] * m
+    piles: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in range(m)]
+    for ballot, w in profile:
+        r = ballot.ranking
+        counts[r[0]] += w
+        piles[r[0]].append((r, 0, w))
     order: list[int] = []
     for _ in range(m - 1):
-        counts = [0] * m
-        for bi, ballot in enumerate(ballots):
-            r = ballot.ranking
-            p = pointers[bi]
-            while not alive[r[p]]:
-                p += 1
-            pointers[bi] = p
-            counts[r[p]] += 1
         least = min(counts[c] for c in range(m) if alive[c])
         drop = max(
             (c for c in range(m) if alive[c] and counts[c] == least),
@@ -191,6 +193,12 @@ def stv_order(m: int, ballots: Sequence[Preference], tb_rank: Sequence[int]) -> 
         )
         alive[drop] = False
         order.append(drop)
+        for r, p, w in piles[drop]:
+            p += 1
+            while not alive[r[p]]:
+                p += 1
+            counts[r[p]] += w
+            piles[r[p]].append((r, p, w))
     order.append(alive.index(True))
     return order
 
@@ -200,28 +208,28 @@ def _pick_first(candidates: Iterable[int], tb_rank: Sequence[int]) -> int:
 
 
 def co_winners_from_ballots(
-    m: int, ballots: Sequence[Preference], tb_rank: Sequence[int], rule: VotingRule
+    m: int, profile: Profile, tb_rank: Sequence[int], rule: VotingRule
 ) -> list[int]:
     if rule.kind == SCORING:
-        scores = positional_scores(m, ballots, rule.vector)
+        scores = positional_scores(m, profile, rule.vector)
         best = max(scores)
         return [c for c in range(m) if scores[c] == best]
     if rule.kind == MAXIMIN:
-        scores = maximin_scores(m, ballots)
+        scores = maximin_scores(m, profile)
         best = max(scores)
         return [c for c in range(m) if scores[c] == best]
     if rule.kind == BUCKLIN:
-        levels = bucklin_levels(m, len(ballots), ballots)
+        levels = bucklin_levels(m, profile)
         best = min(levels)
         return [c for c in range(m) if levels[c] == best]
-    return [stv_order(m, ballots, tb_rank)[-1]]
+    return [stv_order(m, profile, tb_rank)[-1]]
 
 
 def winner_from_ballots(
-    m: int, ballots: Sequence[Preference], tiebreak: Preference, rule: VotingRule
+    m: int, profile: Profile, tiebreak: Preference, rule: VotingRule
 ) -> int:
     tb_rank = tiebreak.positions()
-    return _pick_first(co_winners_from_ballots(m, ballots, tb_rank, rule), tb_rank)
+    return _pick_first(co_winners_from_ballots(m, profile, tb_rank, rule), tb_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -231,31 +239,31 @@ def winner_from_ballots(
 
 def evaluate_scores(instance: ElectionInstance, vector: ScoringVector) -> ScoreTable:
     """Positional score of every candidate under the given vector."""
-    return ScoreTable(tuple(positional_scores(instance.m, instance.ballots, vector)))
+    return ScoreTable(tuple(positional_scores(instance.m, instance.classes, vector)))
 
 
 def maximin_score(instance: ElectionInstance, candidate: int) -> int:
     """Worst pairwise margin of `candidate` against any opponent."""
-    return maximin_scores(instance.m, instance.ballots)[candidate]
+    return maximin_scores(instance.m, instance.classes)[candidate]
 
 
 def bucklin_score(instance: ElectionInstance, candidate: int) -> int:
     """Bucklin level of `candidate` (always in 1..m)."""
-    return bucklin_levels(instance.m, instance.n, instance.ballots)[candidate]
+    return bucklin_levels(instance.m, instance.classes)[candidate]
 
 
 def stv_elimination_order(instance: ElectionInstance) -> tuple[int, ...]:
     """m-1 eliminated candidates in order, then the surviving winner."""
-    return tuple(stv_order(instance.m, instance.ballots, instance.tiebreak.positions()))
+    return tuple(stv_order(instance.m, instance.classes, instance.tiebreak.positions()))
 
 
 def co_winners(instance: ElectionInstance, rule: VotingRule) -> tuple[int, ...]:
     """The rule's co-winner set before tie-breaking (singleton for STV)."""
     return tuple(
-        co_winners_from_ballots(instance.m, instance.ballots, instance.tiebreak.positions(), rule)
+        co_winners_from_ballots(instance.m, instance.classes, instance.tiebreak.positions(), rule)
     )
 
 
 def winner(instance: ElectionInstance, rule: VotingRule) -> int:
     """The unique winner: tie-break-earliest member of the co-winner set."""
-    return winner_from_ballots(instance.m, instance.ballots, instance.tiebreak, rule)
+    return winner_from_ballots(instance.m, instance.classes, instance.tiebreak, rule)

@@ -229,7 +229,7 @@ def test_criterion_6_margin_realization_exactness():
         f = MarginFunction.from_pairs(m, pairs)
         ballots = mcgarvey_ballots(f)
         count_ok = len(ballots) == sum(abs(v) for v in pairs.values())
-        margins_ok = tuple(tuple(row) for row in margin_matrix(m, ballots)) == f.margins
+        margins_ok = tuple(tuple(row) for row in margin_matrix(m, [(b, 1) for b in ballots])) == f.margins
         if count_ok and margins_ok:
             exact += 1
     _report(6, "margin construction exactness", exact == cases, f"{exact}/{cases} exact")

@@ -98,7 +98,8 @@ def test_with_ballots_replaced():
 def test_ballots_excluding():
     inst = e1()
     rest = inst.ballots_excluding([1])
-    assert rest == (inst.ballots[0], inst.ballots[2])
+    assert rest == [(inst.ballots[0], 1), (inst.ballots[2], 1)]
+    assert inst.ballots_excluding([1, 2]) == [(inst.ballots[0], 1)]
     with pytest.raises(RosterError):
         inst.ballots_excluding([7])
 

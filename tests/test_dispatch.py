@@ -43,16 +43,21 @@ def test_routing_methods():
     ):
         verdict = decide_cpm(unanimous, rule, suspects)
         assert (verdict.answer, verdict.method, verdict.exhaustive) == (False, method, exhaustive)
+    # A NO from a coalition search keeps the label of the decider of its last
+    # subset: k = 1 routes irregular vectors to the single-suspect sweep.
     for rule, method, exhaustive in (
         (borda, "delta-greedy", False),
-        (plur, "oracle", True),
-        (irregular, "oracle", True),
-        (maximin, "oracle", True),
-        (bucklin, "oracle", True),
+        (plur, "plurality-capacity", False),
+        (irregular, "scoring-single", False),
+        (maximin, "maximin-single", False),
+        (bucklin, "bucklin-greedy", False),
         (stv, "oracle", True),
     ):
         verdict = decide_cpms(unanimous, rule, 1)
         assert (verdict.answer, verdict.method, verdict.exhaustive) == (False, method, exhaustive)
+    # No subset decided (k = 0): the oracle's exhaustive NO.
+    verdict = decide_cpmsw(unanimous, plur, 1, 0)
+    assert (verdict.answer, verdict.method, verdict.exhaustive) == (False, "oracle", True)
     single = ElectionInstance(("a",), [(0,)] * 2)
     assert decide_cpm(single, stv, (0,)).method == "cpm"
     assert decide_cpms(single, stv, 1).method == "cpms"

@@ -21,7 +21,7 @@ def test_mcgarvey_single_positive_pair():
     f = MarginFunction.from_pairs(3, {(0, 1): 2})
     ballots = mcgarvey_ballots(f)
     assert [b.ranking for b in ballots] == [(0, 1, 2), (2, 0, 1)]
-    d = margin_matrix(3, ballots)
+    d = margin_matrix(3, [(b, 1) for b in ballots])
     assert d[0][1] == 2 and d[0][2] == 0 and d[1][2] == 0
 
 
@@ -34,7 +34,7 @@ def test_mcgarvey_condorcet_cycle():
     f = MarginFunction.from_pairs(3, {(0, 1): 2, (1, 2): 2, (2, 0): 2})
     ballots = mcgarvey_ballots(f)
     assert len(ballots) == 6
-    d = margin_matrix(3, ballots)
+    d = margin_matrix(3, [(b, 1) for b in ballots])
     assert d[0][1] == 2 and d[1][2] == 2 and d[2][0] == 2
 
 
@@ -67,7 +67,7 @@ def test_mcgarvey_then_margins_is_identity(args):
     f = MarginFunction.from_pairs(m, pairs)
     ballots = mcgarvey_ballots(f)
     assert len(ballots) == sum(abs(v) for v in pairs.values())
-    d = margin_matrix(m, ballots)
+    d = margin_matrix(m, [(b, 1) for b in ballots])
     assert tuple(tuple(row) for row in d) == f.margins
 
 

@@ -157,9 +157,10 @@ def test_anonymity(ballots, rng):
 def test_bucklin_levels_bounded_and_full_at_level_m(ballots):
     m = len(ballots[0])
     inst = ElectionInstance([f"c{i}" for i in range(m)], ballots)
-    levels = bucklin_levels(m, inst.n, inst.ballots)
+    profile = [(b, 1) for b in inst.ballots]
+    levels = bucklin_levels(m, profile)
     assert all(1 <= l <= m for l in levels)
-    counts = topk_counts(m, inst.ballots)
+    counts = topk_counts(m, profile)
     assert all(counts[c][m] == inst.n for c in range(m))
 
 
