@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 from .core import ElectionInstance, Preference
@@ -121,10 +122,18 @@ def ballot_string(names: Sequence[str], pref: Preference) -> str:
 
 
 def render_election(instance: ElectionInstance) -> str:
-    """Render an instance so that parse(render(instance)) == instance."""
-    lines = ["candidates: " + ",".join(instance.names)]
-    lines.append("tiebreak: " + ",".join(instance.names[c] for c in instance.tiebreak))
-    lines.extend(ballot_string(instance.names, b) for b in instance.ballots)
+    """Render an instance so that parse(render(instance)) == instance.
+
+    Each run of consecutive voters casting one ballot is one line, `Nx` when
+    the run is longer than one voter, so voter indices keep their meaning.
+    """
+    names = instance.names
+    lines = ["candidates: " + ",".join(names)]
+    lines.append("tiebreak: " + ",".join(names[c] for c in instance.tiebreak))
+    for k, run in groupby(instance.voter_class):
+        count = sum(1 for _ in run)
+        ballot = ballot_string(names, instance.classes[k][0])
+        lines.append(ballot if count == 1 else f"{count}x {ballot}")
     return "\n".join(lines) + "\n"
 
 
@@ -144,9 +153,16 @@ class Report:
     exhaustive: bool = False
     budget: str = "ok"  # "ok" | "forced" | "exceeded"
     elapsed_ms: float = 0.0
+    cost: int | None = None  # on "exceeded": the work the search was refused
+    limit: int | None = None  # on "exceeded": the budget it was held to
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name; the witness list is shared with the report, not copied."""
+        data = dict(vars(self))
+        if self.cost is None and self.limit is None:
+            # refusal fields only on a refusal, so other reports stay as they were
+            del data["cost"], data["limit"]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "Report":

@@ -248,12 +248,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
         if args.command == "gen":
             return _run_gen(args)
         return _run_detection(args)
     except BudgetExceededError as exc:
         print(f"error: {exc} (use --force to run anyway)", file=sys.stderr)
+        if args.json:
+            report = Report(
+                problem=args.command,
+                rule=args.rule,
+                verdict="-",
+                budget="exceeded",
+                cost=exc.cost,
+                limit=exc.budget,
+                elapsed_ms=(time.perf_counter() - started) * 1000.0,
+            )
+            _emit(report, True)
         return 2
     except (ElectionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,8 +56,7 @@ def cpmw_bucklin(query: DetectionQuery) -> DetectionVerdict:
     m, n = inst.m, inst.n
     majority = (n + 1) // 2
     tb_rank = inst.tiebreak.positions()
-    ext_profile = inst.ballots_excluding(suspects)
-    ext = topk_counts(m, ext_profile)
+    ext = topk_counts(m, inst.ballots_excluding(suspects))
     c = len(suspects)
     if c == 0:
         return no_verdict(METHOD_BUCKLIN)
@@ -128,8 +127,8 @@ def cpmw_bucklin(query: DetectionQuery) -> DetectionVerdict:
                         ranking[pos] = next(it)
                 witness[idx] = Preference(ranking)
 
-            replay = ext_profile + [(pref, 1) for pref in witness.values()]
-            if winner_from_ballots(m, replay, inst.tiebreak, query.rule) == y:
+            replay = [(pref, 1) for pref in witness.values()]
+            if winner_from_ballots(m, replay, inst.tiebreak, query.rule, base=ext) == y:
                 return yes_verdict(witness, y, METHOD_BUCKLIN)
     return no_verdict(METHOD_BUCKLIN)
 

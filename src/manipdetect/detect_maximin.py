@@ -48,8 +48,7 @@ def cpmw_maximin_single(query: DetectionQuery) -> DetectionVerdict:
     y = require_target(query, x)
     (i,) = query.suspects
 
-    ext = inst.ballots_excluding([i])
-    margins = margin_matrix(m, ext)
+    margins = margin_matrix(m, inst.ballots_excluding([i]))
     scores = maximin_scores_from_margins(margins)
     # worst opponents of x and of y in the profile without the suspect
     b_x = frozenset(z for z in range(m) if z != x and margins[x][z] == scores[x])
@@ -101,7 +100,7 @@ def cpmw_maximin_single(query: DetectionQuery) -> DetectionVerdict:
             if ballot is None:
                 continue
             pref = Preference(ballot)
-            if winner_from_ballots(m, ext + [(pref, 1)], inst.tiebreak, query.rule) == y:
+            if winner_from_ballots(m, [(pref, 1)], inst.tiebreak, query.rule, base=margins) == y:
                 return yes_verdict({i: pref}, y, METHOD_MAXIMIN)
     return no_verdict(METHOD_MAXIMIN)
 

@@ -102,11 +102,10 @@ def cpmw_scoring_single(query: DetectionQuery) -> DetectionVerdict:
     y = require_target(query, x)
     (i,) = query.suspects
     m = inst.m
-    ext = inst.ballots_excluding([i])
-    external = positional_scores(m, ext, vector)
+    external = positional_scores(m, inst.ballots_excluding([i]), vector)
     for j in range(1, m):
         pref = canonical_manipulated_preference(external, x, y, j, inst.tiebreak)
-        if winner_from_ballots(m, ext + [(pref, 1)], inst.tiebreak, query.rule) == y:
+        if winner_from_ballots(m, [(pref, 1)], inst.tiebreak, query.rule, base=external) == y:
             return yes_verdict({i: pref}, y, METHOD_SINGLE)
     return no_verdict(METHOD_SINGLE)
 

@@ -23,7 +23,7 @@ from .detection import (
     yes_verdict,
 )
 from .errors import BudgetExceededError, InvalidQueryError
-from .rules import VotingRule, winner, winner_from_ballots
+from .rules import VotingRule, tally, winner, winner_from_ballots
 
 DEFAULT_REPLAY_BUDGET = 10_000_000
 DEFAULT_SUBSET_BUDGET = 1_000_000
@@ -68,12 +68,10 @@ def oracle_cpmw(
         )
 
     slots = [(pref, 1) for pref in admissible_preferences(m, x, y)]
-    profile = instance.ballots_excluding(suspects)
-    base = len(profile)
+    external = tally(m, instance.ballots_excluding(suspects), rule)
     tiebreak = instance.tiebreak
     for combo in product(slots, repeat=len(suspects)):
-        profile[base:] = combo
-        if winner_from_ballots(m, profile, tiebreak, rule) == y:
+        if winner_from_ballots(m, combo, tiebreak, rule, base=external) == y:
             witness = {i: pref for i, (pref, _) in zip(suspects, combo)}
             return yes_verdict(witness, y, ORACLE, exhaustive=True)
     return no_verdict(ORACLE, exhaustive=True)

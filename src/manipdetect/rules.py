@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from .core import ElectionInstance, Preference, Profile, margin_matrix
@@ -114,7 +115,7 @@ class ScoreTable:
 # ---------------------------------------------------------------------------
 # Weighted-profile internals.  These take (ballot, count) pairs and skip
 # instance re-validation, so that search loops can replay candidate ballots
-# against the classes of the rest of the profile cheaply.
+# on top of the table of the rest of the profile cheaply.
 # ---------------------------------------------------------------------------
 
 
@@ -137,10 +138,6 @@ def maximin_scores_from_margins(margins: Sequence[Sequence[int]]) -> list[int]:
     return [min(margins[c][z] for z in range(m) if z != c) for c in range(m)]
 
 
-def maximin_scores(m: int, profile: Profile) -> list[int]:
-    return maximin_scores_from_margins(margin_matrix(m, profile))
-
-
 def topk_counts(m: int, profile: Profile) -> list[list[int]]:
     """counts[c][l] = number of voters ranking c within the top l (l in 0..m)."""
     first = [[0] * (m + 1) for _ in range(m)]
@@ -156,7 +153,12 @@ def topk_counts(m: int, profile: Profile) -> list[list[int]]:
 
 def bucklin_levels(m: int, profile: Profile) -> list[int]:
     """Least level l at which each candidate is in the top l of at least half the voters."""
-    counts = topk_counts(m, profile)
+    return bucklin_levels_from_counts(topk_counts(m, profile))
+
+
+def bucklin_levels_from_counts(counts: Sequence[Sequence[int]]) -> list[int]:
+    """Bucklin levels read from a `topk_counts` table."""
+    m = len(counts)
     n = counts[0][m]  # every voter ranks every candidate within the top m
     levels = []
     for c in range(m):
@@ -207,29 +209,60 @@ def _pick_first(candidates: Iterable[int], tb_rank: Sequence[int]) -> int:
     return min(candidates, key=lambda c: tb_rank[c])
 
 
+def tally(m: int, profile: Profile, rule: VotingRule):
+    """The rule's additive aggregate table of a weighted profile.
+
+    Positional scores, the margin matrix, or the top-k counts; for STV, the
+    weighted profile itself.  The table of two profiles put together is the
+    sum of their tables (concatenation for STV), so a replay can add the
+    table of a few ballots to a table built once for the rest.
+    """
+    if rule.kind == SCORING:
+        return positional_scores(m, profile, rule.vector)
+    if rule.kind == MAXIMIN:
+        return margin_matrix(m, profile)
+    if rule.kind == BUCKLIN:
+        return topk_counts(m, profile)
+    return profile
+
+
+def _add_tables(rule: VotingRule, base, table):
+    if rule.kind == SCORING:
+        return list(map(add, base, table))
+    if rule.kind == STV:
+        return [*base, *table]
+    return [list(map(add, r, s)) for r, s in zip(base, table)]
+
+
+def co_winners_from_tally(m: int, table, tb_rank: Sequence[int], rule: VotingRule) -> list[int]:
+    """The co-winner set read from a `tally` table."""
+    if rule.kind == STV:
+        return [stv_order(m, table, tb_rank)[-1]]
+    if rule.kind == BUCKLIN:
+        levels = bucklin_levels_from_counts(table)
+        best = min(levels)
+        return [c for c in range(m) if levels[c] == best]
+    scores = table if rule.kind == SCORING else maximin_scores_from_margins(table)
+    best = max(scores)
+    return [c for c in range(m) if scores[c] == best]
+
+
 def co_winners_from_ballots(
     m: int, profile: Profile, tb_rank: Sequence[int], rule: VotingRule
 ) -> list[int]:
-    if rule.kind == SCORING:
-        scores = positional_scores(m, profile, rule.vector)
-        best = max(scores)
-        return [c for c in range(m) if scores[c] == best]
-    if rule.kind == MAXIMIN:
-        scores = maximin_scores(m, profile)
-        best = max(scores)
-        return [c for c in range(m) if scores[c] == best]
-    if rule.kind == BUCKLIN:
-        levels = bucklin_levels(m, profile)
-        best = min(levels)
-        return [c for c in range(m) if levels[c] == best]
-    return [stv_order(m, profile, tb_rank)[-1]]
+    return co_winners_from_tally(m, tally(m, profile, rule), tb_rank, rule)
 
 
 def winner_from_ballots(
-    m: int, profile: Profile, tiebreak: Preference, rule: VotingRule
+    m: int, profile: Profile, tiebreak: Preference, rule: VotingRule, base=None
 ) -> int:
+    """The winner of `profile`, or, given `base = tally(m, rest, rule)`, of
+    `rest + profile`: a replay then costs the table of `profile` only."""
+    table = tally(m, profile, rule)
+    if base is not None:
+        table = _add_tables(rule, base, table)
     tb_rank = tiebreak.positions()
-    return _pick_first(co_winners_from_ballots(m, profile, tb_rank, rule), tb_rank)
+    return _pick_first(co_winners_from_tally(m, table, tb_rank, rule), tb_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +277,7 @@ def evaluate_scores(instance: ElectionInstance, vector: ScoringVector) -> ScoreT
 
 def maximin_score(instance: ElectionInstance, candidate: int) -> int:
     """Worst pairwise margin of `candidate` against any opponent."""
-    return maximin_scores(instance.m, instance.classes)[candidate]
+    return maximin_scores_from_margins(margin_matrix(instance.m, instance.classes))[candidate]
 
 
 def bucklin_score(instance: ElectionInstance, candidate: int) -> int:

@@ -118,3 +118,42 @@ def test_report_round_trip():
     )
     assert Report.from_json(report.to_json()) == report
     assert Report.from_dict(report.to_dict()) == report
+
+
+def test_render_writes_one_line_per_run_of_equal_ballots():
+    inst = parse_election("candidates: a,b,c\n100000x a>b>c\n")
+    text = render_election(inst)
+    assert text == "candidates: a,b,c\ntiebreak: a,b,c\n100000x a>b>c\n"
+    assert parse_election(text) == inst
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([(0, 1, 2), (2, 1, 0), (1, 0, 2)]), st.integers(1, 4)),
+        min_size=1,
+        max_size=8,
+    )
+)
+@settings(max_examples=80)
+def test_render_round_trip_with_repeated_and_interleaved_ballots(runs):
+    ballots, counts = zip(*runs)
+    inst = ElectionInstance(("a", "b", "c"), ballots, counts=counts)
+    text = render_election(inst)
+    assert parse_election(text) == inst
+    # one line per maximal run of consecutive equal ballots
+    runs_in_order = sum(1 for i in range(inst.n) if i == 0 or inst.ballots[i] != inst.ballots[i - 1])
+    assert len(text.splitlines()) == 2 + runs_in_order
+
+
+def test_render_keeps_voter_order_of_interleaved_ballots():
+    inst = ElectionInstance(("a", "b"), [(0, 1), (1, 0), (0, 1)], counts=[2, 1, 3])
+    assert render_election(inst).splitlines()[2:] == ["2x a>b", "b>a", "3x a>b"]
+
+
+def test_budget_refusal_report_round_trip():
+    report = Report(
+        problem="cpmw", rule="stv", verdict="-", budget="exceeded", cost=10**12, limit=10**7
+    )
+    assert Report.from_json(report.to_json()) == report
+    # reports of finished searches carry no refusal fields
+    assert "cost" not in Report(problem="cpmw", rule="stv", verdict="NO").to_dict()

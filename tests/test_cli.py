@@ -127,6 +127,27 @@ def test_budget_error_exit_two_without_force(tmp_path, capsys):
     assert "--force" in capsys.readouterr().err
 
 
+def test_budget_refusal_json_report(tmp_path, capsys):
+    # 7 candidates, three suspects under STV: (7!/2)^3 replays
+    names = ",".join(f"c{i}" for i in range(7))
+    ballot = ">".join(f"c{i}" for i in range(7))
+    path = tmp_path / "big.txt"
+    path.write_text(f"candidates: {names}\n4x {ballot}\n")
+    code = main(
+        ["cpmw", str(path), "--rule", "stv", "--suspects", "0,1,2", "--actual-winner", "c1",
+         "--json"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--force" in captured.err
+    report = Report.from_json(captured.out)
+    assert report.budget == "exceeded"
+    assert report.cost == 2520**3
+    assert report.limit == 10_000_000
+    assert (report.problem, report.rule, report.verdict) == ("cpmw", "stv", "-")
+    assert report.witness is None and report.coalition is None
+
+
 def test_gen_random_round_trips(capsys):
     assert main(["gen", "random", "--m", "3", "--n", "4", "--seed", "9"]) == 0
     out = capsys.readouterr().out

@@ -2,6 +2,8 @@
 and every aggregate table is built over those weighted classes."""
 
 from collections import Counter
+from copy import deepcopy
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -17,6 +19,7 @@ from manipdetect.rules import (
     VotingRule,
     bucklin_levels,
     bucklin_score,
+    tally,
     winner,
     winner_from_ballots,
 )
@@ -44,8 +47,8 @@ def unit_profile(inst):
 @settings(max_examples=80, deadline=None)
 def test_winner_over_classes_matches_per_voter_profile(ballots, tb):
     inst = ElectionInstance(NAMES, ballots, tb)
-    tally = Counter(tuple(b) for b in ballots)
-    assert [(p.ranking, w) for p, w in inst.classes] == list(tally.items())
+    counts = Counter(tuple(b) for b in ballots)
+    assert [(p.ranking, w) for p, w in inst.classes] == list(counts.items())
     assert [inst.classes[k][0] for k in inst.voter_class] == list(inst.ballots)
     for rule in RULES:
         assert winner(inst, rule) == winner_from_ballots(M, unit_profile(inst), inst.tiebreak, rule)
@@ -72,6 +75,36 @@ def test_replay_over_external_classes_matches_replaced_instance(ballots, tb, dat
     profile = inst.ballots_excluding(suspects) + [(pref, 1) for pref in witness.values()]
     for rule in RULES:
         assert winner_from_ballots(M, profile, inst.tiebreak, rule) == winner(replaced, rule)
+
+
+ALL_RULES = RULES + [
+    VotingRule.scoring(ScoringVector([Fraction(7, 2), Fraction(1, 3), Fraction(1, 3), 0]))
+]
+ALL_RANKINGS = list(permutations(range(M)))
+
+
+@given(profiles, tiebreaks, st.data())
+@settings(max_examples=80, deadline=None)
+def test_replay_on_external_table_matches_full_recount(ballots, tb, data):
+    # the rest of the profile comes from a copy with replaced voters, so it
+    # may hold classes of count 0; the replayed ballots may have any count
+    inst = ElectionInstance(NAMES, ballots, tb)
+    voters = data.draw(st.sets(st.integers(0, inst.n - 1), max_size=3))
+    replaced = inst.with_ballots_replaced(
+        {i: Preference(data.draw(st.sampled_from(ALL_RANKINGS))) for i in voters}
+    )
+    ext = list(replaced.classes)
+    extra = data.draw(
+        st.lists(st.tuples(st.sampled_from(ALL_RANKINGS), st.integers(0, 3)), max_size=4)
+    )
+    replay = [(Preference(r), w) for r, w in extra]
+    for rule in ALL_RULES:
+        base = tally(M, ext, rule)
+        kept = deepcopy(base)
+        assert winner_from_ballots(M, replay, inst.tiebreak, rule, base=base) == (
+            winner_from_ballots(M, ext + replay, inst.tiebreak, rule)
+        )
+        assert base == kept
 
 
 def test_repeat_line_is_one_class():
