@@ -223,6 +223,12 @@ class ElectionInstance:
         )
         return copy
 
+    def ballots_of(self, voters: Iterable[int]) -> list[tuple[Preference, int]]:
+        """The weighted profile of just the listed voters, one unit pair each."""
+        voters = list(voters)
+        self._check_voters(voters)
+        return [(self.ballots[i], 1) for i in voters]
+
     def ballots_excluding(self, voters: Iterable[int]) -> list[tuple[Preference, int]]:
         """The weighted profile of every voter but the listed ones, in class order."""
         drop = set(voters)

@@ -20,13 +20,12 @@ from .core import Preference
 from .detection import (
     DetectionQuery,
     DetectionVerdict,
-    current_winner,
     no_verdict,
     require_target,
     yes_verdict,
 )
 from .errors import DispatchError
-from .rules import BUCKLIN, topk_counts, winner_from_ballots
+from .rules import BUCKLIN, tally_without, winner_and_tally, winner_from_ballots
 
 METHOD_BUCKLIN = "bucklin-greedy"
 
@@ -50,13 +49,13 @@ def cpmw_bucklin(query: DetectionQuery) -> DetectionVerdict:
     if query.rule.kind != BUCKLIN:
         raise DispatchError(f"bucklin detector cannot handle a {query.rule.kind} rule")
     inst = query.instance
-    x = current_winner(query)
+    x, full = winner_and_tally(inst, query.rule)
     y = require_target(query, x)
     suspects = query.suspects
     m, n = inst.m, inst.n
     majority = (n + 1) // 2
     tb_rank = inst.tiebreak.positions()
-    ext = topk_counts(m, inst.ballots_excluding(suspects))
+    ext = tally_without(inst, query.rule, full, suspects)
     c = len(suspects)
     if c == 0:
         return no_verdict(METHOD_BUCKLIN)

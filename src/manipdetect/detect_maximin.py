@@ -17,17 +17,22 @@ NO is exhaustive over all ballots consistent with the guess.
 
 from __future__ import annotations
 
-from .core import Preference, margin_matrix
+from .core import Preference
 from .detection import (
     DetectionQuery,
     DetectionVerdict,
-    current_winner,
     no_verdict,
     require_target,
     yes_verdict,
 )
 from .errors import DegenerateRosterError, DispatchError
-from .rules import MAXIMIN, maximin_scores_from_margins, winner_from_ballots
+from .rules import (
+    MAXIMIN,
+    maximin_scores_from_margins,
+    tally_without,
+    winner_and_tally,
+    winner_from_ballots,
+)
 
 METHOD_MAXIMIN = "maximin-single"
 
@@ -44,11 +49,11 @@ def cpmw_maximin_single(query: DetectionQuery) -> DetectionVerdict:
     m = inst.m
     if m < 2:
         raise DegenerateRosterError("maximin detection needs at least two candidates")
-    x = current_winner(query)
+    x, full = winner_and_tally(inst, query.rule)
     y = require_target(query, x)
     (i,) = query.suspects
 
-    margins = margin_matrix(m, inst.ballots_excluding([i]))
+    margins = tally_without(inst, query.rule, full, query.suspects)
     scores = maximin_scores_from_margins(margins)
     # worst opponents of x and of y in the profile without the suspect
     b_x = frozenset(z for z in range(m) if z != x and margins[x][z] == scores[x])

@@ -22,7 +22,6 @@ from .core import Preference
 from .detection import (
     DetectionQuery,
     DetectionVerdict,
-    current_winner,
     no_verdict,
     require_target,
     yes_verdict,
@@ -35,6 +34,8 @@ from .rules import (
     ScoreTable,
     ScoringVector,
     positional_scores,
+    tally_without,
+    winner_and_tally,
     winner_from_ballots,
 )
 
@@ -98,11 +99,11 @@ def cpmw_scoring_single(query: DetectionQuery) -> DetectionVerdict:
     if len(query.suspects) != 1:
         raise DispatchError("this procedure handles exactly one suspect")
     inst = query.instance
-    x = current_winner(query)
+    x, full = winner_and_tally(inst, query.rule)
     y = require_target(query, x)
     (i,) = query.suspects
     m = inst.m
-    external = positional_scores(m, inst.ballots_excluding([i]), vector)
+    external = tally_without(inst, query.rule, full, query.suspects)
     for j in range(1, m):
         pref = canonical_manipulated_preference(external, x, y, j, inst.tiebreak)
         if winner_from_ballots(m, [(pref, 1)], inst.tiebreak, query.rule, base=external) == y:
@@ -130,20 +131,22 @@ def cpmw_scoring_coalition(
     """
     vector = _require_scoring(query)
     inst = query.instance
-    x = current_winner(query)
-    y = require_target(query, x)
     if vector.is_convex():
+        x, full = winner_and_tally(inst, query.rule)
+        y = require_target(query, x)
         witness = {
             i: _coalition_test_ballot(inst.ballots[i], x, y) for i in query.suspects
         }
-        replay = inst.ballots_excluding(query.suspects)
-        replay += [(pref, 1) for pref in witness.values()]
-        if winner_from_ballots(inst.m, replay, inst.tiebreak, query.rule) == y:
+        rest = tally_without(inst, query.rule, full, query.suspects)
+        replay = [(pref, 1) for pref in witness.values()]
+        if winner_from_ballots(inst.m, replay, inst.tiebreak, query.rule, base=rest) == y:
             return yes_verdict(witness, y, METHOD_COALITION)
         return no_verdict(METHOD_COALITION)
     if vector.is_plurality_like():
         return cpmw_plurality_coalition(query)
-    verdict = oracle_cpmw(inst, query.rule, query.suspects, y, budget=budget, force=force)
+    verdict = oracle_cpmw(
+        inst, query.rule, query.suspects, query.actual_winner, budget=budget, force=force
+    )
     verdict.method = METHOD_FALLBACK
     return verdict
 
@@ -162,14 +165,18 @@ def cpmw_plurality_coalition(query: DetectionQuery) -> DetectionVerdict:
     if not vector.is_plurality_like():
         raise DispatchError("capacity method needs a plurality-like vector")
     inst = query.instance
-    x = current_winner(query)
+    x, full = winner_and_tally(inst, query.rule)
     y = require_target(query, x)
     m, suspects = inst.m, query.suspects
     tb_rank = inst.tiebreak.positions()
 
-    base = [0] * m
-    for ballot, w in inst.ballots_excluding(suspects):
-        base[ballot.ranking[0]] += w
+    # top votes of the rest of the profile: those of the whole profile, read
+    # off its scores (every voter scores `low` but `top` for their first
+    # choice), minus the suspects' own
+    top, low = vector.alphas[0], vector.alphas[-1]
+    base = [(s - low * inst.n) // (top - low) for s in full]
+    for i in suspects:
+        base[inst.ballots[i].ranking[0]] -= 1
     cap = {}
     for z in range(m):
         if z == y:
@@ -233,8 +240,8 @@ def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
 
     shift = []
     for ballot, _ in inst.classes:
-        pos = ballot.positions()
-        shift.append(alphas[1] - alphas[pos[y]] - alphas[0] + alphas[pos[x]])
+        r = ballot.ranking
+        shift.append(alphas[1] - alphas[r.index(y)] - alphas[0] + alphas[r.index(x)])
     # Voters by largest shift first, ties by voter index: one lazy scan of the
     # voters per shift value, so a small k reads only the first few groups.
     groups = ([s == d for s in shift] for d in sorted(set(shift), reverse=True))

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .core import ElectionInstance, Preference
-from .errors import InvalidQueryError, RosterError
-from .rules import VotingRule, winner
+from .errors import InvalidQueryError, RosterError, ValidationError
+from .rules import VotingRule, tally_without, winner_and_tally, winner_from_ballots
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,6 @@ def yes_verdict(
     )
 
 
-def current_winner(query: DetectionQuery) -> int:
-    return winner(query.instance, query.rule)
-
-
 def require_target(query: DetectionQuery, x: int) -> int:
     """The query's actual-winner candidate, validated against the current winner x."""
     y = query.actual_winner
@@ -122,6 +118,10 @@ def verify_verdict(
     given suspects, when provided), every witness ballot must rank the current
     winner above the claimed actual winner, and replaying the witness must
     elect the claimed actual winner.  NO verdicts verify trivially.
+
+    The full-profile table is built once: the current winner is read from it,
+    and the witness is replayed on top of it minus the table of the witness
+    voters' old ballots.
     """
     if not verdict.answer:
         return True
@@ -131,11 +131,18 @@ def verify_verdict(
         return False
     if suspects is not None and not set(verdict.witness) <= set(suspects):
         return False
-    x = winner(instance, rule)
+    x, full = winner_and_tally(instance, rule)
     y = verdict.witness_actual_winner
     if y == x:
         return False
-    for pref in verdict.witness.values():
+    witness = verdict.witness
+    for pref in witness.values():
         if not pref.prefers(x, y):
             return False
-    return winner(replay(instance, verdict.witness), rule) == y
+    rest = tally_without(instance, rule, full, witness)
+    m = instance.m
+    ballots = [(pref, 1) for pref in witness.values()]
+    for pref, _ in ballots:
+        if pref.m != m:
+            raise ValidationError(f"ballot {pref.ranking!r} does not cover the {m}-candidate roster")
+    return winner_from_ballots(m, ballots, instance.tiebreak, rule, base=rest) == y

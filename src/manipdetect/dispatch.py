@@ -115,9 +115,9 @@ def decide_cpmsw(
     force: bool = False,
 ) -> DetectionVerdict:
     query = DetectionQuery(instance, rule, (), actual_winner=y, bound=k)
-    require_target(query, winner(instance, rule))
     if rule.kind == SCORING and rule.vector.is_convex():
-        return cpmsw_scoring_greedy(query)
+        return cpmsw_scoring_greedy(query)  # validates y against its own score table
+    require_target(query, winner(instance, rule))
     if rule.kind == SCORING and rule.vector.is_plurality_like():
         return search_coalitions(
             instance,

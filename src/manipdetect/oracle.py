@@ -23,7 +23,7 @@ from .detection import (
     yes_verdict,
 )
 from .errors import BudgetExceededError, InvalidQueryError
-from .rules import VotingRule, tally, winner, winner_from_ballots
+from .rules import VotingRule, tally_without, winner, winner_and_tally, winner_from_ballots
 
 DEFAULT_REPLAY_BUDGET = 10_000_000
 DEFAULT_SUBSET_BUDGET = 1_000_000
@@ -57,7 +57,7 @@ def oracle_cpmw(
     query = DetectionQuery(instance, rule, tuple(suspects), actual_winner=y)
     suspects = query.suspects
     m = instance.m
-    x = winner(instance, rule)
+    x, full = winner_and_tally(instance, rule)
     require_target(query, x)
 
     half = factorial(m) // 2
@@ -68,7 +68,7 @@ def oracle_cpmw(
         )
 
     slots = [(pref, 1) for pref in admissible_preferences(m, x, y)]
-    external = tally(m, instance.ballots_excluding(suspects), rule)
+    external = tally_without(instance, rule, full, suspects)
     tiebreak = instance.tiebreak
     for combo in product(slots, repeat=len(suspects)):
         if winner_from_ballots(m, combo, tiebreak, rule, base=external) == y:

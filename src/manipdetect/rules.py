@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .core import ElectionInstance, Preference, Profile, margin_matrix
@@ -39,6 +39,10 @@ class ScoringVector:
         if alphas[0] <= alphas[-1]:
             raise ConfigError("scoring vector must satisfy alpha_1 > alpha_m")
         object.__setattr__(self, "alphas", alphas)
+        # the leading entries above the last one, less the last one: all that
+        # `positional_scores` visits per ballot
+        low = alphas[-1]
+        object.__setattr__(self, "_excess", tuple(a - low for a in alphas if a != low))
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -120,14 +124,30 @@ class ScoreTable:
 
 
 def positional_scores(m: int, profile: Profile, vector: ScoringVector) -> list[Score]:
+    """Positional scores of a weighted profile.
+
+    Every position scores at least the last entry, so each ballot adds only
+    the excess of the positions that score more, and the last entry times
+    the total weight is added once at the end: plurality costs one step per
+    ballot class, not m.
+    """
     if len(vector) != m:
         raise ConfigError(f"scoring vector length {len(vector)} does not match roster size {m}")
-    alphas = vector.alphas
+    excess = vector._excess
     scores: list[Score] = [0] * m
+    total = 0
     for ballot, w in profile:
-        weighted = alphas if w == 1 else [a * w for a in alphas]
-        for p, c in enumerate(ballot.ranking):
-            scores[c] += weighted[p]
+        total += w
+        if w == 1:
+            for a, c in zip(excess, ballot.ranking):
+                scores[c] += a
+        else:
+            for a, c in zip(excess, ballot.ranking):
+                scores[c] += a * w
+    low = vector.alphas[-1]
+    if low:
+        base = low * total
+        return [s + base for s in scores]
     return scores
 
 
@@ -234,6 +254,13 @@ def _add_tables(rule: VotingRule, base, table):
     return [list(map(add, r, s)) for r, s in zip(base, table)]
 
 
+def _sub_tables(rule: VotingRule, full, table):
+    """The inverse of `_add_tables` for every rule but STV."""
+    if rule.kind == SCORING:
+        return list(map(sub, full, table))
+    return [list(map(sub, r, s)) for r, s in zip(full, table)]
+
+
 def co_winners_from_tally(m: int, table, tb_rank: Sequence[int], rule: VotingRule) -> list[int]:
     """The co-winner set read from a `tally` table."""
     if rule.kind == STV:
@@ -299,4 +326,24 @@ def co_winners(instance: ElectionInstance, rule: VotingRule) -> tuple[int, ...]:
 
 def winner(instance: ElectionInstance, rule: VotingRule) -> int:
     """The unique winner: tie-break-earliest member of the co-winner set."""
-    return winner_from_ballots(instance.m, instance.classes, instance.tiebreak, rule)
+    return winner_and_tally(instance, rule)[0]
+
+
+def winner_and_tally(instance: ElectionInstance, rule: VotingRule):
+    """The winner together with the `tally` table of the whole profile it was read from."""
+    table = tally(instance.m, instance.classes, rule)
+    tb_rank = instance.tiebreak.positions()
+    return _pick_first(co_winners_from_tally(instance.m, table, tb_rank, rule), tb_rank), table
+
+
+def tally_without(instance: ElectionInstance, rule: VotingRule, full, voters: Iterable[int]):
+    """The `tally` table of every voter but `voters` (distinct indices).
+
+    `full` is the table of the whole profile, from `winner_and_tally`; the
+    table of the listed voters' ballots is subtracted from it, so the rest
+    of the profile is never recounted.  For STV, whose table is the profile
+    itself, this is `ballots_excluding(voters)`.
+    """
+    if rule.kind == STV:
+        return instance.ballots_excluding(voters)
+    return _sub_tables(rule, full, tally(instance.m, instance.ballots_of(voters), rule))

@@ -4,7 +4,10 @@ Seeded random elections beyond the acceptance range: m = 5 (m = 6 in the
 slow variant, run by `pytest -m slow`), random tie-break orders, irregular
 scoring vectors and plurality coalitions.  Each case compares
 `decide_cpmw` with `oracle_cpmw` for every alternative winner, checks the
-route that decided it, and replay-verifies every YES.
+route that decided it, and replay-verifies every YES.  Bucklin with three
+suspects runs at m = 4 (m = 5 in the slow variant), and the greedy bounded
+search for convex vectors is compared with a search over every coalition
+decided by the oracle.
 """
 
 import random
@@ -13,8 +16,8 @@ import pytest
 
 from manipdetect.core import ElectionInstance
 from manipdetect.detection import verify_verdict
-from manipdetect.dispatch import decide_cpmw
-from manipdetect.oracle import oracle_cpmw
+from manipdetect.dispatch import decide_cpmsw, decide_cpmw
+from manipdetect.oracle import oracle_cpmw, search_coalitions
 from manipdetect.rules import ScoringVector, VotingRule, winner
 
 
@@ -32,6 +35,8 @@ def _rules(m: int) -> dict[str, VotingRule]:
         "borda": VotingRule.scoring(ScoringVector.borda(m)),
         "irregular": VotingRule.scoring(ScoringVector(irregular)),
         "plurality": VotingRule.scoring(ScoringVector.plurality(m)),
+        "2-approval": VotingRule.scoring(ScoringVector.approval(2, m)),
+        "veto": VotingRule.scoring(ScoringVector.veto(m)),
         "maximin": VotingRule.maximin(),
         "bucklin": VotingRule.bucklin(),
     }
@@ -86,4 +91,52 @@ def test_detectors_match_oracle_long(m, rule_name, size, method):
     answers = set()
     for seed in range(10, 16):
         answers |= _differential(seed, m, rule_name, size, method, trials)
+    assert answers == {True, False}
+
+
+def test_bucklin_three_suspects_m4():
+    answers = set()
+    for seed in range(3):
+        answers |= _differential(seed, 4, "bucklin", 3, "bucklin-greedy", 6)
+    assert answers == {True, False}
+
+
+@pytest.mark.slow
+def test_bucklin_three_suspects_m5():
+    answers = set()
+    for seed in range(23, 25):
+        answers |= _differential(seed, 5, "bucklin", 3, "bucklin-greedy", 2)
+    assert answers == {True, False}
+
+
+def _greedy_differential(seed: int, m: int, rule_name: str, k: int, trials: int):
+    rng = random.Random(f"greedy-{seed}-{m}-{rule_name}-{k}")
+    rule = _rules(m)[rule_name]
+    answers = set()
+    for _ in range(trials):
+        inst = _election(rng, m, rng.randint(k + 1, 6))
+        x = winner(inst, rule)
+        for y in range(m):
+            if y == x:
+                continue
+            fast = decide_cpmsw(inst, rule, y, k)
+            slow = search_coalitions(inst, rule, k, y)
+            context = (seed, rule_name, k, inst, y)
+            assert fast.method == "delta-greedy", context
+            assert fast.answer == slow.answer, context
+            assert verify_verdict(inst, rule, fast), context
+            assert verify_verdict(inst, rule, slow), context
+            answers.add(fast.answer)
+    return answers
+
+
+GREEDY_RULES = ["borda", "2-approval", "veto"]
+
+
+@pytest.mark.parametrize("rule_name", GREEDY_RULES)
+@pytest.mark.parametrize("m, k, trials", [(4, 1, 6), (4, 2, 6), (4, 3, 3), (5, 1, 6), (5, 2, 2)])
+def test_greedy_search_matches_oracle_search(m, k, trials, rule_name):
+    answers = set()
+    for seed in range(2):
+        answers |= _greedy_differential(seed, m, rule_name, k, trials)
     assert answers == {True, False}

@@ -3,7 +3,9 @@ from itertools import permutations
 
 import pytest
 
+from manipdetect import detect_scoring, rules
 from manipdetect.core import ElectionInstance
+from manipdetect.detection import verify_verdict
 from manipdetect.dispatch import decide_cpm, decide_cpms, decide_cpmsw, decide_cpmw
 from manipdetect.errors import InvalidQueryError, RosterError
 from manipdetect.oracle import oracle_cpm, oracle_cpmw, search_coalitions
@@ -140,3 +142,73 @@ def test_cpms_and_cpmsw_agree_with_subset_oracle():
                         decide_cpmsw(inst, rule, y, k).answer
                         == search_coalitions(inst, rule, k, y).answer
                     )
+
+
+def _count_tables(monkeypatch, n):
+    """Count the aggregate-table builds from now on: all, and those over more
+    than `n` voters' worth of ballots."""
+    counts = {"all": 0, "large": 0}
+
+    def counted(build):
+        def wrapper(m, profile, *rest):
+            profile = list(profile)
+            counts["all"] += 1
+            counts["large"] += sum(w for _, w in profile) > n
+            return build(m, profile, *rest)
+
+        return wrapper
+
+    for owner, name in (
+        (rules, "positional_scores"),
+        (rules, "margin_matrix"),
+        (rules, "topk_counts"),
+        (detect_scoring, "positional_scores"),
+    ):
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
+    return counts
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_single_suspect_borda_cpm_no_builds_fixed_number_of_score_tables(monkeypatch, m):
+    # The current winner once, then per alternative winner: the full table,
+    # the suspect's ballot and m - 1 replays.  The traced benchmark checks the
+    # same count on a 20-candidate profile.
+    inst = ElectionInstance([f"c{i}" for i in range(m)], [tuple(range(m))] * 5)
+    rule = VotingRule.scoring(ScoringVector.borda(m))
+    counts = _count_tables(monkeypatch, 1)
+    assert not decide_cpm(inst, rule, (0,)).answer
+    assert counts["all"] == 1 + (m - 1) * (m + 1)
+
+
+def test_each_polynomial_route_builds_one_full_profile_table(monkeypatch):
+    # Nine voters, at most two suspects: a table over more than two voters'
+    # ballots is a table over (nearly) the whole profile.
+    rankings = [(0, 1, 2, 3), (1, 2, 3, 0), (2, 0, 3, 1), (3, 1, 0, 2), (1, 0, 2, 3)]
+    inst = ElectionInstance([f"c{i}" for i in range(4)], [rankings[i % 5] for i in range(9)])
+    borda = VotingRule.scoring(ScoringVector.borda(4))
+    plurality = VotingRule.scoring(ScoringVector.plurality(4))
+    counts = _count_tables(monkeypatch, 2)
+    for rule, suspects, method in (
+        (borda, (0,), "scoring-single"),
+        (borda, (0, 4), "scoring-coalition"),
+        (plurality, (0, 4), "plurality-capacity"),
+        (VotingRule.maximin(), (0,), "maximin-single"),
+        (VotingRule.bucklin(), (0, 4), "bucklin-greedy"),
+    ):
+        x = winner(inst, rule)
+        for y in range(4):
+            if y == x:
+                continue
+            counts["large"] = 0
+            verdict = decide_cpmw(inst, rule, suspects, y)
+            assert verdict.method == method
+            assert counts["large"] == 1, (method, y)
+            counts["large"] = 0
+            assert verify_verdict(inst, rule, verdict)
+            assert counts["large"] == (1 if verdict.answer else 0), (method, y)
+    x = winner(inst, borda)
+    for y in range(4):
+        if y != x:
+            counts["large"] = 0
+            assert decide_cpmsw(inst, borda, y, 2).method == "delta-greedy"
+            assert counts["large"] == 1

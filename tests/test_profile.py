@@ -12,15 +12,20 @@ from hypothesis import strategies as st
 
 from manipdetect.ballotfile import parse_election
 from manipdetect.core import ElectionInstance, Preference
+from manipdetect.detection import replay, verify_verdict, yes_verdict
 from manipdetect.dispatch import decide_cpmsw
-from manipdetect.errors import ValidationError
+from manipdetect.errors import RosterError, ValidationError
+from manipdetect.oracle import oracle_cpmw
 from manipdetect.rules import (
     ScoringVector,
     VotingRule,
     bucklin_levels,
     bucklin_score,
+    positional_scores,
     tally,
+    tally_without,
     winner,
+    winner_and_tally,
     winner_from_ballots,
 )
 
@@ -163,3 +168,89 @@ def test_greedy_takes_voters_by_shift_then_index(ballots, tb, k, data):
             break
     assert verdict.answer == (expected is not None)
     assert verdict.coalition == expected
+
+
+entries = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=7)
+)
+
+
+@given(
+    st.lists(entries, min_size=M, max_size=M).filter(lambda a: max(a) != min(a)),
+    st.lists(st.tuples(st.sampled_from(ALL_RANKINGS), st.integers(0, 4)), max_size=12),
+)
+@settings(max_examples=150, deadline=None)
+def test_positional_scores_match_per_position_sum(alphas, profile):
+    # the kernel skips the positions scoring only the last entry; the plain
+    # sum visits every position of every ballot
+    vector = ScoringVector(sorted(alphas, reverse=True))
+    profile = [(Preference(r), w) for r, w in profile]
+    expected = [0] * M
+    for ballot, w in profile:
+        for p, c in enumerate(ballot.ranking):
+            expected[c] += vector.alphas[p] * w
+    scores = positional_scores(M, profile, vector)
+    assert scores == expected
+    assert all(isinstance(s, (int, Fraction)) for s in scores)
+
+
+@given(profiles, tiebreaks, st.data())
+@settings(max_examples=80, deadline=None)
+def test_table_without_voters_is_full_table_minus_theirs(ballots, tb, data):
+    # the instance is a copy with replaced voters, so it may hold classes of
+    # count 0; the voters left out may include replaced ones
+    inst = ElectionInstance(NAMES, ballots, tb)
+    replaced = data.draw(st.sets(st.integers(0, inst.n - 1), max_size=3))
+    inst = inst.with_ballots_replaced(
+        {i: Preference(data.draw(st.sampled_from(ALL_RANKINGS))) for i in replaced}
+    )
+    voters = data.draw(st.sets(st.integers(0, inst.n - 1), max_size=4))
+    for rule in ALL_RULES:
+        x, full = winner_and_tally(inst, rule)
+        assert x == winner_from_ballots(M, unit_profile(inst), inst.tiebreak, rule)
+        kept = deepcopy(full)
+        assert tally_without(inst, rule, full, voters) == tally(
+            M, inst.ballots_excluding(voters), rule
+        )
+        assert full == kept
+
+
+@given(st.lists(st.sampled_from(ALL_RANKINGS), min_size=1, max_size=8), tiebreaks, st.data())
+@settings(max_examples=100, deadline=None)
+def test_verify_verdict_agrees_with_replay(ballots, tb, data):
+    # small profiles and the oracle's witness where there is one, so that
+    # some witnesses must pass; random witnesses, most of which must fail
+    inst = ElectionInstance(NAMES, ballots, tb)
+    replaced = data.draw(st.sets(st.integers(0, inst.n - 1), max_size=2))
+    inst = inst.with_ballots_replaced(
+        {i: Preference(data.draw(st.sampled_from(ALL_RANKINGS))) for i in replaced}
+    )
+    voters = data.draw(st.sets(st.integers(0, inst.n - 1), min_size=1, max_size=2))
+    for rule in ALL_RULES:
+        x = winner(inst, rule)
+        found = []
+        for y in range(M):
+            if y != x:
+                verdict = oracle_cpmw(inst, rule, voters, y)
+                if verdict.answer:
+                    found.append((y, verdict.witness))
+        if found and data.draw(st.integers(0, 3)):
+            y, witness = data.draw(st.sampled_from(found))
+        else:
+            y = data.draw(st.integers(0, M - 1))
+            witness = {i: Preference(data.draw(st.sampled_from(ALL_RANKINGS))) for i in voters}
+        expected = (
+            y != x
+            and all(pref.prefers(x, y) for pref in witness.values())
+            and winner(replay(inst, witness), rule) == y
+        )
+        assert verify_verdict(inst, rule, yes_verdict(witness, y, "test")) == expected
+
+
+def test_verify_verdict_rejects_witness_voter_outside_roster():
+    inst = ElectionInstance(NAMES, [(0, 1, 2, 3)] * 3)
+    rule = RULES[0]
+    pref = Preference((0, 1, 2, 3))
+    for voter in (-1, inst.n):
+        with pytest.raises(RosterError):
+            verify_verdict(inst, rule, yes_verdict({voter: pref}, 1, "test"))
