@@ -71,34 +71,25 @@ def cpmw_bucklin(query: DetectionQuery) -> DetectionVerdict:
         cases = case_positions(beta, m)
         if not cases:
             continue
+        # the opponents' caps depend on the level only, not on the cases
+        caps = {z: majority - 1 - ext[z][safe_level(z, beta)] for z in others}
+        if any(cap < 0 for cap in caps.values()):
+            continue
+        lx = safe_level(x, beta)
         for counts in _compositions(c, len(cases)):
-            # realized final level of y under this case assignment
+            # y's top-l count under this case assignment, nondecreasing in l,
+            # so y's realized final level is beta iff it reaches a majority
+            # at beta and not at beta - 1
             def cnt_y(l: int) -> int:
-                extra = sum(
-                    counts[k] for k, p in enumerate(cases) if p + 1 <= l
-                )
-                return ext[y][l] + extra
+                return ext[y][l] + sum(counts[k] for k, p in enumerate(cases) if p + 1 <= l)
 
-            realized = next(l for l in range(1, m + 1) if cnt_y(l) >= majority)
-            if realized != beta:
+            if cnt_y(beta) < majority or cnt_y(beta - 1) >= majority:
                 continue
 
-            lx = safe_level(x, beta)
             x_count = ext[x][lx] + sum(
                 counts[k] for k, p in enumerate(cases) if p <= lx
             )
             if x_count >= majority:
-                continue
-
-            caps = {}
-            feasible = True
-            for z in others:
-                cap = majority - 1 - ext[z][safe_level(z, beta)]
-                if cap < 0:
-                    feasible = False
-                    break
-                caps[z] = cap
-            if not feasible:
                 continue
 
             ballot_cases = []

@@ -7,7 +7,8 @@ Four procedures cover the scoring family:
 * coalitions under convex vectors (top gap no larger than any other gap,
   e.g. Borda, k-approval for k >= 2, veto): a single canonical test profile
   decides the question;
-* coalitions under plurality: a capacity count over top-vote reassignments;
+* coalitions under plurality: a capacity count over top-vote reassignments,
+  and bounded search (CPMSW) by the same count in closed form;
 * bounded search (CPMSW/CPMS) under convex vectors: rank voters by how much
   replacing their ballot closes the gap between target and winner, then grow
   the coalition greedily.
@@ -16,7 +17,7 @@ Four procedures cover the scoring family:
 from __future__ import annotations
 
 from itertools import chain, compress, islice
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import Preference
 from .detection import (
@@ -27,7 +28,7 @@ from .detection import (
     yes_verdict,
 )
 from .errors import DispatchError, InvalidQueryError
-from .oracle import DEFAULT_REPLAY_BUDGET, oracle_cpmw
+from .oracle import DEFAULT_REPLAY_BUDGET, ORACLE, oracle_cpmw
 from .rules import (
     SCORING,
     Score,
@@ -204,6 +205,69 @@ def cpmw_plurality_coalition(query: DetectionQuery) -> DetectionVerdict:
     if not witness:
         return no_verdict(METHOD_CAPACITY)
     return yes_verdict(witness, y, METHOD_CAPACITY)
+
+
+def cpmsw_plurality(query: DetectionQuery) -> DetectionVerdict:
+    """Bounded coalition search (CPMSW) for plurality in closed form.
+
+    The capacity count of `cpmw_plurality_coalition` reads only the
+    coalition's top choices.  No member tops y (dropping such a member
+    leaves a smaller YES), so y keeps its tops_y top votes, and z != y may
+    keep allowed_z = tops_y - 1 + [y before z in the tie-break order].
+    Summed over z, the capacities absorb the coalition's votes exactly when
+    sum(allowed_z - tops_z) >= 0, whatever the coalition; z fits only if at
+    least e_z = tops_z - allowed_z members top z.  The sum fails when
+    tops_y = 0, so otherwise allowed_z >= 0 and e_z <= tops_z: the smallest
+    YES has max(1, sum of the positive e_z) members, and the first in
+    size-then-index order is the lowest-index e_z voters topping each
+    over-capacity z, or the first voter not topping y.  Its witness comes
+    from `cpmw_plurality_coalition`.  Without a coalition to try (k = 0, or
+    every voter tops y) the NO is the oracle's exhaustive one, as from a
+    search that decided no subset.
+    """
+    vector = _require_scoring(query)
+    if not vector.is_plurality_like():
+        raise DispatchError("capacity method needs a plurality-like vector")
+    inst = query.instance
+    x, full = winner_and_tally(inst, query.rule)
+    y = require_target(query, x)
+    if query.bound is None:
+        raise InvalidQueryError("bounded search needs a coalition bound")
+    k, n = query.bound, inst.n
+    top, low = vector.alphas[0], vector.alphas[-1]
+    tops = [(s - low * n) // (top - low) for s in full]
+    if k == 0 or tops[y] == n:
+        return no_verdict(ORACLE, exhaustive=True)
+    tb_rank = inst.tiebreak.positions()
+    slack = 0
+    over: dict[int, int] = {}
+    for z in range(inst.m):
+        if z == y:
+            continue
+        allowed = tops[y] - 1 + (1 if tb_rank[y] < tb_rank[z] else 0)
+        slack += allowed - tops[z]
+        if tops[z] > allowed:
+            over[z] = tops[z] - allowed
+    if slack < 0 or sum(over.values()) > k:
+        return no_verdict(METHOD_CAPACITY)
+
+    class_top = [pref.ranking[0] for pref, _ in inst.classes]
+
+    def voters_topping(keep) -> Iterator[int]:
+        mask = [keep(t) for t in class_top]
+        return compress(range(n), map(mask.__getitem__, inst.voter_class))
+
+    if over:
+        coalition = sorted(
+            chain.from_iterable(
+                islice(voters_topping(z.__eq__), e) for z, e in over.items()
+            )
+        )
+    else:
+        coalition = [next(voters_topping(y.__ne__))]
+    return cpmw_plurality_coalition(
+        DetectionQuery(inst, query.rule, tuple(coalition), actual_winner=y)
+    )
 
 
 def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:

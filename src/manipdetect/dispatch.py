@@ -7,6 +7,10 @@ else (STV, maximin coalitions, irregular scoring vectors with coalitions)
 goes to the exhaustive oracle under a replay budget, and the verdict is
 flagged as exhaustive.  CPM and CPMS are CPMW and CPMSW tried against every
 alternative winner, in tie-break order, by one loop.
+
+Bounded searches (CPMSW) are decided greedily for convex vectors and in
+closed form for plurality; every other rule searches one coalition per
+multiset of ballot classes (`search_coalitions`), each decided by CPMW.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from .detection import DetectionQuery, DetectionVerdict, no_verdict, require_tar
 from .detect_bucklin import cpmw_bucklin
 from .detect_maximin import cpmw_maximin_single
 from .detect_scoring import (
+    cpmsw_plurality,
     cpmsw_scoring_greedy,
-    cpmw_plurality_coalition,
     cpmw_scoring_coalition,
     cpmw_scoring_single,
 )
@@ -95,15 +99,6 @@ def decide_cpm(
     )
 
 
-def _plurality_skip(instance: ElectionInstance, y: int):
-    """Subsets containing a voter whose reported top is y never help plurality."""
-
-    def skip(subset) -> bool:
-        return any(instance.ballots[i].ranking[0] == y for i in subset)
-
-    return skip
-
-
 def decide_cpmsw(
     instance: ElectionInstance,
     rule: VotingRule,
@@ -117,20 +112,9 @@ def decide_cpmsw(
     query = DetectionQuery(instance, rule, (), actual_winner=y, bound=k)
     if rule.kind == SCORING and rule.vector.is_convex():
         return cpmsw_scoring_greedy(query)  # validates y against its own score table
-    require_target(query, winner(instance, rule))
     if rule.kind == SCORING and rule.vector.is_plurality_like():
-        return search_coalitions(
-            instance,
-            rule,
-            k,
-            y,
-            decide=lambda subset: cpmw_plurality_coalition(
-                DetectionQuery(instance, rule, subset, actual_winner=y)
-            ),
-            subset_budget=subset_budget,
-            force=force,
-            skip=_plurality_skip(instance, y),
-        )
+        return cpmsw_plurality(query)  # likewise
+    require_target(query, winner(instance, rule))
     return search_coalitions(
         instance,
         rule,

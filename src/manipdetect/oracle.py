@@ -10,9 +10,10 @@ rather than run open-endedly.
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import combinations, permutations, product
 from math import comb, factorial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import ElectionInstance, Preference
 from .detection import (
@@ -111,10 +112,78 @@ def _subset_count(n: int, k: int) -> int:
     return sum(comb(n, size) for size in range(1, min(k, n) + 1))
 
 
-def _check_search(n: int, k: int, subset_budget: int, force: bool) -> None:
+def _coalition_count(instance: ElectionInstance, k: int) -> int:
+    """How many multisets of 1..k ballot classes use no class more often than
+    its count: the number of coalitions `_canonical_coalitions` yields."""
+    k = min(k, instance.n)
+    ways = [1] + [0] * k  # ways[s]: multisets of size s over the classes so far
+    for _, w in instance.classes:
+        w = min(w, k)
+        if not w:
+            continue
+        # ways'[s] = ways[s - w] + ... + ways[s], by a running window sum
+        window = 0
+        new = []
+        for s in range(k + 1):
+            window += ways[s]
+            if s > w:
+                window -= ways[s - w - 1]
+            new.append(window)
+        ways = new
+    return sum(ways) - 1
+
+
+def _canonical_coalitions(instance: ElectionInstance, k: int) -> Iterator[tuple[int, ...]]:
+    """One voter subset of size <= k per multiset of ballot classes.
+
+    A multiset is represented by the lowest-index voters of each class it
+    uses; the representatives come in size-then-lexicographic order.  Each
+    level of the depth-first walk keeps the classes still usable, sorted by
+    their next unused voter: a class whose next voter lies below the last
+    one taken can no longer be used, since its representative would skip
+    that voter.  A branch is entered only if the classes after it still
+    hold enough voters to fill the subset, so no branch dead-ends.
+    """
+    k = min(k, instance.n)
+    # the lowest-index min(count, k) voters of every class
+    members: list[list[int]] = [[] for _ in instance.classes]
+    wanted = sum(min(w, k) for _, w in instance.classes)
+    for i, c in enumerate(instance.voter_class):
+        if not wanted:
+            break
+        if len(members[c]) < k:
+            members[c].append(i)
+            wanted -= 1
+    used = [0] * len(members)
+    chosen: list[int] = []
+
+    def extend(usable: list[tuple[int, int]], room: int, need: int):
+        if not need:
+            yield tuple(chosen)
+            return
+        for j, (v, c) in enumerate(usable):
+            if room < need:
+                return
+            left = len(members[c]) - used[c]
+            rest = usable[j + 1:]
+            if left > 1:
+                insort(rest, (members[c][used[c] + 1], c))
+            used[c] += 1
+            chosen.append(v)
+            yield from extend(rest, room - 1, need - 1)
+            chosen.pop()
+            used[c] -= 1
+            room -= left
+
+    start = sorted((vs[0], c) for c, vs in enumerate(members) if vs)
+    total = sum(map(len, members))
+    for size in range(1, k + 1):
+        yield from extend(start, total, size)
+
+
+def _check_search(k: int, count: int, subset_budget: int, force: bool) -> None:
     if k < 0:
         raise InvalidQueryError("coalition bound must be >= 0")
-    count = _subset_count(n, k)
     if count > subset_budget and not force:
         raise BudgetExceededError(
             f"search would enumerate {count} coalitions, budget is {subset_budget}",
@@ -145,24 +214,26 @@ def search_coalitions(
     subset_budget: int = DEFAULT_SUBSET_BUDGET,
     budget: int = DEFAULT_REPLAY_BUDGET,
     force: bool = False,
-    skip: Callable[[tuple[int, ...]], bool] | None = None,
 ) -> DetectionVerdict:
     """Is there any coalition of size <= k of possible manipulators (against y, if given)?
 
-    Subsets are tried in size-then-index order; the first hit wins.  Each
-    subset is decided by `decide` when supplied (letting callers plug in a
-    polynomial procedure), else by the oracle.  Without a hit, the NO of the
-    last subset decided, so the verdict names the procedure that decided it;
-    the oracle's exhaustive NO when no subset was decided.
+    Every rule is anonymous, so a subset's verdict depends only on the
+    multiset of its members' ballots.  The search decides one subset per
+    multiset of ballot classes: the lowest-index voters of each class it
+    uses, in size-then-lexicographic order of those voter tuples.  A YES
+    subset's representative is also YES and no later in that order, so the
+    first hit is the first YES voter subset in size-then-index order.  The
+    subset budget counts these representatives.  Each subset is decided by
+    `decide` when supplied (letting callers plug in a polynomial
+    procedure), else by the oracle.  Without a hit, the NO of the last
+    subset decided, so the verdict names the procedure that decided it;
+    the oracle's exhaustive NO when no subset was decided (k = 0).
     """
-    n = instance.n
-    _check_search(n, k, subset_budget, force)
+    _check_search(k, _coalition_count(instance, k), subset_budget, force)
     if decide is None:
         decide = _default_decider(instance, rule, y, budget, force)
     verdict = None
-    for subset in _subsets_up_to(n, k):
-        if skip is not None and skip(subset):
-            continue
+    for subset in _canonical_coalitions(instance, k):
         verdict = decide(subset)
         if verdict.answer:
             verdict.coalition = subset
@@ -185,7 +256,7 @@ def all_minimal_coalitions(
 ) -> list[tuple[int, ...]]:
     """Every YES coalition of size <= k that contains no smaller YES coalition."""
     n = instance.n
-    _check_search(n, k, subset_budget, force)
+    _check_search(k, _subset_count(n, k), subset_budget, force)
     if decide is None:
         decide = _default_decider(instance, rule, y, budget, force)
     hits: list[tuple[int, ...]] = []

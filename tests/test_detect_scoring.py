@@ -4,15 +4,16 @@ from itertools import combinations, permutations
 import pytest
 
 from manipdetect.core import ElectionInstance, Preference
-from manipdetect.detection import DetectionQuery, verify_verdict
+from manipdetect.detection import DetectionQuery, no_verdict, verify_verdict
 from manipdetect.detect_scoring import (
     canonical_manipulated_preference,
+    cpmsw_plurality,
     cpmsw_scoring_greedy,
     cpmw_plurality_coalition,
     cpmw_scoring_coalition,
     cpmw_scoring_single,
 )
-from manipdetect.dispatch import decide_cpm, decide_cpms
+from manipdetect.dispatch import decide_cpm, decide_cpms, decide_cpmsw
 from manipdetect.errors import DispatchError, InvalidQueryError
 from manipdetect.oracle import oracle_cpmw, search_coalitions
 from manipdetect.rules import ScoringVector, VotingRule, positional_scores, winner
@@ -144,6 +145,51 @@ def test_plurality_two_candidates_forced_votes():
     assert not cpmw_plurality_coalition(
         DetectionQuery(inst, rule, (0, 1, 2), actual_winner=1)
     ).answer
+
+
+def _plurality_search_with_skip(inst, rule, y, k):
+    """Plurality CPMSW as decided per subset before the closed form: every
+    voter subset in size-then-index order, skipping those with a voter who
+    tops y, each decided by the capacity method."""
+    verdict = None
+    for size in range(1, min(k, inst.n) + 1):
+        for subset in combinations(range(inst.n), size):
+            if any(inst.ballots[i].ranking[0] == y for i in subset):
+                continue
+            query = DetectionQuery(inst, rule, subset, actual_winner=y)
+            verdict = cpmw_plurality_coalition(query)
+            if verdict.answer:
+                verdict.coalition = subset
+                return verdict
+    return verdict if verdict is not None else no_verdict("oracle", exhaustive=True)
+
+
+def test_plurality_cpmsw_closed_form_matches_per_subset_search():
+    rng = random.Random(304)
+    yes = 0
+    for _ in range(400):
+        m = rng.randint(2, 5)
+        n = rng.randint(1, 9)
+        perms = list(permutations(range(m)))
+        tiebreak = list(range(m))
+        rng.shuffle(tiebreak)
+        inst = ElectionInstance(
+            [f"c{i}" for i in range(m)], [rng.choice(perms) for _ in range(n)], tiebreak
+        )
+        # plain plurality, and a plurality-like vector whose low entry is not 0
+        for vector in (ScoringVector.plurality(m), ScoringVector((3,) + (1,) * (m - 1))):
+            rule = VotingRule.scoring(vector)
+            x = winner(inst, rule)
+            for y in range(m):
+                if y == x:
+                    continue
+                for k in range(4):
+                    got = cpmsw_plurality(DetectionQuery(inst, rule, actual_winner=y, bound=k))
+                    assert got == _plurality_search_with_skip(inst, rule, y, k), (vector, y, k)
+                    if m > 2:
+                        assert decide_cpmsw(inst, rule, y, k) == got
+                    yes += got.answer
+    assert yes > 100
 
 
 # --- bounded search ----------------------------------------------------------

@@ -212,3 +212,17 @@ def test_each_polynomial_route_builds_one_full_profile_table(monkeypatch):
             counts["large"] = 0
             assert decide_cpmsw(inst, borda, y, 2).method == "delta-greedy"
             assert counts["large"] == 1
+    # Plurality CPMSW: the table that validates y, plus on YES the one
+    # capacity decision that builds the witness.  Tops a:4, b:3, c:1, d:1, so
+    # against b two a-voters are needed: NO at k = 1, YES at k = 2.
+    tops = [(0, 1, 2, 3)] * 4 + [(1, 0, 2, 3)] * 3 + [(2, 0, 1, 3), (3, 0, 1, 2)]
+    inst = ElectionInstance([f"c{i}" for i in range(4)], tops)
+    seen = set()
+    for y in (1, 2, 3):
+        for k in (1, 2):
+            counts["large"] = 0
+            verdict = decide_cpmsw(inst, plurality, y, k)
+            assert verdict.method == "plurality-capacity"
+            assert counts["large"] == (2 if verdict.answer else 1), (y, k)
+            seen.add(verdict.answer)
+    assert seen == {False, True}

@@ -1,0 +1,202 @@
+"""Bounded coalition search over ballot classes.
+
+`search_coalitions` decides one voter subset per multiset of ballot classes.
+These tests check the enumeration and its count against brute force, the
+search against a plain walk over every voter subset, and the anonymity the
+enumeration rests on.
+"""
+
+import random
+from itertools import combinations, permutations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from manipdetect.ballotfile import parse_election
+from manipdetect.core import ElectionInstance, Preference
+from manipdetect.detection import no_verdict, verify_verdict
+from manipdetect.dispatch import decide_cpms, decide_cpmsw, decide_cpmw
+from manipdetect.oracle import (
+    DEFAULT_SUBSET_BUDGET,
+    _canonical_coalitions,
+    _coalition_count,
+    _subset_count,
+    oracle_cpm,
+    oracle_cpmw,
+    search_coalitions,
+)
+from manipdetect.rules import ScoringVector, VotingRule, winner
+
+
+def rules_for(m):
+    rules = [
+        VotingRule.scoring(ScoringVector.plurality(m)),
+        VotingRule.scoring(ScoringVector.borda(m)),
+        VotingRule.maximin(),
+        VotingRule.bucklin(),
+        VotingRule.stv(),
+    ]
+    if m >= 3:
+        rules.append(VotingRule.scoring(ScoringVector((3,) + (1,) * (m - 2) + (0,))))
+    return rules
+
+
+def random_instance(rng, m, n, pool_size):
+    """Ballots drawn from a small pool, so classes repeat; sometimes every
+    voter of one class is replaced, leaving that class with count 0."""
+    perms = list(permutations(range(m)))
+    pool = [rng.choice(perms) for _ in range(pool_size)]
+    tiebreak = list(range(m))
+    rng.shuffle(tiebreak)
+    ballots = [rng.choice(pool) for _ in range(n)]
+    inst = ElectionInstance([f"c{i}" for i in range(m)], ballots, tiebreak)
+    if rng.random() < 0.4:
+        emptied = rng.randrange(len(inst.classes))
+        new = Preference(rng.choice(perms))
+        inst = inst.with_ballots_replaced(
+            {i: new for i, c in enumerate(inst.voter_class) if c == emptied}
+        )
+    return inst
+
+
+def class_multiset(inst, subset):
+    return tuple(sorted(inst.voter_class[i] for i in subset))
+
+
+def test_canonical_coalitions_are_one_per_class_multiset():
+    rng = random.Random(600)
+    for _ in range(150):
+        inst = random_instance(rng, rng.randint(2, 4), rng.randint(1, 8), rng.randint(1, 4))
+        n = inst.n
+        for k in range(0, 5):
+            brute = {
+                class_multiset(inst, subset)
+                for size in range(1, min(k, n) + 1)
+                for subset in combinations(range(n), size)
+            }
+            assert _coalition_count(inst, k) == len(brute)
+            got = list(_canonical_coalitions(inst, k))
+            assert len(got) == len(brute)
+            assert {class_multiset(inst, s) for s in got} == brute
+            assert got == sorted(got, key=lambda s: (len(s), s))
+            for subset in got:
+                # the lowest-index voters of every class the subset uses
+                for c in {inst.voter_class[i] for i in subset}:
+                    mine = [i for i in subset if inst.voter_class[i] == c]
+                    first = [i for i in range(n) if inst.voter_class[i] == c][: len(mine)]
+                    assert mine == first
+
+
+def test_coalition_count_of_large_tallied_profiles():
+    # 30 classes of 1,000 voters: 30 singletons, 30 pairs within a class and
+    # C(30, 2) pairs across classes
+    inst = ElectionInstance(
+        [f"c{i}" for i in range(5)],
+        list(permutations(range(5)))[:30],
+        counts=[1000] * 30,
+    )
+    assert _coalition_count(inst, 2) == 30 + 30 + 435
+    # a bound past n counts every multiset, up to all 30,000 voters
+    assert _coalition_count(inst, 10**9) == 1001**30 - 1
+
+
+def reference_search(inst, k, decide):
+    """The plain search: every voter subset, in size-then-index order."""
+    verdict = None
+    for size in range(1, min(k, inst.n) + 1):
+        for subset in combinations(range(inst.n), size):
+            verdict = decide(subset)
+            if verdict.answer:
+                verdict.coalition = subset
+                return verdict
+    return verdict if verdict is not None else no_verdict("oracle", exhaustive=True)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_search_matches_plain_subset_walk_with_dispatch_deciders(m):
+    rng = random.Random(601 + m)
+    for _ in range(25 if m == 3 else 12):
+        inst = random_instance(rng, m, rng.randint(1, 7), rng.randint(1, 4))
+        for rule in rules_for(m):
+            x = winner(inst, rule)
+            for y in range(m):
+                if y == x:
+                    continue
+                for k in range(0, 4 if m == 3 else 3):
+                    decide = lambda subset: decide_cpmw(inst, rule, subset, y)
+                    got = search_coalitions(inst, rule, k, y, decide=decide)
+                    want = reference_search(inst, k, decide)
+                    assert got == want, (rule, y, k)
+
+
+def test_search_matches_plain_subset_walk_with_oracle_decider():
+    rng = random.Random(605)
+    for _ in range(25):
+        inst = random_instance(rng, 3, rng.randint(1, 6), rng.randint(1, 3))
+        for rule in rules_for(3):
+            x = winner(inst, rule)
+            for k in range(0, 3):
+                want = reference_search(inst, k, lambda subset: oracle_cpm(inst, rule, subset))
+                assert search_coalitions(inst, rule, k) == want, (rule, k)
+                for y in range(3):
+                    if y == x:
+                        continue
+                    want = reference_search(
+                        inst, k, lambda subset: oracle_cpmw(inst, rule, subset, y)
+                    )
+                    assert search_coalitions(inst, rule, k, y) == want, (rule, y, k)
+
+
+def test_bucklin_search_on_large_tallied_profile_fits_default_budget():
+    # 5 candidates, 20,000 voters in 30 tallied ballot lines: all voter pairs
+    # are about 2*10^8 subsets, the class multisets of size <= 2 a few hundred.
+    rng = random.Random(606)
+    perms = rng.sample(list(permutations("abcde")), 30)
+    cuts = sorted(rng.sample(range(1, 20_000), 29))
+    counts = [b - a for a, b in zip([0, *cuts], [*cuts, 20_000])]
+    lines = [f"{c}x {'>'.join(p)}" for c, p in zip(counts, perms)]
+    inst = parse_election("candidates: a,b,c,d,e\n" + "\n".join(lines) + "\n")
+    assert inst.n == 20_000 and len(inst.classes) == 30
+    assert _subset_count(inst.n, 2) > DEFAULT_SUBSET_BUDGET
+    assert _coalition_count(inst, 2) <= 30 + 30 + 435
+    rule = VotingRule.bucklin()
+    x = winner(inst, rule)
+    for y in range(5):
+        if y != x:
+            verdict = decide_cpmsw(inst, rule, y, 2)
+            assert verdict.method == "bucklin-greedy"
+            assert verify_verdict(inst, rule, verdict)
+
+
+M = 4
+POOL = list(permutations(range(M)))[::4]  # 6 rankings, so classes repeat
+ANONYMITY_RULES = [
+    VotingRule.scoring(ScoringVector.plurality(M)),
+    VotingRule.scoring(ScoringVector.borda(M)),
+    VotingRule.maximin(),
+    VotingRule.bucklin(),
+    VotingRule.stv(),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ballots=st.lists(st.sampled_from(POOL), min_size=1, max_size=5),
+    tiebreak=st.permutations(range(M)),
+    k=st.integers(0, 2),
+    rng=st.randoms(use_true_random=False),
+)
+def test_search_answers_are_invariant_under_voter_permutation(ballots, tiebreak, k, rng):
+    names = [f"c{i}" for i in range(M)]
+    inst = ElectionInstance(names, ballots, tiebreak)
+    shuffled = list(ballots)
+    rng.shuffle(shuffled)
+    other = ElectionInstance(names, shuffled, tiebreak)
+    for rule in ANONYMITY_RULES:
+        x = winner(inst, rule)
+        assert winner(other, rule) == x
+        for y in range(M):
+            if y != x:
+                assert decide_cpmsw(inst, rule, y, k).answer == decide_cpmsw(other, rule, y, k).answer
+        assert decide_cpms(inst, rule, k).answer == decide_cpms(other, rule, k).answer
