@@ -159,8 +159,8 @@ def cpmw_plurality_coalition(query: DetectionQuery) -> DetectionVerdict:
     it), so y keeps exactly its non-suspect score and each suspect hands one
     top vote to some other candidate.  The question reduces to capacities:
     every candidate must fit under the score that still loses to y, and the
-    slack must absorb all suspect votes.  With two candidates every suspect
-    vote is forced onto the current winner.
+    slack must absorb all suspect votes.  With two candidates only the
+    current winner has a capacity, so every suspect vote goes to it.
     """
     vector = _require_scoring(query)
     if not vector.is_plurality_like():
@@ -184,16 +184,10 @@ def cpmw_plurality_coalition(query: DetectionQuery) -> DetectionVerdict:
             continue
         allowed = base[y] - 1 + (1 if tb_rank[y] < tb_rank[z] else 0)
         cap[z] = allowed - base[z]
-    if any(c < 0 for c in cap.values()):
-        return no_verdict(METHOD_CAPACITY)
-    if m == 2:
-        feasible = cap[x] >= len(suspects)
-    else:
-        feasible = sum(cap.values()) >= len(suspects)
-    if not feasible:
+    if any(c < 0 for c in cap.values()) or sum(cap.values()) < len(suspects):
         return no_verdict(METHOD_CAPACITY)
 
-    assignable = [x] if m == 2 else sorted(cap, key=lambda z: tb_rank[z])
+    assignable = sorted(cap, key=lambda z: tb_rank[z])
     remaining = dict(cap)
     witness: dict[int, Preference] = {}
     for i in suspects:

@@ -1,18 +1,20 @@
 """Brute-force decision procedures.
 
 These enumerate the definition directly: every admissible preference per
-suspect (all m!/2 rankings placing the current winner above the target), every
-combination across the coalition.  They are the reference oracle for the
-polynomial algorithms and the solver of last resort for the NP-hard cases
-(STV, maximin coalitions).  Searches refuse to start past a replay budget
-rather than run open-endedly.
+suspect (all h = m!/2 rankings placing the current winner above the target),
+every multiset of them across the coalition.  Every rule is anonymous, so a
+multiset decides as any ordering of it would: C(h + |M| - 1, |M|) replays
+instead of h^|M|.  They are the reference oracle for the polynomial
+algorithms and the solver of last resort for the NP-hard cases (STV, maximin
+coalitions).  Searches refuse to start past a replay budget rather than run
+open-endedly.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from itertools import combinations, permutations, product
-from math import comb, factorial
+from itertools import combinations, permutations
+from math import comb, factorial, inf
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import ElectionInstance, Preference
@@ -24,7 +26,15 @@ from .detection import (
     yes_verdict,
 )
 from .errors import BudgetExceededError, InvalidQueryError
-from .rules import VotingRule, tally_without, winner, winner_and_tally, winner_from_ballots
+from .rules import (
+    VotingRule,
+    _add_tables,
+    tally,
+    tally_without,
+    winner,
+    winner_and_tally,
+    winner_from_tally,
+)
 
 DEFAULT_REPLAY_BUDGET = 10_000_000
 DEFAULT_SUBSET_BUDGET = 1_000_000
@@ -52,8 +62,19 @@ def oracle_cpmw(
 ) -> DetectionVerdict:
     """Decide by exhaustion whether `suspects` can be possible manipulators against y.
 
+    The walk is depth first over nondecreasing tuples of admissible ballot
+    indices, in lexicographic order (the `combinations_with_replacement`
+    order): one tuple, and one winner read, per ballot multiset.  The
+    one-ballot table of every admissible ballot is built once, and the
+    partial sum of every prefix is kept, starting from the table of the
+    rest of the profile; a level that moves adds its ballot's table to the
+    sum above it, so most leaves cost one table addition.  The budget
+    counts the leaves, C(m!/2 + |M| - 1, |M|).
+
     The witness reported on YES is the lexicographically first admissible
     ballot combination (suspects in index order, ballots as id sequences).
+    That combination is nondecreasing, since sorting a YES tuple gives a YES
+    tuple no later than it, so the walk reaches it first.
     """
     query = DetectionQuery(instance, rule, tuple(suspects), actual_winner=y)
     suspects = query.suspects
@@ -62,20 +83,34 @@ def oracle_cpmw(
     require_target(query, x)
 
     half = factorial(m) // 2
-    cost = half ** len(suspects)
+    cost = comb(half + len(suspects) - 1, len(suspects))
     if cost > budget and not force:
         raise BudgetExceededError(
             f"exhaustive search needs {cost} replays, budget is {budget}", cost, budget
         )
 
-    slots = [(pref, 1) for pref in admissible_preferences(m, x, y)]
-    external = tally_without(instance, rule, full, suspects)
-    tiebreak = instance.tiebreak
-    for combo in product(slots, repeat=len(suspects)):
-        if winner_from_ballots(m, combo, tiebreak, rule, base=external) == y:
-            witness = {i: pref for i, (pref, _) in zip(suspects, combo)}
-            return yes_verdict(witness, y, ORACLE, exhaustive=True)
-    return no_verdict(ORACLE, exhaustive=True)
+    slots = admissible_preferences(m, x, y)
+    tables = [tally(m, [(pref, 1)], rule) for pref in slots]
+    tb_rank = instance.tiebreak.positions()
+    # chosen[d]: the ballot index of level d, nondecreasing in d; sums[d]:
+    # the table of the rest of the profile plus the ballots of levels < d
+    size, last = len(suspects), len(slots) - 1
+    chosen = [0] * size
+    sums = [tally_without(instance, rule, full, suspects)]
+    for _ in range(size):
+        sums.append(_add_tables(rule, sums[-1], tables[0]))
+    while winner_from_tally(m, sums[-1], tb_rank, rule) != y:
+        d = size - 1
+        while d >= 0 and chosen[d] == last:
+            d -= 1
+        if d < 0:
+            return no_verdict(ORACLE, exhaustive=True)
+        j = chosen[d] + 1
+        for e in range(d, size):
+            chosen[e] = j
+            sums[e + 1] = _add_tables(rule, sums[e], tables[j])
+    witness = {i: slots[j] for i, j in zip(suspects, chosen)}
+    return yes_verdict(witness, y, ORACLE, exhaustive=True)
 
 
 def oracle_cpm(
@@ -112,25 +147,41 @@ def _subset_count(n: int, k: int) -> int:
     return sum(comb(n, size) for size in range(1, min(k, n) + 1))
 
 
-def _coalition_count(instance: ElectionInstance, k: int) -> int:
+def _coalition_count(instance: ElectionInstance, k: int, cap: float = inf) -> int:
     """How many multisets of 1..k ballot classes use no class more often than
-    its count: the number of coalitions `_canonical_coalitions` yields."""
+    its count (the number of coalitions `_canonical_coalitions` yields), or
+    `cap` if that is less.
+
+    The size bound grows by doubling up to min(k, n) and stops as soon as
+    the count reaches `cap`.  Every size up to n has a multiset, so the
+    bound never passes 2·cap, and a hostile k costs no more than that.
+    """
     k = min(k, instance.n)
+    size = min(k, 1)
+    while True:
+        count = _multisets_up_to(instance, size, cap)
+        if size == k or count >= cap:
+            return count
+        size = min(2 * size, k)
+
+
+def _multisets_up_to(instance: ElectionInstance, k: int, cap: float) -> int:
     ways = [1] + [0] * k  # ways[s]: multisets of size s over the classes so far
     for _, w in instance.classes:
         w = min(w, k)
         if not w:
             continue
-        # ways'[s] = ways[s - w] + ... + ways[s], by a running window sum
+        # ways'[s] = ways[s - w] + ... + ways[s], by a running window sum;
+        # a sum of terms saturated at `cap` saturates to the same value
         window = 0
         new = []
         for s in range(k + 1):
             window += ways[s]
             if s > w:
                 window -= ways[s - w - 1]
-            new.append(window)
+            new.append(window if window < cap else cap)
         ways = new
-    return sum(ways) - 1
+    return min(sum(ways) - 1, cap)
 
 
 def _canonical_coalitions(instance: ElectionInstance, k: int) -> Iterator[tuple[int, ...]]:
@@ -186,7 +237,7 @@ def _check_search(k: int, count: int, subset_budget: int, force: bool) -> None:
         raise InvalidQueryError("coalition bound must be >= 0")
     if count > subset_budget and not force:
         raise BudgetExceededError(
-            f"search would enumerate {count} coalitions, budget is {subset_budget}",
+            f"search would enumerate at least {count} coalitions, budget is {subset_budget}",
             count,
             subset_budget,
         )
@@ -223,13 +274,14 @@ def search_coalitions(
     uses, in size-then-lexicographic order of those voter tuples.  A YES
     subset's representative is also YES and no later in that order, so the
     first hit is the first YES voter subset in size-then-index order.  The
-    subset budget counts these representatives.  Each subset is decided by
+    subset budget counts these representatives; the count stops at one past
+    the budget, so a refusal reports that as its cost.  Each subset is decided by
     `decide` when supplied (letting callers plug in a polynomial
     procedure), else by the oracle.  Without a hit, the NO of the last
     subset decided, so the verdict names the procedure that decided it;
     the oracle's exhaustive NO when no subset was decided (k = 0).
     """
-    _check_search(k, _coalition_count(instance, k), subset_budget, force)
+    _check_search(k, _coalition_count(instance, k, subset_budget + 1), subset_budget, force)
     if decide is None:
         decide = _default_decider(instance, rule, y, budget, force)
     verdict = None

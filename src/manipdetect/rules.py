@@ -225,10 +225,6 @@ def stv_order(m: int, profile: Profile, tb_rank: Sequence[int]) -> list[int]:
     return order
 
 
-def _pick_first(candidates: Iterable[int], tb_rank: Sequence[int]) -> int:
-    return min(candidates, key=lambda c: tb_rank[c])
-
-
 def tally(m: int, profile: Profile, rule: VotingRule):
     """The rule's additive aggregate table of a weighted profile.
 
@@ -280,6 +276,11 @@ def co_winners_from_ballots(
     return co_winners_from_tally(m, tally(m, profile, rule), tb_rank, rule)
 
 
+def winner_from_tally(m: int, table, tb_rank: Sequence[int], rule: VotingRule) -> int:
+    """The winner read from a `tally` table: the tie-break-earliest co-winner."""
+    return min(co_winners_from_tally(m, table, tb_rank, rule), key=tb_rank.__getitem__)
+
+
 def winner_from_ballots(
     m: int, profile: Profile, tiebreak: Preference, rule: VotingRule, base=None
 ) -> int:
@@ -288,8 +289,7 @@ def winner_from_ballots(
     table = tally(m, profile, rule)
     if base is not None:
         table = _add_tables(rule, base, table)
-    tb_rank = tiebreak.positions()
-    return _pick_first(co_winners_from_tally(m, table, tb_rank, rule), tb_rank)
+    return winner_from_tally(m, table, tiebreak.positions(), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +332,7 @@ def winner(instance: ElectionInstance, rule: VotingRule) -> int:
 def winner_and_tally(instance: ElectionInstance, rule: VotingRule):
     """The winner together with the `tally` table of the whole profile it was read from."""
     table = tally(instance.m, instance.classes, rule)
-    tb_rank = instance.tiebreak.positions()
-    return _pick_first(co_winners_from_tally(instance.m, table, tb_rank, rule), tb_rank), table
+    return winner_from_tally(instance.m, table, instance.tiebreak.positions(), rule), table
 
 
 def tally_without(instance: ElectionInstance, rule: VotingRule, full, voters: Iterable[int]):

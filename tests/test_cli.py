@@ -1,6 +1,7 @@
 import gc
 import json
 import warnings
+from math import comb
 
 import pytest
 
@@ -128,7 +129,8 @@ def test_budget_error_exit_two_without_force(tmp_path, capsys):
 
 
 def test_budget_refusal_json_report(tmp_path, capsys):
-    # 7 candidates, three suspects under STV: (7!/2)^3 replays
+    # 7 candidates, three suspects under STV: one replay per multiset of three
+    # of the 7!/2 = 2520 admissible ballots
     names = ",".join(f"c{i}" for i in range(7))
     ballot = ">".join(f"c{i}" for i in range(7))
     path = tmp_path / "big.txt"
@@ -142,7 +144,7 @@ def test_budget_refusal_json_report(tmp_path, capsys):
     assert "--force" in captured.err
     report = Report.from_json(captured.out)
     assert report.budget == "exceeded"
-    assert report.cost == 2520**3
+    assert report.cost == comb(2522, 3)
     assert report.limit == 10_000_000
     assert (report.problem, report.rule, report.verdict) == ("cpmw", "stv", "-")
     assert report.witness is None and report.coalition is None

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -145,6 +145,25 @@ def test_plurality_two_candidates_forced_votes():
     assert not cpmw_plurality_coalition(
         DetectionQuery(inst, rule, (0, 1, 2), actual_winner=1)
     ).answer
+
+
+def test_plurality_two_candidates_agrees_with_oracle_on_every_small_profile():
+    # with two candidates the general capacity formulas leave x the only
+    # candidate with a capacity; the only admissible ballot tops x, so every
+    # answer is NO
+    for vector in (ScoringVector.plurality(2), ScoringVector((3, 1))):
+        rule = VotingRule.scoring(vector)
+        for n in range(1, 6):
+            for ballots in product([(0, 1), (1, 0)], repeat=n):
+                for tiebreak in ((0, 1), (1, 0)):
+                    inst = ElectionInstance(("a", "b"), ballots, tiebreak)
+                    y = 1 - winner(inst, rule)
+                    for size in range(1, n + 1):
+                        for suspects in combinations(range(n), size):
+                            query = DetectionQuery(inst, rule, suspects, actual_winner=y)
+                            got = cpmw_plurality_coalition(query)
+                            want = oracle_cpmw(inst, rule, suspects, y)
+                            assert got.answer == want.answer, (ballots, tiebreak, suspects)
 
 
 def _plurality_search_with_skip(inst, rule, y, k):

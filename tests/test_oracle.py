@@ -1,8 +1,11 @@
-from itertools import combinations, product
+import random
+from itertools import combinations, permutations, product
+from math import comb, factorial
 
 import pytest
 
-from manipdetect.core import ElectionInstance
+from manipdetect import oracle
+from manipdetect.core import ElectionInstance, Preference
 from manipdetect.detection import verify_verdict
 from manipdetect.errors import BudgetExceededError, InvalidQueryError
 from manipdetect.oracle import (
@@ -11,7 +14,7 @@ from manipdetect.oracle import (
     oracle_cpmw,
     search_coalitions,
 )
-from manipdetect.rules import ScoringVector, VotingRule
+from manipdetect.rules import ScoringVector, VotingRule, winner
 
 from samples import A, B, C, e1, e2, e4, e6
 
@@ -157,3 +160,83 @@ def test_all_minimal_coalitions_are_minimal_hits():
                 assert not oracle_cpmw(e1(), BORDA3, smaller, B).answer
     for g, h in combinations(hits, 2):
         assert not set(g) < set(h) and not set(h) < set(g)
+
+
+def product_walk(inst, rule, suspects, y):
+    """The oracle as first written: every ordered tuple of admissible ballots,
+    in lexicographic order, each replayed on a fresh copy of the profile.
+    Returns (answer, witness rankings, method, exhaustive)."""
+    x = winner(inst, rule)
+    slots = [p for p in permutations(range(inst.m)) if p.index(x) < p.index(y)]
+    for combo in product(slots, repeat=len(suspects)):
+        replaced = inst.with_ballots_replaced(
+            {i: Preference(b) for i, b in zip(suspects, combo)}
+        )
+        if winner(replaced, rule) == y:
+            return True, dict(zip(suspects, combo)), "oracle", True
+    return False, None, "oracle", True
+
+
+def reference_rules(m):
+    return [
+        VotingRule.scoring(ScoringVector.plurality(m)),
+        VotingRule.scoring(ScoringVector.borda(m)),
+        VotingRule.scoring(ScoringVector((3, 1) + (0,) * (m - 2))),
+        VotingRule.maximin(),
+        VotingRule.bucklin(),
+        VotingRule.stv(),
+    ]
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_oracle_matches_plain_product_walk(m):
+    rng = random.Random(700 + m)
+    perms = list(permutations(range(m)))
+    yes = 0
+    for _ in range(40 if m == 3 else 8):
+        n = rng.randint(1, 5)
+        pool = [rng.choice(perms) for _ in range(rng.randint(2, 4))]
+        tiebreak = list(range(m))
+        rng.shuffle(tiebreak)
+        inst = ElectionInstance(
+            [f"c{i}" for i in range(m)], [rng.choice(pool) for _ in range(n)], tiebreak
+        )
+        if rng.random() < 0.4:
+            # every voter of one class recast: that class keeps count 0
+            emptied = rng.randrange(len(inst.classes))
+            new = Preference(rng.choice(perms))
+            inst = inst.with_ballots_replaced(
+                {i: new for i, c in enumerate(inst.voter_class) if c == emptied}
+            )
+        for size in range(0, min(3, n) + 1):
+            suspects = tuple(sorted(rng.sample(range(n), size)))
+            for rule in reference_rules(m):
+                x = winner(inst, rule)
+                for y in range(m):
+                    if y == x:
+                        continue
+                    got = oracle_cpmw(inst, rule, suspects, y)
+                    witness = got.witness and {i: p.ranking for i, p in got.witness.items()}
+                    assert (got.answer, witness, got.method, got.exhaustive) == product_walk(
+                        inst, rule, suspects, y
+                    ), (rule, suspects, y)
+                    yes += got.answer
+    assert yes >= 10
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_oracle_reads_one_winner_per_ballot_multiset(monkeypatch, size):
+    # a unanimous landslide: no admissible ballots elect y, so every leaf is read
+    inst = ElectionInstance(tuple("abcd"), [(0, 1, 2, 3)] * 9)
+    reads = []
+
+    def counted(*args):
+        reads.append(1)
+        return original(*args)
+
+    original = oracle.winner_from_tally
+    monkeypatch.setattr(oracle, "winner_from_tally", counted)
+    verdict = oracle_cpmw(inst, VotingRule.scoring(ScoringVector.borda(4)), range(size), 1)
+    assert not verdict.answer
+    half = factorial(4) // 2
+    assert len(reads) == comb(half + size - 1, size)

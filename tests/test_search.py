@@ -7,6 +7,7 @@ enumeration rests on.
 """
 
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 from manipdetect.ballotfile import parse_election
 from manipdetect.core import ElectionInstance, Preference
 from manipdetect.detection import no_verdict, verify_verdict
-from manipdetect.dispatch import decide_cpms, decide_cpmsw, decide_cpmw
+from manipdetect.dispatch import decide_cpm, decide_cpms, decide_cpmsw, decide_cpmw
+from manipdetect.errors import BudgetExceededError
 from manipdetect.oracle import (
     DEFAULT_SUBSET_BUDGET,
     _canonical_coalitions,
@@ -99,6 +101,26 @@ def test_coalition_count_of_large_tallied_profiles():
     assert _coalition_count(inst, 2) == 30 + 30 + 435
     # a bound past n counts every multiset, up to all 30,000 voters
     assert _coalition_count(inst, 10**9) == 1001**30 - 1
+
+
+def test_hostile_bound_is_refused_in_time_independent_of_k():
+    # 10^6 voters in 30 tallied classes, k = n: the count stops at one past
+    # the subset budget instead of running over every size up to n
+    inst = ElectionInstance(
+        [f"c{i}" for i in range(5)],
+        list(permutations(range(5)))[:30],
+        counts=[10**6 // 30] * 29 + [10**6 - 29 * (10**6 // 30)],
+    )
+    assert inst.n == 10**6
+    rule = VotingRule.bucklin()
+    y = next(c for c in range(5) if c != winner(inst, rule))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as refused:
+        decide_cpmsw(inst, rule, y, inst.n)
+    assert time.perf_counter() - start < 0.5
+    assert refused.value.cost == DEFAULT_SUBSET_BUDGET + 1
+    assert _coalition_count(inst, inst.n, 1000) == 1000
+    assert _coalition_count(inst, 2, 1000) == 30 + 30 + 435
 
 
 def reference_search(inst, k, decide):
@@ -200,3 +222,31 @@ def test_search_answers_are_invariant_under_voter_permutation(ballots, tiebreak,
             if y != x:
                 assert decide_cpmsw(inst, rule, y, k).answer == decide_cpmsw(other, rule, y, k).answer
         assert decide_cpms(inst, rule, k).answer == decide_cpms(other, rule, k).answer
+
+
+CPMW_RULES = [*ANONYMITY_RULES, VotingRule.scoring(ScoringVector((3, 1, 0, 0)))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ballots=st.lists(st.permutations(range(M)), min_size=1, max_size=5),
+    tiebreak=st.permutations(range(M)),
+    data=st.data(),
+)
+def test_cpmw_and_cpm_answers_are_invariant_under_voter_permutation(ballots, tiebreak, data):
+    # the exhaustive oracle replays one ballot multiset per leaf, which is
+    # sound only if no rule looks at which voter cast which ballot
+    n = len(ballots)
+    suspects = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+    order = data.draw(st.permutations(range(n)))  # order[j]: the voter moved to position j
+    moved = [order.index(i) for i in suspects]
+    names = [f"c{i}" for i in range(M)]
+    inst = ElectionInstance(names, ballots, tiebreak)
+    other = ElectionInstance(names, [ballots[i] for i in order], tiebreak)
+    for rule in CPMW_RULES:
+        x = winner(inst, rule)
+        for y in range(M):
+            if y != x:
+                got = decide_cpmw(other, rule, moved, y).answer
+                assert decide_cpmw(inst, rule, suspects, y).answer == got, (rule, y)
+        assert decide_cpm(inst, rule, suspects).answer == decide_cpm(other, rule, moved).answer
