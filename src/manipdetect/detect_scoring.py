@@ -38,6 +38,7 @@ from .rules import (
     tally_without,
     winner_and_tally,
     winner_from_ballots,
+    winner_from_tally,
 )
 
 METHOD_SINGLE = "scoring-single"
@@ -282,12 +283,7 @@ def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
     m, n = inst.m, inst.n
     scores = positional_scores(m, inst.classes, vector)
     tb_rank = inst.tiebreak.positions()
-
-    def leader() -> int:
-        best = max(scores)
-        return min((c for c in range(m) if scores[c] == best), key=lambda c: tb_rank[c])
-
-    x = leader()
+    x = winner_from_tally(m, scores, tb_rank, query.rule)
     y = require_target(query, x)
     if query.bound is None:
         raise InvalidQueryError("bounded search needs a coalition bound")
@@ -316,6 +312,6 @@ def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
         for p, c in enumerate(new.ranking):
             scores[c] += alphas[p]
         witness[idx] = new
-        if leader() == y:
+        if winner_from_tally(m, scores, tb_rank, query.rule) == y:
             return yes_verdict(witness, y, METHOD_GREEDY)
     return no_verdict(METHOD_GREEDY)

@@ -44,11 +44,11 @@ ORACLE = "oracle"
 
 def admissible_preferences(m: int, x: int, y: int) -> list[Preference]:
     """All rankings of 0..m-1 that place x above y, in lexicographic order."""
-    prefs = []
-    for perm in permutations(range(m)):
-        if perm.index(x) < perm.index(y):
-            prefs.append(Preference(perm))
-    return prefs
+    return [
+        Preference._from_checked(perm)
+        for perm in permutations(range(m))
+        if perm.index(x) < perm.index(y)
+    ]
 
 
 def oracle_cpmw(
@@ -143,8 +143,15 @@ def _subsets_up_to(n: int, k: int) -> Iterable[tuple[int, ...]]:
         yield from combinations(range(n), size)
 
 
-def _subset_count(n: int, k: int) -> int:
-    return sum(comb(n, size) for size in range(1, min(k, n) + 1))
+def _subset_count(n: int, k: int, cap: float = inf) -> int:
+    """How many voter subsets of size 1..k there are, or `cap` if that is
+    less: the sum stops at the first size that reaches it."""
+    count = 0
+    for size in range(1, min(k, n) + 1):
+        count += comb(n, size)
+        if count >= cap:
+            return cap
+    return count
 
 
 def _coalition_count(instance: ElectionInstance, k: int, cap: float = inf) -> int:
@@ -308,7 +315,7 @@ def all_minimal_coalitions(
 ) -> list[tuple[int, ...]]:
     """Every YES coalition of size <= k that contains no smaller YES coalition."""
     n = instance.n
-    _check_search(k, _subset_count(n, k), subset_budget, force)
+    _check_search(k, _subset_count(n, k, subset_budget + 1), subset_budget, force)
     if decide is None:
         decide = _default_decider(instance, rule, y, budget, force)
     hits: list[tuple[int, ...]] = []

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -8,6 +9,7 @@ from manipdetect.detection import DetectionQuery, verify_verdict
 from manipdetect.detect_maximin import cpmw_maximin_single
 from manipdetect.dispatch import decide_cpm
 from manipdetect.errors import DispatchError, InvalidQueryError
+from manipdetect.generators import random_profile
 from manipdetect.oracle import oracle_cpm, oracle_cpmw
 from manipdetect.rules import VotingRule, maximin_score, winner
 
@@ -106,6 +108,38 @@ def test_matches_oracle_small():
 
 def test_matches_oracle_m5_randomized():
     _exhaustive_agreement(random.Random(901), 25, 5, 5, 4)
+
+
+def test_matches_oracle_m6_randomized():
+    # every NO of the greedy rests on the completeness argument in the module
+    # docstring; the oracle checks it past the m <= 5 of the tests above
+    _exhaustive_agreement(random.Random(903), 12, 6, 6, 5)
+
+
+# (instance, target, answer).  In the first, y = c4 wins only at s_y + 1, so
+# its worst opponents c0 and c1 must go below it, yet c1 is ready at once.
+# The m = 12 ones are far past the oracle's reach; the time bound holds only
+# for a procedure polynomial in m.
+PINNED = [
+    (
+        ElectionInstance(
+            [f"c{i}" for i in range(5)], [(2, 3, 0, 1, 4), (0, 1, 4, 3, 2)], tiebreak=[2, 4, 3, 0, 1]
+        ),
+        4,
+        True,
+    ),
+    (random_profile(12, 20, 8), 7, False),
+    (random_profile(12, 20, 0), 7, True),
+]
+
+
+@pytest.mark.parametrize("inst, y, answer", PINNED)
+def test_pinned_instances(inst, y, answer):
+    start = time.perf_counter()
+    verdict = cpmw_maximin_single(DetectionQuery(inst, MAXIMIN, (0,), actual_winner=y))
+    assert verdict.answer == answer
+    assert verify_verdict(inst, MAXIMIN, verdict, suspects=(0,))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_cpm_matches_oracle_small():

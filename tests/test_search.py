@@ -24,6 +24,7 @@ from manipdetect.oracle import (
     _canonical_coalitions,
     _coalition_count,
     _subset_count,
+    all_minimal_coalitions,
     oracle_cpm,
     oracle_cpmw,
     search_coalitions,
@@ -121,6 +122,24 @@ def test_hostile_bound_is_refused_in_time_independent_of_k():
     assert refused.value.cost == DEFAULT_SUBSET_BUDGET + 1
     assert _coalition_count(inst, inst.n, 1000) == 1000
     assert _coalition_count(inst, 2, 1000) == 30 + 30 + 435
+
+
+def test_minimal_coalitions_refuse_a_hostile_bound_in_time():
+    # 10,000 voters, k = n: the subset count stops at one past the budget
+    # instead of summing C(n, s) over every size up to n
+    inst = ElectionInstance(
+        [f"c{i}" for i in range(5)],
+        list(permutations(range(5)))[:30],
+        counts=[10_000 // 30] * 29 + [10_000 - 29 * (10_000 // 30)],
+    )
+    assert inst.n == 10_000
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="at least") as refused:
+        all_minimal_coalitions(inst, VotingRule.bucklin(), inst.n)
+    assert time.perf_counter() - start < 0.5
+    assert refused.value.cost == DEFAULT_SUBSET_BUDGET + 1
+    assert _subset_count(10, 3, 200) == 10 + 45 + 120
+    assert _subset_count(10, 3, 60) == 60
 
 
 def reference_search(inst, k, decide):
@@ -250,3 +269,27 @@ def test_cpmw_and_cpm_answers_are_invariant_under_voter_permutation(ballots, tie
                 got = decide_cpmw(other, rule, moved, y).answer
                 assert decide_cpmw(inst, rule, suspects, y).answer == got, (rule, y)
         assert decide_cpm(inst, rule, suspects).answer == decide_cpm(other, rule, moved).answer
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(2, 4), data=st.data())
+def test_cpmw_and_cpm_answers_are_invariant_under_candidate_relabelling(m, data):
+    # every rule is neutral once the tie-break order is relabelled with the
+    # ballots, so renaming the candidates renames the answers and nothing else
+    ballots = data.draw(st.lists(st.permutations(range(m)), min_size=1, max_size=5))
+    tiebreak = data.draw(st.permutations(range(m)))
+    sigma = data.draw(st.permutations(range(m)))  # sigma[c]: the new id of candidate c
+    suspects = data.draw(st.sets(st.integers(0, len(ballots) - 1), min_size=1, max_size=3))
+    names = [f"c{i}" for i in range(m)]
+    inst = ElectionInstance(names, ballots, tiebreak)
+    other = ElectionInstance(
+        names, [[sigma[c] for c in b] for b in ballots], [sigma[c] for c in tiebreak]
+    )
+    for rule in rules_for(m):
+        x = winner(inst, rule)
+        assert winner(other, rule) == sigma[x]
+        for y in range(m):
+            if y != x:
+                got = decide_cpmw(other, rule, suspects, sigma[y]).answer
+                assert decide_cpmw(inst, rule, suspects, y).answer == got, (rule, y)
+        assert decide_cpm(inst, rule, suspects).answer == decide_cpm(other, rule, suspects).answer
