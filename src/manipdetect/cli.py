@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .ballotfile import Report, ballot_string, parse_election, render_election
 from .core import ElectionInstance
-from .detection import DetectionVerdict, verify_verdict
+from .detection import DetectionQuery, DetectionVerdict, verify_verdict
 from .dispatch import decide_cpm, decide_cpms, decide_cpmsw, decide_cpmw
 from .errors import BudgetExceededError, ElectionError
 from .generators import (
@@ -87,7 +87,7 @@ def _verdict_report(
         problem=problem,
         rule=rule_spec,
         verdict="YES" if verdict.answer else "NO",
-        current_winner=names[winner(instance, rule)],
+        current_winner=names[verdict.current_winner],
         witness_actual_winner=(
             names[verdict.witness_actual_winner]
             if verdict.witness_actual_winner is not None
@@ -142,7 +142,8 @@ def _run_detection(args) -> int:
         suspects = _parse_suspects(args.suspects)
         if args.actual_winner is not None:
             y = instance.candidate_id(args.actual_winner)
-            verdict = oracle_cpmw(instance, rule, suspects, y, force=force)
+            query = DetectionQuery(instance, rule, suspects, actual_winner=y)
+            verdict = oracle_cpmw(query, force=force)
         else:
             verdict = oracle_cpm(instance, rule, suspects, force=force)
     report = _verdict_report(problem, args.rule, instance, rule, verdict, started, force)

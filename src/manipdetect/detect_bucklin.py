@@ -25,7 +25,7 @@ from .detection import (
     yes_verdict,
 )
 from .errors import DispatchError
-from .rules import BUCKLIN, tally_without, winner_and_tally, winner_from_ballots
+from .rules import BUCKLIN, tally_without, winner_from_ballots
 
 METHOD_BUCKLIN = "bucklin-greedy"
 
@@ -49,13 +49,12 @@ def cpmw_bucklin(query: DetectionQuery) -> DetectionVerdict:
     if query.rule.kind != BUCKLIN:
         raise DispatchError(f"bucklin detector cannot handle a {query.rule.kind} rule")
     inst = query.instance
-    x, full = winner_and_tally(inst, query.rule)
-    y = require_target(query, x)
+    x, y = require_target(query)
     suspects = query.suspects
     m, n = inst.m, inst.n
     majority = (n + 1) // 2
-    tb_rank = inst.tiebreak.positions()
-    ext = tally_without(inst, query.rule, full, suspects)
+    tb_rank = query.context.tb_rank
+    ext = tally_without(inst, query.rule, query.context.full, suspects)
     c = len(suspects)
     if c == 0:
         return no_verdict(METHOD_BUCKLIN)
@@ -71,11 +70,21 @@ def cpmw_bucklin(query: DetectionQuery) -> DetectionVerdict:
         cases = case_positions(beta, m)
         if not cases:
             continue
+        # Every composition fails the checks below when x already holds a
+        # majority at its safe level without the suspects, when y misses
+        # one at beta even with all of them, or when y already holds one at
+        # beta - 1 without them: the rest of the profile rules the level out.
+        lx = safe_level(x, beta)
+        if (
+            ext[x][lx] >= majority
+            or ext[y][beta] + c < majority
+            or ext[y][beta - 1] >= majority
+        ):
+            continue
         # the opponents' caps depend on the level only, not on the cases
         caps = {z: majority - 1 - ext[z][safe_level(z, beta)] for z in others}
         if any(cap < 0 for cap in caps.values()):
             continue
-        lx = safe_level(x, beta)
         for counts in _compositions(c, len(cases)):
             # y's top-l count under this case assignment, nondecreasing in l,
             # so y's realized final level is beta iff it reaches a majority

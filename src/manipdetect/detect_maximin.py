@@ -39,7 +39,6 @@ from .rules import (
     MAXIMIN,
     maximin_scores_from_margins,
     tally_without,
-    winner_and_tally,
     winner_from_ballots,
 )
 
@@ -56,13 +55,12 @@ def cpmw_maximin_single(query: DetectionQuery) -> DetectionVerdict:
     m = inst.m
     if m < 2:
         raise DegenerateRosterError("maximin detection needs at least two candidates")
-    x, full = winner_and_tally(inst, query.rule)
-    y = require_target(query, x)
+    x, y = require_target(query)
     (i,) = query.suspects
 
-    margins = tally_without(inst, query.rule, full, query.suspects)
+    margins = tally_without(inst, query.rule, query.context.full, query.suspects)
     scores = maximin_scores_from_margins(margins)
-    tb_rank = inst.tiebreak.positions()
+    tb_rank = query.context.tb_rank
     for t in (scores[y] + 1, scores[y] - 1):
         ballot = _greedy_ballot(margins, scores, tb_rank, x, y, t)
         if ballot is None:

@@ -34,9 +34,7 @@ from .rules import (
     Score,
     ScoreTable,
     ScoringVector,
-    positional_scores,
     tally_without,
-    winner_and_tally,
     winner_from_ballots,
     winner_from_tally,
 )
@@ -101,11 +99,10 @@ def cpmw_scoring_single(query: DetectionQuery) -> DetectionVerdict:
     if len(query.suspects) != 1:
         raise DispatchError("this procedure handles exactly one suspect")
     inst = query.instance
-    x, full = winner_and_tally(inst, query.rule)
-    y = require_target(query, x)
+    x, y = require_target(query)
     (i,) = query.suspects
     m = inst.m
-    external = tally_without(inst, query.rule, full, query.suspects)
+    external = tally_without(inst, query.rule, query.context.full, query.suspects)
     for j in range(1, m):
         pref = canonical_manipulated_preference(external, x, y, j, inst.tiebreak)
         if winner_from_ballots(m, [(pref, 1)], inst.tiebreak, query.rule, base=external) == y:
@@ -134,21 +131,18 @@ def cpmw_scoring_coalition(
     vector = _require_scoring(query)
     inst = query.instance
     if vector.is_convex():
-        x, full = winner_and_tally(inst, query.rule)
-        y = require_target(query, x)
+        x, y = require_target(query)
         witness = {
             i: _coalition_test_ballot(inst.ballots[i], x, y) for i in query.suspects
         }
-        rest = tally_without(inst, query.rule, full, query.suspects)
+        rest = tally_without(inst, query.rule, query.context.full, query.suspects)
         replay = [(pref, 1) for pref in witness.values()]
         if winner_from_ballots(inst.m, replay, inst.tiebreak, query.rule, base=rest) == y:
             return yes_verdict(witness, y, METHOD_COALITION)
         return no_verdict(METHOD_COALITION)
     if vector.is_plurality_like():
         return cpmw_plurality_coalition(query)
-    verdict = oracle_cpmw(
-        inst, query.rule, query.suspects, query.actual_winner, budget=budget, force=force
-    )
+    verdict = oracle_cpmw(query, budget=budget, force=force)
     verdict.method = METHOD_FALLBACK
     return verdict
 
@@ -167,16 +161,15 @@ def cpmw_plurality_coalition(query: DetectionQuery) -> DetectionVerdict:
     if not vector.is_plurality_like():
         raise DispatchError("capacity method needs a plurality-like vector")
     inst = query.instance
-    x, full = winner_and_tally(inst, query.rule)
-    y = require_target(query, x)
+    x, y = require_target(query)
     m, suspects = inst.m, query.suspects
-    tb_rank = inst.tiebreak.positions()
+    tb_rank = query.context.tb_rank
 
     # top votes of the rest of the profile: those of the whole profile, read
     # off its scores (every voter scores `low` but `top` for their first
     # choice), minus the suspects' own
     top, low = vector.alphas[0], vector.alphas[-1]
-    base = [(s - low * inst.n) // (top - low) for s in full]
+    base = [(s - low * inst.n) // (top - low) for s in query.context.full]
     for i in suspects:
         base[inst.ballots[i].ranking[0]] -= 1
     cap = {}
@@ -224,16 +217,15 @@ def cpmsw_plurality(query: DetectionQuery) -> DetectionVerdict:
     if not vector.is_plurality_like():
         raise DispatchError("capacity method needs a plurality-like vector")
     inst = query.instance
-    x, full = winner_and_tally(inst, query.rule)
-    y = require_target(query, x)
+    y = require_target(query)[1]
     if query.bound is None:
         raise InvalidQueryError("bounded search needs a coalition bound")
     k, n = query.bound, inst.n
     top, low = vector.alphas[0], vector.alphas[-1]
-    tops = [(s - low * n) // (top - low) for s in full]
+    tops = [(s - low * n) // (top - low) for s in query.context.full]
     if k == 0 or tops[y] == n:
         return no_verdict(ORACLE, exhaustive=True)
-    tb_rank = inst.tiebreak.positions()
+    tb_rank = query.context.tb_rank
     slack = 0
     over: dict[int, int] = {}
     for z in range(inst.m):
@@ -260,9 +252,7 @@ def cpmsw_plurality(query: DetectionQuery) -> DetectionVerdict:
         )
     else:
         coalition = [next(voters_topping(y.__ne__))]
-    return cpmw_plurality_coalition(
-        DetectionQuery(inst, query.rule, tuple(coalition), actual_winner=y)
-    )
+    return cpmw_plurality_coalition(query.for_coalition(tuple(coalition)))
 
 
 def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
@@ -273,18 +263,17 @@ def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
     depends only on the ballot, so it is computed once per ballot class.
     Ordering voters by that shift makes every prefix the best coalition of
     its size.  Each prefix is confirmed by full winner determination
-    (maintained incrementally) before a YES is reported; the current winner
-    is read from the same score table before the search starts.
+    (maintained incrementally, on a copy of the context's score table)
+    before a YES is reported.
     """
     vector = _require_scoring(query)
     if not vector.is_convex():
         raise DispatchError("greedy search needs a convex scoring vector")
     inst = query.instance
     m, n = inst.m, inst.n
-    scores = positional_scores(m, inst.classes, vector)
-    tb_rank = inst.tiebreak.positions()
-    x = winner_from_tally(m, scores, tb_rank, query.rule)
-    y = require_target(query, x)
+    x, y = require_target(query)
+    scores = list(query.context.full)
+    tb_rank = query.context.tb_rank
     if query.bound is None:
         raise InvalidQueryError("bounded search needs a coalition bound")
     k = query.bound

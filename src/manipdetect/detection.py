@@ -1,4 +1,5 @@
-"""Shared detection types: queries, verdicts, and witness verification.
+"""Shared detection types: queries, their per-target context, verdicts, the
+loop over alternative winners, and witness verification.
 
 A coalition of suspects M is a coalition of possible manipulators against a
 candidate y when there is an assignment of one preference per suspect, each
@@ -8,12 +9,56 @@ makes y the winner.  A YES verdict always carries such a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
 from .core import ElectionInstance, Preference
 from .errors import InvalidQueryError, RosterError, ValidationError
-from .rules import VotingRule, tally_without, winner_and_tally, winner_from_ballots
+from .rules import (
+    VotingRule,
+    tally,
+    tally_without,
+    winner_and_tally,
+    winner_from_ballots,
+    winner_from_tally,
+)
+
+
+class TargetContext:
+    """What the queries about one election, rule and target share.
+
+    The tie-break ranks, the `rules.tally` table of the whole profile and
+    the current winner read from it are each built on first use, at most
+    once.  `admissible` is left to the oracle: the rankings that place the
+    current winner above the target, with the one-ballot table of each.
+    Queries derived by `DetectionQuery.for_coalition` share their parent's
+    context, so a coalition search builds the full table once.
+    """
+
+    __slots__ = ("instance", "rule", "admissible", "_tb_rank", "_full", "_winner")
+
+    def __init__(self, instance: ElectionInstance, rule: VotingRule):
+        self.instance = instance
+        self.rule = rule
+        self.admissible = self._tb_rank = self._full = self._winner = None
+
+    @property
+    def tb_rank(self) -> list[int]:
+        if self._tb_rank is None:
+            self._tb_rank = self.instance.tiebreak.positions()
+        return self._tb_rank
+
+    @property
+    def full(self):
+        if self._full is None:
+            self._full = tally(self.instance.m, self.instance.classes, self.rule)
+        return self._full
+
+    @property
+    def winner(self) -> int:
+        if self._winner is None:
+            self._winner = winner_from_tally(self.instance.m, self.full, self.tb_rank, self.rule)
+        return self._winner
 
 
 @dataclass(frozen=True)
@@ -30,6 +75,7 @@ class DetectionQuery:
     suspects: tuple[int, ...] = ()
     actual_winner: int | None = None
     bound: int | None = None
+    context: TargetContext = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.instance.n
@@ -45,6 +91,13 @@ class DetectionQuery:
             raise RosterError(f"actual winner id {self.actual_winner} outside roster")
         if self.bound is not None and self.bound < 0:
             raise InvalidQueryError("coalition bound must be >= 0")
+        object.__setattr__(self, "context", TargetContext(self.instance, self.rule))
+
+    def for_coalition(self, suspects: tuple[int, ...]) -> "DetectionQuery":
+        """The same target with `suspects` as the coalition, sharing this query's context."""
+        query = DetectionQuery(self.instance, self.rule, suspects, self.actual_winner)
+        object.__setattr__(query, "context", self.context)
+        return query
 
 
 @dataclass
@@ -54,7 +107,9 @@ class DetectionVerdict:
     On YES, `witness` maps each coalition member to the actual preference the
     search found, and replaying those ballots yields `witness_actual_winner`.
     `method` names the decision procedure that produced the verdict;
-    `exhaustive` marks brute-force (oracle) paths.
+    `exhaustive` marks brute-force (oracle) paths.  `current_winner` is the
+    winner of the election as cast, read from the query's context; it
+    describes the election, not the decision, so equality ignores it.
     """
 
     answer: bool
@@ -63,6 +118,7 @@ class DetectionVerdict:
     method: str = ""
     coalition: tuple[int, ...] | None = None
     exhaustive: bool = False
+    current_winner: int | None = field(default=None, compare=False)
 
     def __bool__(self) -> bool:
         return self.answer
@@ -89,16 +145,42 @@ def yes_verdict(
     )
 
 
-def require_target(query: DetectionQuery, x: int) -> int:
-    """The query's actual-winner candidate, validated against the current winner x."""
+def require_target(query: DetectionQuery) -> tuple[int, int]:
+    """The current winner x and the query's actual-winner candidate y, validated against x."""
     y = query.actual_winner
     if y is None:
         raise InvalidQueryError("this query needs an actual-winner candidate")
+    x = query.context.winner
     if y == x:
         raise InvalidQueryError(
             f"actual winner {query.instance.names[y]!r} is already the current winner"
         )
-    return y
+    return x, y
+
+
+def _first_yes(
+    query: DetectionQuery,
+    decide: Callable[[int], DetectionVerdict],
+    no_target: DetectionVerdict,
+) -> DetectionVerdict:
+    """The first YES of `decide(y)` over every alternative winner y, in tie-break order.
+
+    Without a YES, the last NO, so the verdict names the route that decided
+    it; `no_target` when the roster leaves no alternative winner, its only
+    candidate being the current winner.  Each `decide(y)` asks about its own
+    target, so it builds its own query and context.
+    """
+    if query.instance.m == 1:
+        no_target.current_winner = 0
+        return no_target
+    x = query.context.winner
+    for y in query.instance.tiebreak.ranking:
+        if y == x:
+            continue
+        verdict = decide(y)
+        if verdict.answer:
+            return verdict
+    return verdict
 
 
 def replay(instance: ElectionInstance, witness: Mapping[int, Preference]) -> ElectionInstance:

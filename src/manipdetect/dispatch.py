@@ -6,19 +6,26 @@ coalition; maximin with one suspect; Bucklin for any coalition.  Everything
 else (STV, maximin coalitions, irregular scoring vectors with coalitions)
 goes to the exhaustive oracle under a replay budget, and the verdict is
 flagged as exhaustive.  CPM and CPMS are CPMW and CPMSW tried against every
-alternative winner, in tie-break order, by one loop.
+alternative winner, in tie-break order, by `detection._first_yes`.
 
 Bounded searches (CPMSW) are decided greedily for convex vectors and in
 closed form for plurality; every other rule searches one coalition per
-multiset of ballot classes (`search_coalitions`), each decided by CPMW.
+multiset of ballot classes (`search_coalitions`), each decided by CPMW on a
+query derived from the search's own, so every coalition reads the current
+winner and the full-profile table from one shared context.  Every verdict
+carries the current winner from its query's context.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .core import ElectionInstance
-from .detection import DetectionQuery, DetectionVerdict, no_verdict, require_target
+from .detection import (
+    DetectionQuery,
+    DetectionVerdict,
+    _first_yes,
+    no_verdict,
+    require_target,
+)
 from .detect_bucklin import cpmw_bucklin
 from .detect_maximin import cpmw_maximin_single
 from .detect_scoring import (
@@ -33,30 +40,7 @@ from .oracle import (
     oracle_cpmw,
     search_coalitions,
 )
-from .rules import BUCKLIN, MAXIMIN, SCORING, VotingRule, winner
-
-
-def _first_yes(
-    instance: ElectionInstance,
-    rule: VotingRule,
-    problem: str,
-    decide: Callable[[int], DetectionVerdict],
-) -> DetectionVerdict:
-    """The first YES of `decide(y)` over every alternative winner y, in tie-break order.
-
-    Without a YES, the last NO, so the verdict names the route that decided
-    it; `no_verdict(problem)` when the roster leaves no alternative winner.
-    """
-    if instance.m == 1:
-        return no_verdict(problem)
-    x = winner(instance, rule)
-    for y in instance.tiebreak.ranking:
-        if y == x:
-            continue
-        verdict = decide(y)
-        if verdict.answer:
-            return verdict
-    return verdict
+from .rules import BUCKLIN, MAXIMIN, SCORING, VotingRule
 
 
 def decide_cpmw(
@@ -69,17 +53,24 @@ def decide_cpmw(
     force: bool = False,
 ) -> DetectionVerdict:
     query = DetectionQuery(instance, rule, tuple(suspects), actual_winner=y)
+    return _decide_cpmw(query, budget, force)
+
+
+def _decide_cpmw(query: DetectionQuery, budget: int, force: bool) -> DetectionVerdict:
+    rule = query.rule
     if rule.kind == SCORING:
         if len(query.suspects) == 1:
-            return cpmw_scoring_single(query)
-        return cpmw_scoring_coalition(query, budget=budget, force=force)
-    if rule.kind == MAXIMIN:
-        if len(query.suspects) == 1:
-            return cpmw_maximin_single(query)
-        return oracle_cpmw(instance, rule, query.suspects, y, budget=budget, force=force)
-    if rule.kind == BUCKLIN:
-        return cpmw_bucklin(query)
-    return oracle_cpmw(instance, rule, query.suspects, y, budget=budget, force=force)
+            verdict = cpmw_scoring_single(query)
+        else:
+            verdict = cpmw_scoring_coalition(query, budget=budget, force=force)
+    elif rule.kind == MAXIMIN and len(query.suspects) == 1:
+        verdict = cpmw_maximin_single(query)
+    elif rule.kind == BUCKLIN:
+        verdict = cpmw_bucklin(query)
+    else:
+        verdict = oracle_cpmw(query, budget=budget, force=force)
+    verdict.current_winner = query.context.winner
+    return verdict
 
 
 def decide_cpm(
@@ -92,10 +83,9 @@ def decide_cpm(
 ) -> DetectionVerdict:
     query = DetectionQuery(instance, rule, tuple(suspects))
     return _first_yes(
-        instance,
-        rule,
-        "cpm",
+        query,
         lambda y: decide_cpmw(instance, rule, query.suspects, y, budget=budget, force=force),
+        no_verdict("cpm"),
     )
 
 
@@ -111,21 +101,22 @@ def decide_cpmsw(
 ) -> DetectionVerdict:
     query = DetectionQuery(instance, rule, (), actual_winner=y, bound=k)
     if rule.kind == SCORING and rule.vector.is_convex():
-        return cpmsw_scoring_greedy(query)  # validates y against its own score table
-    if rule.kind == SCORING and rule.vector.is_plurality_like():
-        return cpmsw_plurality(query)  # likewise
-    require_target(query, winner(instance, rule))
-    return search_coalitions(
-        instance,
-        rule,
-        k,
-        y,
-        decide=lambda subset: decide_cpmw(
-            instance, rule, subset, y, budget=budget, force=force
-        ),
-        subset_budget=subset_budget,
-        force=force,
-    )
+        verdict = cpmsw_scoring_greedy(query)
+    elif rule.kind == SCORING and rule.vector.is_plurality_like():
+        verdict = cpmsw_plurality(query)
+    else:
+        require_target(query)
+        verdict = search_coalitions(
+            instance,
+            rule,
+            k,
+            y,
+            decide=lambda subset: _decide_cpmw(query.for_coalition(subset), budget, force),
+            subset_budget=subset_budget,
+            force=force,
+        )
+    verdict.current_winner = query.context.winner
+    return verdict
 
 
 def decide_cpms(
@@ -137,11 +128,11 @@ def decide_cpms(
     subset_budget: int = DEFAULT_SUBSET_BUDGET,
     force: bool = False,
 ) -> DetectionVerdict:
+    query = DetectionQuery(instance, rule)
     return _first_yes(
-        instance,
-        rule,
-        "cpms",
+        query,
         lambda y: decide_cpmsw(
             instance, rule, y, k, budget=budget, subset_budget=subset_budget, force=force
         ),
+        no_verdict("cpms"),
     )

@@ -21,20 +21,13 @@ from .core import ElectionInstance, Preference
 from .detection import (
     DetectionQuery,
     DetectionVerdict,
+    _first_yes,
     no_verdict,
     require_target,
     yes_verdict,
 )
 from .errors import BudgetExceededError, InvalidQueryError
-from .rules import (
-    VotingRule,
-    _add_tables,
-    tally,
-    tally_without,
-    winner,
-    winner_and_tally,
-    winner_from_tally,
-)
+from .rules import VotingRule, _add_tables, tally, tally_without, winner_from_tally
 
 DEFAULT_REPLAY_BUDGET = 10_000_000
 DEFAULT_SUBSET_BUDGET = 1_000_000
@@ -52,35 +45,41 @@ def admissible_preferences(m: int, x: int, y: int) -> list[Preference]:
 
 
 def oracle_cpmw(
-    instance: ElectionInstance,
-    rule: VotingRule,
-    suspects: Sequence[int],
-    y: int,
+    query: DetectionQuery | ElectionInstance,
+    rule: VotingRule | None = None,
+    suspects: Sequence[int] = (),
+    y: int | None = None,
     *,
     budget: int = DEFAULT_REPLAY_BUDGET,
     force: bool = False,
 ) -> DetectionVerdict:
-    """Decide by exhaustion whether `suspects` can be possible manipulators against y.
+    """Decide by exhaustion whether the query's suspects can be possible
+    manipulators against its target.
+
+    `oracle_cpmw(instance, rule, suspects, y)` decides
+    `DetectionQuery(instance, rule, suspects, actual_winner=y)`.
 
     The walk is depth first over nondecreasing tuples of admissible ballot
     indices, in lexicographic order (the `combinations_with_replacement`
     order): one tuple, and one winner read, per ballot multiset.  The
-    one-ballot table of every admissible ballot is built once, and the
-    partial sum of every prefix is kept, starting from the table of the
-    rest of the profile; a level that moves adds its ballot's table to the
-    sum above it, so most leaves cost one table addition.  The budget
-    counts the leaves, C(m!/2 + |M| - 1, |M|).
+    one-ballot table of every admissible ballot is built once per context,
+    so every coalition of one search shares them, and the partial sum of
+    every prefix is kept, starting from the table of the rest of the
+    profile; a level that moves adds its ballot's table to the sum above
+    it, so most leaves cost one table addition.  The budget counts the
+    leaves, C(m!/2 + |M| - 1, |M|), and is checked before anything is
+    built.
 
     The witness reported on YES is the lexicographically first admissible
     ballot combination (suspects in index order, ballots as id sequences).
     That combination is nondecreasing, since sorting a YES tuple gives a YES
     tuple no later than it, so the walk reaches it first.
     """
-    query = DetectionQuery(instance, rule, tuple(suspects), actual_winner=y)
-    suspects = query.suspects
-    m = instance.m
-    x, full = winner_and_tally(instance, rule)
-    require_target(query, x)
+    if not isinstance(query, DetectionQuery):
+        query = DetectionQuery(query, rule, tuple(suspects), actual_winner=y)
+    instance, rule, suspects = query.instance, query.rule, query.suspects
+    m, context = instance.m, query.context
+    x, y = require_target(query)
 
     half = factorial(m) // 2
     cost = comb(half + len(suspects) - 1, len(suspects))
@@ -89,14 +88,16 @@ def oracle_cpmw(
             f"exhaustive search needs {cost} replays, budget is {budget}", cost, budget
         )
 
-    slots = admissible_preferences(m, x, y)
-    tables = [tally(m, [(pref, 1)], rule) for pref in slots]
-    tb_rank = instance.tiebreak.positions()
+    if context.admissible is None:
+        slots = admissible_preferences(m, x, y)
+        context.admissible = slots, [tally(m, [(pref, 1)], rule) for pref in slots]
+    slots, tables = context.admissible
+    tb_rank = context.tb_rank
     # chosen[d]: the ballot index of level d, nondecreasing in d; sums[d]:
     # the table of the rest of the profile plus the ballots of levels < d
     size, last = len(suspects), len(slots) - 1
     chosen = [0] * size
-    sums = [tally_without(instance, rule, full, suspects)]
+    sums = [tally_without(instance, rule, context.full, suspects)]
     for _ in range(size):
         sums.append(_add_tables(rule, sums[-1], tables[0]))
     while winner_from_tally(m, sums[-1], tb_rank, rule) != y:
@@ -104,13 +105,17 @@ def oracle_cpmw(
         while d >= 0 and chosen[d] == last:
             d -= 1
         if d < 0:
-            return no_verdict(ORACLE, exhaustive=True)
+            verdict = no_verdict(ORACLE, exhaustive=True)
+            break
         j = chosen[d] + 1
         for e in range(d, size):
             chosen[e] = j
             sums[e + 1] = _add_tables(rule, sums[e], tables[j])
-    witness = {i: slots[j] for i, j in zip(suspects, chosen)}
-    return yes_verdict(witness, y, ORACLE, exhaustive=True)
+    else:
+        witness = {i: slots[j] for i, j in zip(suspects, chosen)}
+        verdict = yes_verdict(witness, y, ORACLE, exhaustive=True)
+    verdict.current_winner = x
+    return verdict
 
 
 def oracle_cpm(
@@ -122,17 +127,12 @@ def oracle_cpm(
     force: bool = False,
 ) -> DetectionVerdict:
     """Disjunction of oracle_cpmw over every alternative winner, in tie-break order."""
-    suspects = DetectionQuery(instance, rule, tuple(suspects)).suspects
-    if instance.m == 1:
-        return no_verdict(ORACLE, exhaustive=True)
-    x = winner(instance, rule)
-    for y in instance.tiebreak.ranking:
-        if y == x:
-            continue
-        verdict = oracle_cpmw(instance, rule, suspects, y, budget=budget, force=force)
-        if verdict.answer:
-            return verdict
-    return no_verdict(ORACLE, exhaustive=True)
+    query = DetectionQuery(instance, rule, tuple(suspects))
+    return _first_yes(
+        query,
+        lambda y: oracle_cpmw(instance, rule, query.suspects, y, budget=budget, force=force),
+        no_verdict(ORACLE, exhaustive=True),
+    )
 
 
 Decider = Callable[[tuple[int, ...]], DetectionVerdict]
@@ -259,7 +259,8 @@ def _default_decider(
 ) -> Decider:
     if y is None:
         return lambda subset: oracle_cpm(instance, rule, subset, budget=budget, force=force)
-    return lambda subset: oracle_cpmw(instance, rule, subset, y, budget=budget, force=force)
+    query = DetectionQuery(instance, rule, actual_winner=y)
+    return lambda subset: oracle_cpmw(query.for_coalition(subset), budget=budget, force=force)
 
 
 def search_coalitions(

@@ -194,3 +194,25 @@ def test_end_to_end_witness_replays(e1_file, capsys):
     replayed = inst.with_ballots_replaced({i: Preference(b) for i, b in replaced.items()})
     rule = rule_from_string(report.rule, inst.m)
     assert winner(replayed, rule) == inst.candidate_id(report.witness_actual_winner)
+
+
+@pytest.mark.parametrize("suspects, actual, code", [("0", "b", 0), ("1", "c", 1)])
+def test_detection_builds_each_full_profile_table_once(e1_file, monkeypatch, capsys,
+                                                        suspects, actual, code):
+    # The decision builds the full score table once and the report reads the
+    # current winner from the verdict; a YES adds the replay check's own build.
+    from manipdetect import rules as rules_module
+
+    full = []
+    original = rules_module.positional_scores
+
+    def counted(m, profile, vector):
+        profile = list(profile)
+        full.append(sum(w for _, w in profile) > 1)
+        return original(m, profile, vector)
+
+    monkeypatch.setattr(rules_module, "positional_scores", counted)
+    assert main(["cpmw", e1_file, "--rule", "borda", "--suspects", suspects,
+                 "--actual-winner", actual, "--json"]) == code
+    assert Report.from_dict(json.loads(capsys.readouterr().out)).current_winner == "a"
+    assert sum(full) == (2 if code == 0 else 1)

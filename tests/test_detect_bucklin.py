@@ -128,3 +128,31 @@ def test_cpm_matches_oracle():
             got = decide_cpm(inst, BUCKLIN, (i,))
             want = oracle_cpm(inst, BUCKLIN, (i,))
             assert got.answer == want.answer
+
+
+def test_landslide_no_rules_out_every_level_before_enumeration(monkeypatch):
+    # x tops every ballot and y is never above third: at every level the
+    # rest of the profile alone already fails x's or y's majority check, so
+    # no case composition is ever built
+    from manipdetect import detect_bucklin
+
+    calls = []
+    original = detect_bucklin._compositions
+
+    def counted(total, parts):
+        calls.append((total, parts))
+        return original(total, parts)
+
+    monkeypatch.setattr(detect_bucklin, "_compositions", counted)
+    m = 5
+    inst = ElectionInstance(
+        [f"c{i}" for i in range(m)],
+        [(0, 1, 2, 3, 4), (0, 2, 1, 4, 3), (0, 1, 3, 2, 4)] * 3,
+        tiebreak=(4, 3, 2, 1, 0),
+    )
+    for y in range(1, m):
+        for suspects in ((0,), (0, 4), (1, 2, 5)):
+            verdict = cpmw_bucklin(DetectionQuery(inst, BUCKLIN, suspects, actual_winner=y))
+            assert not verdict.answer
+            assert not oracle_cpmw(inst, BUCKLIN, suspects, y).answer
+    assert calls == []

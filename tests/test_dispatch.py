@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from manipdetect import detect_scoring, rules
+from manipdetect import rules
 from manipdetect.core import ElectionInstance
 from manipdetect.detection import verify_verdict
 from manipdetect.dispatch import decide_cpm, decide_cpms, decide_cpmsw, decide_cpmw
@@ -158,13 +158,8 @@ def _count_tables(monkeypatch, n):
 
         return wrapper
 
-    for owner, name in (
-        (rules, "positional_scores"),
-        (rules, "margin_matrix"),
-        (rules, "topk_counts"),
-        (detect_scoring, "positional_scores"),
-    ):
-        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
+    for name in ("positional_scores", "margin_matrix", "topk_counts"):
+        monkeypatch.setattr(rules, name, counted(getattr(rules, name)))
     return counts
 
 
@@ -212,9 +207,23 @@ def test_each_polynomial_route_builds_one_full_profile_table(monkeypatch):
             counts["large"] = 0
             assert decide_cpmsw(inst, borda, y, 2).method == "delta-greedy"
             assert counts["large"] == 1
-    # Plurality CPMSW: the table that validates y, plus on YES the one
-    # capacity decision that builds the witness.  Tops a:4, b:3, c:1, d:1, so
-    # against b two a-voters are needed: NO at k = 1, YES at k = 2.
+    # Bucklin and maximin CPMSW decide many coalitions, each on a query
+    # derived from the search's own, so they share its one full table.
+    for rule, k, method in (
+        (VotingRule.bucklin(), 2, "bucklin-greedy"),
+        (VotingRule.maximin(), 1, "maximin-single"),
+    ):
+        x = winner(inst, rule)
+        for y in range(4):
+            if y == x:
+                continue
+            counts["large"] = 0
+            verdict = decide_cpmsw(inst, rule, y, k)
+            assert verdict.method == method
+            assert counts["large"] == 1, (method, y)
+    # Plurality CPMSW: the table that validates y; on YES the capacity
+    # decision that builds the witness reads it too.  Tops a:4, b:3, c:1,
+    # d:1, so against b two a-voters are needed: NO at k = 1, YES at k = 2.
     tops = [(0, 1, 2, 3)] * 4 + [(1, 0, 2, 3)] * 3 + [(2, 0, 1, 3), (3, 0, 1, 2)]
     inst = ElectionInstance([f"c{i}" for i in range(4)], tops)
     seen = set()
@@ -223,6 +232,6 @@ def test_each_polynomial_route_builds_one_full_profile_table(monkeypatch):
             counts["large"] = 0
             verdict = decide_cpmsw(inst, plurality, y, k)
             assert verdict.method == "plurality-capacity"
-            assert counts["large"] == (2 if verdict.answer else 1), (y, k)
+            assert counts["large"] == 1, (y, k)
             seen.add(verdict.answer)
     assert seen == {False, True}

@@ -293,3 +293,93 @@ def test_cpmw_and_cpm_answers_are_invariant_under_candidate_relabelling(m, data)
                 got = decide_cpmw(other, rule, suspects, sigma[y]).answer
                 assert decide_cpmw(inst, rule, suspects, y).answer == got, (rule, y)
         assert decide_cpm(inst, rule, suspects).answer == decide_cpm(other, rule, suspects).answer
+
+
+def plain_cpmsw(inst, rule, y, k):
+    """CPMSW as a plain walk: every canonical coalition on a fresh `decide_cpmw`."""
+    verdict = no_verdict("oracle", exhaustive=True)
+    for subset in _canonical_coalitions(inst, k):
+        verdict = decide_cpmw(inst, rule, subset, y)
+        if verdict.answer:
+            verdict.coalition = subset
+            break
+    return verdict
+
+
+def plain_cpms(inst, rule, k):
+    """CPMS as a plain walk over the alternative winners in tie-break order."""
+    verdict = no_verdict("cpms")
+    x = winner(inst, rule)
+    for y in inst.tiebreak.ranking:
+        if y != x:
+            verdict = plain_cpmsw(inst, rule, y, k)
+            if verdict.answer:
+                break
+    return verdict
+
+
+def verdict_fields(verdict):
+    return (verdict.answer, verdict.witness, verdict.coalition, verdict.method,
+            verdict.exhaustive)
+
+
+SEARCH_RULES = {
+    "bucklin": lambda m: VotingRule.bucklin(),
+    "maximin": lambda m: VotingRule.maximin(),
+    "stv": lambda m: VotingRule.stv(),
+    "3,1,0": lambda m: VotingRule.scoring(ScoringVector((3,) + (1,) * (m - 2) + (0,))),
+}
+
+
+@pytest.mark.parametrize("m, trials, ks", [(3, 30, (0, 1, 2, 3)), (4, 20, (1, 2)), (5, 10, (1,))])
+@pytest.mark.parametrize("name", list(SEARCH_RULES))
+def test_searches_on_a_shared_context_match_a_plain_walk_on_fresh_queries(name, m, trials, ks):
+    # decide_cpmsw and decide_cpms decide every coalition on a query derived
+    # from one per target, sharing its context; a fresh decide_cpmw per
+    # coalition must give the same verdict, field for field
+    rng = random.Random(f"shared-context/{name}/{m}")
+    rule = SEARCH_RULES[name](m)
+    for _ in range(trials):
+        inst = random_instance(rng, m, rng.randint(1, 7), rng.randint(1, 4))
+        x = winner(inst, rule)
+        for k in ks:
+            for y in range(m):
+                if y != x:
+                    got = decide_cpmsw(inst, rule, y, k)
+                    assert verdict_fields(got) == verdict_fields(plain_cpmsw(inst, rule, y, k))
+                    assert got.current_winner == x
+            got = decide_cpms(inst, rule, k)
+            assert verdict_fields(got) == verdict_fields(plain_cpms(inst, rule, k)), (k,)
+            assert got.current_winner == x
+
+
+def assert_witness_replays(inst, rule, verdict, x, y=None):
+    """A YES ranks x above y in every witness ballot, and the election with
+    the witness ballots cast, counted from scratch, elects y."""
+    if not verdict.answer:
+        return
+    assert y is None or verdict.witness_actual_winner == y
+    y = verdict.witness_actual_winner
+    assert y != x and verdict.current_winner == x
+    assert verdict.witness and set(verdict.witness) == set(verdict.coalition)
+    for pref in verdict.witness.values():
+        assert pref.ranking.index(x) < pref.ranking.index(y)
+    assert winner(inst.with_ballots_replaced(verdict.witness), rule) == y
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 4), data=st.data())
+def test_every_yes_witness_ranks_x_above_y_and_re_elects_y(m, data):
+    ballots = data.draw(st.lists(st.permutations(range(m)), min_size=1, max_size=5))
+    tiebreak = data.draw(st.permutations(range(m)))
+    suspects = data.draw(st.sets(st.integers(0, len(ballots) - 1), min_size=1, max_size=2))
+    k = data.draw(st.integers(1, 2))
+    inst = ElectionInstance([f"c{i}" for i in range(m)], ballots, tiebreak)
+    for rule in rules_for(m):
+        x = winner(inst, rule)
+        for y in range(m):
+            if y != x:
+                assert_witness_replays(inst, rule, decide_cpmw(inst, rule, suspects, y), x, y)
+                assert_witness_replays(inst, rule, decide_cpmsw(inst, rule, y, k), x, y)
+        assert_witness_replays(inst, rule, decide_cpm(inst, rule, suspects), x)
+        assert_witness_replays(inst, rule, decide_cpms(inst, rule, k), x)
