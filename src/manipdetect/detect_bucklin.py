@@ -1,17 +1,36 @@
 """Coalition possible-manipulator detection for the Bucklin rule.
 
-Witnesses can be normalized so that the target y sits directly below the
-current winner x and x's rank in each witness ballot is one of: first, one
-above y's final level, at that level, or one below it.  Because the rule is
-anonymous, only the count of suspects per position case matters, so the
-search enumerates the target's final level, the count vector over the
-(at most four) position cases, and then fills the remaining top-of-ballot
-slots.
+x is the current winner, y the target, maj = ceil(n/2), and ext[z][l] the
+number of voters outside the coalition M ranking z within their top l.
 
-A fill placement only matters through level counts: each opponent has a hard
-cap on how many suspect ballots may show it above the level at which it would
-start beating y.  The fill walks the open slots depth-first under those caps
-(per-ballot distinctness included), so a NO exhausts every witness shape.
+1. Level condition.  y wins iff, for some level beta, y is within the top
+   beta of at least maj voters and every z != y within the top s_z of fewer,
+   where s_z = beta if z precedes y in the tie-break order, else beta - 1:
+   this holds at y's own level, and it gives y a level <= beta that every
+   z before y misses at beta and every z after y misses below beta.
+2. Caps.  So every z != y, x included, may be within the top s_z of at most
+   cap_z = maj - 1 - ext[z][s_z] suspect ballots; a negative cap rules the
+   level out.  Positions 1 to beta - 1 count for every z, position beta only
+   for an early z (s_z = beta): a late z there is free, one per ballot.
+3. Two ballot kinds.  A ballot matters only through its top beta.  A
+   helping ballot holds y there, so x above y: as x, y, then beta - 2
+   others, a late one last, it uses no more of any cap.  A non-helping one
+   holds beta candidates other than y, a late one (x included) last, then x
+   unless placed, then y.  y needs maj - ext[y][beta] helping ballots.
+4. Helping ballots.  h = min(|M|, cap_x) of them (none at beta = 1) is
+   enough.  Below that, a non-helping ballot turns helping without raising
+   any use past its cap: one that uses x's cap keeps x, takes in y and drops
+   a capped other; if none does, x is used h < cap_x times in all, and any
+   of them takes in x and y and drops others.
+
+Whether the h helping and |M| - h other ballots fit is a max flow: source
+-> kind (count * demand), kind -> (kind, z) (count: z once per ballot),
+(kind, z) -> z -> sink (cap_z, less h for x), and for late z (kind, z) ->
+free(kind) -> sink (count: one free slot per ballot).  Ballots that fit sum
+to a flow saturating the source, and `_split` deals such a flow back out.
+The network has O(m) nodes and edges, so Edmonds-Karp takes O(m^3) per
+level, O(m^4 + |M| m^2) in all once the rest-of-profile table is built.
+The witness is replayed before a YES is returned.
 """
 
 from __future__ import annotations
@@ -30,20 +49,6 @@ from .rules import BUCKLIN, tally_without, winner_from_ballots
 METHOD_BUCKLIN = "bucklin-greedy"
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def case_positions(beta: int, m: int) -> tuple[int, ...]:
-    """Admissible ranks for x in a witness ballot, given the target's level."""
-    return tuple(sorted({p for p in (1, beta - 1, beta, beta + 1) if 1 <= p <= m - 1}))
-
-
 def cpmw_bucklin(query: DetectionQuery) -> DetectionVerdict:
     """Coalition CPMW for Bucklin."""
     if query.rule.kind != BUCKLIN:
@@ -51,135 +56,119 @@ def cpmw_bucklin(query: DetectionQuery) -> DetectionVerdict:
     inst = query.instance
     x, y = require_target(query)
     suspects = query.suspects
-    m, n = inst.m, inst.n
-    majority = (n + 1) // 2
+    m, c = inst.m, len(suspects)
+    majority = (inst.n + 1) // 2
     tb_rank = query.context.tb_rank
     ext = tally_without(inst, query.rule, query.context.full, suspects)
-    c = len(suspects)
-    if c == 0:
-        return no_verdict(METHOD_BUCKLIN)
-
-    def safe_level(z: int, beta: int) -> int:
-        # deepest level z may be held out of a majority at: z loses ties to y
-        # only when y is earlier in the tie-break order
-        return beta if tb_rank[z] < tb_rank[y] else beta - 1
-
-    others = [z for z in range(m) if z != x and z != y]
+    late = {z for z in range(m) if tb_rank[z] > tb_rank[y]}
 
     for beta in range(1, m + 1):
-        cases = case_positions(beta, m)
-        if not cases:
+        # x's cap and y's shortfall rule out most levels before any other cap
+        cap_x = majority - 1 - ext[x][beta - (x in late)]
+        helping = min(c, cap_x) if beta > 1 else 0
+        if cap_x < 0 or helping < majority - ext[y][beta]:
             continue
-        # Every composition fails the checks below when x already holds a
-        # majority at its safe level without the suspects, when y misses
-        # one at beta even with all of them, or when y already holds one at
-        # beta - 1 without them: the rest of the profile rules the level out.
-        lx = safe_level(x, beta)
-        if (
-            ext[x][lx] >= majority
-            or ext[y][beta] + c < majority
-            or ext[y][beta - 1] >= majority
-        ):
+        caps = {z: majority - 1 - ext[z][beta - (z in late)] for z in range(m) if z != y}
+        if min(caps.values()) < 0:
             continue
-        # the opponents' caps depend on the level only, not on the cases
-        caps = {z: majority - 1 - ext[z][safe_level(z, beta)] for z in others}
-        if any(cap < 0 for cap in caps.values()):
+        tops = _fit(beta, x, y, caps, late, c, helping)
+        if tops is None:
             continue
-        for counts in _compositions(c, len(cases)):
-            # y's top-l count under this case assignment, nondecreasing in l,
-            # so y's realized final level is beta iff it reaches a majority
-            # at beta and not at beta - 1
-            def cnt_y(l: int) -> int:
-                return ext[y][l] + sum(counts[k] for k, p in enumerate(cases) if p + 1 <= l)
-
-            if cnt_y(beta) < majority or cnt_y(beta - 1) >= majority:
-                continue
-
-            x_count = ext[x][lx] + sum(
-                counts[k] for k, p in enumerate(cases) if p <= lx
-            )
-            if x_count >= majority:
-                continue
-
-            ballot_cases = []
-            for k, p in enumerate(cases):
-                ballot_cases.extend([p] * counts[k])
-            fills = _fill_top_segments(
-                m, beta, ballot_cases, others, caps, tb_rank, y,
-                lambda z: safe_level(z, beta),
-            )
-            if fills is None:
-                continue
-
-            witness = {}
-            for idx, (p, fill) in zip(suspects, fills):
-                ranking: list[int] = [-1] * m
-                ranking[p - 1] = x
-                ranking[p] = y
-                for q, z in fill.items():
-                    ranking[q - 1] = z
-                used = set(ranking)
-                rest = sorted((z for z in range(m) if z not in used), key=lambda z: tb_rank[z])
-                it = iter(rest)
-                for pos in range(m):
-                    if ranking[pos] == -1:
-                        ranking[pos] = next(it)
-                witness[idx] = Preference(ranking)
-
-            replay = [(pref, 1) for pref in witness.values()]
-            if winner_from_ballots(m, replay, inst.tiebreak, query.rule, base=ext) == y:
-                return yes_verdict(witness, y, METHOD_BUCKLIN)
+        witness = {}
+        for i, top in zip(suspects, tops):
+            ranking = top + [z for z in (x, y) if z not in top]
+            witness[i] = Preference(ranking + [z for z in range(m) if z not in ranking])
+        replay = [(pref, 1) for pref in witness.values()]
+        if winner_from_ballots(m, replay, inst.tiebreak, query.rule, base=ext) == y:
+            return yes_verdict(witness, y, METHOD_BUCKLIN)
     return no_verdict(METHOD_BUCKLIN)
 
 
-def _fill_top_segments(m, beta, ballot_cases, others, caps, tb_rank, y, safe_level):
-    """Assign candidates to the open top-of-ballot slots, depth first.
+def _fit(beta, x, y, caps, late, c, helping):
+    """The top beta of each suspect ballot, helping ones first, or None."""
+    kinds = (
+        ("helping", helping, beta - 2, [z for z in caps if z != x], [x, y]),
+        ("other", c - helping, beta, list(caps), []),
+    )
+    kinds = [kind for kind in kinds if kind[1]]  # a kind without ballots adds no nodes
+    net: dict = {}
 
-    Returns a list of (x_position, {slot -> candidate}) per suspect ballot, or
-    None when no assignment respects the caps.  A slot at rank q consumes a
-    candidate's cap only when q is at or above the level that candidate must
-    be kept out of; deeper-is-first slot order and widest-remaining-cap
-    candidate order make the first descent the common greedy path.
-    """
-    slots = []  # (ballot index, rank)
-    for bi, p in enumerate(ballot_cases):
-        for q in range(beta, 0, -1):
-            if q != p and q != p + 1:
-                slots.append((bi, q))
-    remaining = dict(caps)
-    used: list[set[int]] = [set() for _ in ballot_cases]
-    fill: list[dict[int, int]] = [dict() for _ in ballot_cases]
+    def edge(u, v, room):
+        net.setdefault(u, {})[v] = room
+        net.setdefault(v, {})[u] = 0
 
-    def choices(bi: int, q: int) -> list[int]:
-        pool = []
-        for z in others:
-            if z in used[bi]:
-                continue
-            if q > safe_level(z):
-                pool.append((0, -remaining[z], -tb_rank[z], z))  # cap-free here
-            elif remaining[z] > 0:
-                pool.append((1, -remaining[z], -tb_rank[z], z))
-        pool.sort()
-        return [z for _, _, _, z in pool]
-
-    def dfs(si: int):
-        if si == len(slots):
-            return True
-        bi, q = slots[si]
-        for z in choices(bi, q):
-            consumes = q <= safe_level(z)
-            used[bi].add(z)
-            fill[bi][q] = z
-            if consumes:
-                remaining[z] -= 1
-            if dfs(si + 1):
-                return True
-            if consumes:
-                remaining[z] += 1
-            del fill[bi][q]
-            used[bi].discard(z)
-        return False
-
-    if not dfs(0):
+    for z, cap in caps.items():
+        edge(z, "sink", cap - helping if z == x else cap)
+    for kind, count, demand, pool, _ in kinds:
+        edge("source", kind, count * demand)
+        edge(("free", kind), "sink", count)
+        for z in pool:
+            edge(kind, (kind, z), count)
+            edge((kind, z), z, count)
+            if z in late:
+                edge((kind, z), ("free", kind), count)
+    if _max_flow(net, "source", "sink") < sum(n * d for _, n, d, _, _ in kinds):
         return None
-    return [(p, fill[bi]) for bi, p in enumerate(ballot_cases)]
+    # no edge has a reverse twin, so the room left on v -> u is the flow on u -> v
+    tops = []
+    for kind, count, demand, pool, head in kinds:
+        capped = {z: net[z][(kind, z)] for z in pool}
+        free = {z: net[("free", kind)].get((kind, z), 0) for z in pool}
+        tops += _split(count, demand, head, capped, free)
+    return tops
+
+
+def _max_flow(net, source, sink) -> int:
+    """Edmonds-Karp over `net[u][v]`, the room on u -> v (every edge has its
+    reverse); `net` is left as the residual network."""
+    total = 0
+    while True:
+        parent = {source: None}
+        frontier = [source]
+        for u in frontier:
+            for v, room in net[u].items():
+                if room and v not in parent:
+                    parent[v] = u
+                    frontier.append(v)
+        if sink not in parent:
+            return total
+        path = []
+        v = sink
+        while v != source:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(net[u][v] for u, v in path)
+        for u, v in path:
+            net[u][v] -= push
+            net[v][u] += push
+        total += push
+
+
+def _split(count, demand, head, capped, free):
+    """Deal one kind's flow out to `count` ballot tops, each `head` first.
+
+    `capped[z]` and `free[z]` count the kind's ballots holding z on a capped
+    and on the free slot.  With c ballots left, each z is held at most c
+    times, free slots at most c times, and all holdings c * demand times.
+    The next ballot frees any z with a free holding left, then takes the z
+    held most among those with a capped one left.  That keeps all three: a
+    z held c times has a capped holding unless it is the one freed, and at
+    most demand such z exist (demand - 1 besides a freed one), so all are
+    taken; more than c * (demand - 2) capped holdings (c * (demand - 1)
+    with none freed) leave enough z to take.
+    """
+    tops = []
+    for _ in range(count):
+        spare = next((z for z in free if free[z]), None)
+        held = sorted(
+            (z for z in capped if capped[z] and z != spare),
+            key=lambda z: capped[z] + free[z],
+            reverse=True,
+        )[: demand - (spare is not None)]
+        for z in held:
+            capped[z] -= 1
+        if spare is not None:
+            free[spare] -= 1
+            held.append(spare)
+        tops.append(head + held)
+    return tops

@@ -127,12 +127,7 @@ def oracle_cpm(
     force: bool = False,
 ) -> DetectionVerdict:
     """Disjunction of oracle_cpmw over every alternative winner, in tie-break order."""
-    query = DetectionQuery(instance, rule, tuple(suspects))
-    return _first_yes(
-        query,
-        lambda y: oracle_cpmw(instance, rule, query.suspects, y, budget=budget, force=force),
-        no_verdict(ORACLE, exhaustive=True),
-    )
+    return _default_decider(instance, rule, None, budget, force)(tuple(suspects))
 
 
 Decider = Callable[[tuple[int, ...]], DetectionVerdict]
@@ -257,10 +252,18 @@ def _default_decider(
     budget: int,
     force: bool,
 ) -> Decider:
-    if y is None:
-        return lambda subset: oracle_cpm(instance, rule, subset, budget=budget, force=force)
-    query = DetectionQuery(instance, rule, actual_winner=y)
-    return lambda subset: oracle_cpmw(query.for_coalition(subset), budget=budget, force=force)
+    if y is not None:
+        query = DetectionQuery(instance, rule, actual_winner=y)
+        return lambda subset: oracle_cpmw(query.for_coalition(subset), budget=budget, force=force)
+    # one query per target, so that every coalition shares each target's
+    # context: its admissible ballots and their tables are built once
+    whole = DetectionQuery(instance, rule)
+    targets = [DetectionQuery(instance, rule, actual_winner=t) for t in range(instance.m)]
+    return lambda subset: _first_yes(
+        whole.for_coalition(subset),
+        lambda t: oracle_cpmw(targets[t].for_coalition(subset), budget=budget, force=force),
+        no_verdict(ORACLE, exhaustive=True),
+    )
 
 
 def search_coalitions(

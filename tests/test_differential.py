@@ -4,8 +4,9 @@ Seeded random elections beyond the acceptance range: m = 5 (m = 6 in the
 slow variant, run by `pytest -m slow`), random tie-break orders, irregular
 scoring vectors and plurality coalitions.  Each case compares
 `decide_cpmw` with `oracle_cpmw` for every alternative winner, checks the
-route that decided it, and replay-verifies every YES.  Bucklin with three
-suspects runs at m = 4 (m = 5 in the slow variant), and the greedy bounded
+route that decided it, and replay-verifies every YES.  Bucklin coalitions
+run at m = 2-4 with up to four suspects (three suspects at m = 5-6 in the
+slow variant), and the greedy bounded
 search for convex vectors is compared with a search over every coalition
 decided by the oracle.
 """
@@ -29,17 +30,15 @@ def _election(rng: random.Random, m: int, n: int) -> ElectionInstance:
     return ElectionInstance(names, ballots, tuple(rng.sample(range(m), m)))
 
 
-def _rules(m: int) -> dict[str, VotingRule]:
-    irregular = [4, 2, 1] + [0] * (m - 3)
-    return {
-        "borda": VotingRule.scoring(ScoringVector.borda(m)),
-        "irregular": VotingRule.scoring(ScoringVector(irregular)),
-        "plurality": VotingRule.scoring(ScoringVector.plurality(m)),
-        "2-approval": VotingRule.scoring(ScoringVector.approval(2, m)),
-        "veto": VotingRule.scoring(ScoringVector.veto(m)),
-        "maximin": VotingRule.maximin(),
-        "bucklin": VotingRule.bucklin(),
-    }
+RULES = {
+    "borda": lambda m: VotingRule.scoring(ScoringVector.borda(m)),
+    "irregular": lambda m: VotingRule.scoring(ScoringVector([4, 2, 1] + [0] * (m - 3))),
+    "plurality": lambda m: VotingRule.scoring(ScoringVector.plurality(m)),
+    "2-approval": lambda m: VotingRule.scoring(ScoringVector.approval(2, m)),
+    "veto": lambda m: VotingRule.scoring(ScoringVector.veto(m)),
+    "maximin": lambda m: VotingRule.maximin(),
+    "bucklin": lambda m: VotingRule.bucklin(),
+}
 
 
 # (rule, coalition size, method the dispatcher must pick)
@@ -54,7 +53,7 @@ CASES = [
 
 def _differential(seed: int, m: int, rule_name: str, size: int, method: str, trials: int):
     rng = random.Random(f"{seed}-{m}-{rule_name}-{size}")
-    rule = _rules(m)[rule_name]
+    rule = RULES[rule_name](m)
     answers = set()
     for _ in range(trials):
         inst = _election(rng, m, rng.randint(size + 2, 10))
@@ -101,17 +100,32 @@ def test_bucklin_three_suspects_m4():
     assert answers == {True, False}
 
 
-@pytest.mark.slow
-def test_bucklin_three_suspects_m5():
+# With two candidates every witness ballot is x > y, which only helps x.
+@pytest.mark.parametrize(
+    "m, size, trials, expected",
+    [(2, 1, 10, {False}), (2, 4, 10, {False}), (3, 2, 15, {True, False}),
+     (3, 4, 10, {True, False}), (4, 4, 6, {True, False})],
+)
+def test_bucklin_coalitions_on_small_rosters(m, size, trials, expected):
     answers = set()
-    for seed in range(23, 25):
-        answers |= _differential(seed, 5, "bucklin", 3, "bucklin-greedy", 2)
+    for seed in range(3):
+        answers |= _differential(seed, m, "bucklin", size, "bucklin-greedy", trials)
+    assert answers == expected
+
+
+# The oracle needs about C(362, 3) = 7.8 * 10^6 replays per NO target at m = 6.
+@pytest.mark.slow
+@pytest.mark.parametrize("m, seeds, trials", [(5, (23, 24), 2), (6, (23,), 1)], ids=["m5", "m6"])
+def test_bucklin_three_suspects_long(m, seeds, trials):
+    answers = set()
+    for seed in seeds:
+        answers |= _differential(seed, m, "bucklin", 3, "bucklin-greedy", trials)
     assert answers == {True, False}
 
 
 def _greedy_differential(seed: int, m: int, rule_name: str, k: int, trials: int):
     rng = random.Random(f"greedy-{seed}-{m}-{rule_name}-{k}")
-    rule = _rules(m)[rule_name]
+    rule = RULES[rule_name](m)
     answers = set()
     for _ in range(trials):
         inst = _election(rng, m, rng.randint(k + 1, 6))

@@ -240,3 +240,21 @@ def test_oracle_reads_one_winner_per_ballot_multiset(monkeypatch, size):
     assert not verdict.answer
     half = factorial(4) // 2
     assert len(reads) == comb(half + size - 1, size)
+
+
+def test_untargeted_search_builds_each_targets_admissible_ballots_once(monkeypatch):
+    # e2 under Borda is NO for every coalition of at most two voters, so the
+    # search decides all six class multisets against both targets b and c
+    calls = []
+    original = oracle.admissible_preferences
+
+    def counted(m, x, y):
+        calls.append(y)
+        return original(m, x, y)
+
+    monkeypatch.setattr(oracle, "admissible_preferences", counted)
+    assert not search_coalitions(e2(), BORDA3, 2).answer
+    assert sorted(calls) == [B, C]
+    calls.clear()
+    assert all_minimal_coalitions(e2(), BORDA3, 2) == []
+    assert sorted(calls) == [B, C]
