@@ -31,16 +31,22 @@ class TargetContext:
     the current winner read from it are each built on first use, at most
     once.  `admissible` is left to the oracle: the rankings that place the
     current winner above the target, with the one-ballot table of each.
-    Queries derived by `DetectionQuery.for_coalition` share their parent's
-    context, so a coalition search builds the full table once.
+    `first_choices` is left to the STV search: the whole profile's
+    first-choice counts per alive-candidate bitmask.  Queries derived by
+    `DetectionQuery.for_coalition` share their parent's context, so a
+    coalition search builds the full table, the admissible ballots and the
+    counts of each alive set once.
     """
 
-    __slots__ = ("instance", "rule", "admissible", "_tb_rank", "_full", "_winner")
+    __slots__ = (
+        "instance", "rule", "admissible", "first_choices", "_tb_rank", "_full", "_winner"
+    )
 
     def __init__(self, instance: ElectionInstance, rule: VotingRule):
         self.instance = instance
         self.rule = rule
         self.admissible = self._tb_rank = self._full = self._winner = None
+        self.first_choices: dict[int, list[int]] = {}
 
     @property
     def tb_rank(self) -> list[int]:

@@ -2,11 +2,13 @@
 
 Polynomial algorithms cover: any scoring rule with one suspect; convex
 scoring vectors (Borda, k-approval for k >= 2, veto) and plurality for any
-coalition; maximin with one suspect; Bucklin for any coalition.  Everything
-else (STV, maximin coalitions, irregular scoring vectors with coalitions)
-goes to the exhaustive oracle under a replay budget, and the verdict is
-flagged as exhaustive.  CPM and CPMS are CPMW and CPMSW tried against every
-alternative winner, in tie-break order, by `detection._first_yes`.
+coalition; maximin with one suspect; Bucklin for any coalition.  STV, any
+coalition, goes to the elimination-tree search (`detect_stv`) under a round
+budget.  Everything else (maximin coalitions, irregular scoring vectors
+with coalitions) goes to the exhaustive oracle under a replay budget.  The
+verdicts of both exhaustive searches are flagged as exhaustive.  CPM and
+CPMS are CPMW and CPMSW tried against every alternative winner, in
+tie-break order, by `detection._first_yes`.
 
 Bounded searches (CPMSW) are decided greedily for convex vectors and in
 closed form for plurality; every other rule searches one coalition per
@@ -34,13 +36,14 @@ from .detect_scoring import (
     cpmw_scoring_coalition,
     cpmw_scoring_single,
 )
+from .detect_stv import cpmw_stv
 from .oracle import (
     DEFAULT_REPLAY_BUDGET,
     DEFAULT_SUBSET_BUDGET,
     oracle_cpmw,
     search_coalitions,
 )
-from .rules import BUCKLIN, MAXIMIN, SCORING, VotingRule
+from .rules import BUCKLIN, MAXIMIN, SCORING, STV, VotingRule
 
 
 def decide_cpmw(
@@ -67,6 +70,8 @@ def _decide_cpmw(query: DetectionQuery, budget: int, force: bool) -> DetectionVe
         verdict = cpmw_maximin_single(query)
     elif rule.kind == BUCKLIN:
         verdict = cpmw_bucklin(query)
+    elif rule.kind == STV:
+        verdict = cpmw_stv(query, budget=budget, force=force)
     else:
         verdict = oracle_cpmw(query, budget=budget, force=force)
     verdict.current_winner = query.context.winner

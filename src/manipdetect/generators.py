@@ -137,7 +137,13 @@ def _gadget_names(mm: int, n: int) -> list[str]:
 
 
 def x3c_to_stv(inst: X3CInstance) -> StvGadget:
-    """Build the STV election whose single-suspect CPM answer encodes the X3C answer.
+    """Build the STV election in which an exact cover makes the suspect a
+    possible manipulator against the target.
+
+    A cover implies a YES single-suspect CPMW against y, witnessed by
+    `cover_witness_ballot`.  The converse fails: X3CInstance(6, [(1, 2, 3),
+    (3, 4, 5), (1, 5, 6)]) has no exact cover, yet the ballot
+    a1 > a2 > a3 > d0 > x > y > ... elects y in its gadget.
 
     Vote counts follow a fixed table over the roster x, y, a_i, abar_i, b_i,
     bbar_i, d_0..d_n, g_i; unspecified ballot tails are filled in roster

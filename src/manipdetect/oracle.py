@@ -5,9 +5,10 @@ suspect (all h = m!/2 rankings placing the current winner above the target),
 every multiset of them across the coalition.  Every rule is anonymous, so a
 multiset decides as any ordering of it would: C(h + |M| - 1, |M|) replays
 instead of h^|M|.  They are the reference oracle for the polynomial
-algorithms and the solver of last resort for the NP-hard cases (STV, maximin
-coalitions).  Searches refuse to start past a replay budget rather than run
-open-endedly.
+algorithms and for the STV elimination-tree search (`detect_stv`), and the
+solver of last resort for maximin coalitions and irregular scoring vectors
+with coalitions.  Searches refuse to start past a replay budget rather than
+run open-endedly.
 """
 
 from __future__ import annotations

@@ -190,14 +190,24 @@ def bucklin_levels_from_counts(counts: Sequence[Sequence[int]]) -> list[int]:
     return levels
 
 
+def stv_loser(counts: Sequence[int], alive: Iterable[int], tb_rank: Sequence[int]) -> int:
+    """The candidate an STV round drops: of the `alive` ids, the one with the
+    least count; among tied candidates the one latest in the tie-break order,
+    so tie-break-favored candidates stay alive."""
+    drop = least = None
+    for c in alive:
+        count = counts[c]
+        if drop is None or count < least or count == least and tb_rank[c] > tb_rank[drop]:
+            drop, least = c, count
+    return drop
+
+
 def stv_order(m: int, profile: Profile, tb_rank: Sequence[int]) -> list[int]:
     """Elimination order, winner last.
 
-    Each round drops the candidate with the least count of voters whose
-    ballot currently tops it; among tied candidates the one latest in the
-    tie-break order is dropped, so tie-break-favored candidates stay alive.
-    Only the ballots that topped the dropped candidate move on, each to its
-    next candidate still alive.
+    Each round drops the `stv_loser` of the counts of voters whose ballot
+    currently tops each candidate.  Only the ballots that topped the dropped
+    candidate move on, each to its next candidate still alive.
     """
     alive = [True] * m
     counts = [0] * m
@@ -208,11 +218,7 @@ def stv_order(m: int, profile: Profile, tb_rank: Sequence[int]) -> list[int]:
         piles[r[0]].append((r, 0, w))
     order: list[int] = []
     for _ in range(m - 1):
-        least = min(counts[c] for c in range(m) if alive[c])
-        drop = max(
-            (c for c in range(m) if alive[c] and counts[c] == least),
-            key=lambda c: tb_rank[c],
-        )
+        drop = stv_loser(counts, [c for c in range(m) if alive[c]], tb_rank)
         alive[drop] = False
         order.append(drop)
         for r, p, w in piles[drop]:

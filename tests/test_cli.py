@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from manipdetect import dispatch
 from manipdetect.ballotfile import Report, parse_election
 from manipdetect.cli import main, rule_from_string
 from manipdetect.rules import VotingRule, winner
@@ -59,14 +60,14 @@ def test_cpmw_no_exit_one(tmp_path, capsys):
     assert "verdict: NO" in capsys.readouterr().out
 
 
-def test_cpmw_stv_routes_to_oracle(e1_file, capsys):
+def test_cpmw_stv_routes_to_stv_tree(e1_file, capsys):
     # E1's STV winner is b, so a valid query must target another candidate
     code = main(
         ["cpmw", e1_file, "--rule", "stv", "--suspects", "0", "--actual-winner", "a", "--json"]
     )
     report = Report.from_dict(json.loads(capsys.readouterr().out))
     assert report.exhaustive
-    assert report.method == "oracle"
+    assert report.method == "stv-tree"
     assert code in (0, 1)
 
 
@@ -116,27 +117,28 @@ def test_error_exit_two(tmp_path, capsys):
 
 
 def test_budget_error_exit_two_without_force(tmp_path, capsys):
-    # 9 candidates, two suspects: (9!/2)^2 replays, far beyond the default budget
+    # 9 candidates, a maximin coalition of two suspects goes to the oracle:
+    # C(9!/2 + 1, 2) replays, far beyond the default budget
     names = ",".join(f"c{i}" for i in range(9))
     ballot = ">".join(f"c{i}" for i in range(9))
     path = tmp_path / "big.txt"
     path.write_text(f"candidates: {names}\n3x {ballot}\n")
     code = main(
-        ["cpmw", str(path), "--rule", "stv", "--suspects", "0,1", "--actual-winner", "c1"]
+        ["cpmw", str(path), "--rule", "maximin", "--suspects", "0,1", "--actual-winner", "c1"]
     )
     assert code == 2
     assert "--force" in capsys.readouterr().err
 
 
 def test_budget_refusal_json_report(tmp_path, capsys):
-    # 7 candidates, three suspects under STV: one replay per multiset of three
-    # of the 7!/2 = 2520 admissible ballots
+    # 7 candidates, three suspects under maximin: one oracle replay per
+    # multiset of three of the 7!/2 = 2520 admissible ballots
     names = ",".join(f"c{i}" for i in range(7))
     ballot = ">".join(f"c{i}" for i in range(7))
     path = tmp_path / "big.txt"
     path.write_text(f"candidates: {names}\n4x {ballot}\n")
     code = main(
-        ["cpmw", str(path), "--rule", "stv", "--suspects", "0,1,2", "--actual-winner", "c1",
+        ["cpmw", str(path), "--rule", "maximin", "--suspects", "0,1,2", "--actual-winner", "c1",
          "--json"]
     )
     assert code == 2
@@ -146,8 +148,23 @@ def test_budget_refusal_json_report(tmp_path, capsys):
     assert report.budget == "exceeded"
     assert report.cost == comb(2522, 3)
     assert report.limit == 10_000_000
-    assert (report.problem, report.rule, report.verdict) == ("cpmw", "stv", "-")
+    assert (report.problem, report.rule, report.verdict) == ("cpmw", "maximin", "-")
     assert report.witness is None and report.coalition is None
+
+
+def test_stv_round_budget_refusal_json_report(tmp_path, capsys, monkeypatch):
+    # the STV search counts rounds; a refusal reports one past the budget
+    monkeypatch.setitem(dispatch.decide_cpmw.__kwdefaults__, "budget", 10)
+    path = tmp_path / "five.txt"
+    path.write_text("candidates: c0,c1,c2,c3,c4\n3x c0>c1>c2>c3>c4\n")
+    args = ["cpmw", str(path), "--rule", "stv", "--suspects", "0,1", "--actual-winner", "c1"]
+    assert main([*args, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert "--force" in captured.err
+    report = Report.from_json(captured.out)
+    assert (report.budget, report.cost, report.limit) == ("exceeded", 11, 10)
+    assert (report.problem, report.rule, report.verdict) == ("cpmw", "stv", "-")
+    assert main([*args, "--force"]) in (0, 1)
 
 
 def test_gen_random_round_trips(capsys):

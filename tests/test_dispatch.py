@@ -41,7 +41,7 @@ def test_routing_methods():
         (maximin, (0,), "maximin-single", False),
         (bucklin, (0, 1), "bucklin-greedy", False),
         (maximin, (0, 1), "oracle", True),
-        (stv, (0,), "oracle", True),
+        (stv, (0,), "stv-tree", True),
     ):
         verdict = decide_cpm(unanimous, rule, suspects)
         assert (verdict.answer, verdict.method, verdict.exhaustive) == (False, method, exhaustive)
@@ -53,7 +53,7 @@ def test_routing_methods():
         (irregular, "scoring-single", False),
         (maximin, "maximin-single", False),
         (bucklin, "bucklin-greedy", False),
-        (stv, "oracle", True),
+        (stv, "stv-tree", True),
     ):
         verdict = decide_cpms(unanimous, rule, 1)
         assert (verdict.answer, verdict.method, verdict.exhaustive) == (False, method, exhaustive)

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from manipdetect.core import margin_matrix
+from manipdetect.core import Preference, margin_matrix
 from manipdetect.errors import ValidationError
 from manipdetect.generators import (
     MarginFunction,
@@ -119,6 +119,18 @@ def test_x3c_cover_witness_elects_target():
         assert ballot.prefers(gadget.reported_winner, gadget.target)
         replayed = gadget.instance.with_ballots_replaced({gadget.suspect: ballot})
         assert winner(replayed, VotingRule.stv()) == gadget.target
+
+
+def test_x3c_gadget_yes_without_cover():
+    # a cover implies YES, but a YES does not imply a cover
+    inst = X3CInstance(6, [(1, 2, 3), (3, 4, 5), (1, 5, 6)])
+    assert find_exact_cover(inst) is None
+    gadget = x3c_to_stv(inst)
+    ids = gadget.instance.candidate_id
+    head = [ids(name) for name in ("a1", "a2", "a3", "d0", "x", "y")]
+    ballot = Preference(head + [c for c in range(gadget.instance.m) if c not in head])
+    replayed = gadget.instance.with_ballots_replaced({gadget.suspect: ballot})
+    assert winner(replayed, VotingRule.stv()) == gadget.target
 
 
 def test_random_profile_deterministic():
