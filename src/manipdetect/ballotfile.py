@@ -24,9 +24,9 @@ from typing import Sequence
 from .core import ElectionInstance, Preference
 from .errors import ParseError
 
-# Each voter costs 16 bytes, one slot in `ElectionInstance.ballots` and one in
-# `voter_class` (tracemalloc, 64-bit CPython 3.11; distinct ballots are
-# stored once), so the cap keeps a file's election near 160 MB.
+# Each voter costs 8 bytes, its slot in `ElectionInstance.voter_class`
+# (tracemalloc, 64-bit CPython 3.11; distinct ballots are stored once), so the
+# cap keeps a file's election near 80 MB.
 MAX_BALLOTS = 10_000_000
 
 _COUNT_RE = re.compile(r"^(\d+)x\s+(.*)$")
@@ -169,7 +169,7 @@ class Report:
         return cls(**data)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "Report":

@@ -71,10 +71,11 @@ def _verdict_report(
     instance: ElectionInstance,
     rule: VotingRule,
     verdict: DetectionVerdict,
+    suspects: tuple[int, ...] | None,
     started: float,
     forced: bool,
 ) -> Report:
-    if verdict.answer and not verify_verdict(instance, rule, verdict):
+    if verdict.answer and not verify_verdict(instance, rule, verdict, suspects):
         raise ElectionError("internal error: witness failed replay verification")
     names = instance.names
     witness = None
@@ -128,25 +129,25 @@ def _run_detection(args) -> int:
         return 0
 
     force = args.force
+    suspects = _parse_suspects(args.suspects) if problem in ("cpmw", "cpm", "oracle") else None
     if problem == "cpmw":
         y = instance.candidate_id(args.actual_winner)
-        verdict = decide_cpmw(instance, rule, _parse_suspects(args.suspects), y, force=force)
+        verdict = decide_cpmw(instance, rule, suspects, y, force=force)
     elif problem == "cpm":
-        verdict = decide_cpm(instance, rule, _parse_suspects(args.suspects), force=force)
+        verdict = decide_cpm(instance, rule, suspects, force=force)
     elif problem == "cpmsw":
         y = instance.candidate_id(args.actual_winner)
         verdict = decide_cpmsw(instance, rule, y, args.k, force=force)
     elif problem == "cpms":
         verdict = decide_cpms(instance, rule, args.k, force=force)
     else:  # oracle
-        suspects = _parse_suspects(args.suspects)
         if args.actual_winner is not None:
             y = instance.candidate_id(args.actual_winner)
             query = DetectionQuery(instance, rule, suspects, actual_winner=y)
             verdict = oracle_cpmw(query, force=force)
         else:
             verdict = oracle_cpm(instance, rule, suspects, force=force)
-    report = _verdict_report(problem, args.rule, instance, rule, verdict, started, force)
+    report = _verdict_report(problem, args.rule, instance, rule, verdict, suspects, started, force)
     _emit(report, args.json)
     return 0 if verdict.answer else 1
 

@@ -88,18 +88,20 @@ TieBreakOrder = Preference
 Profile = Iterable[tuple[Preference, int]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ElectionInstance:
-    """A full election: candidate names, one ballot per voter, tie-break order.
+    """A full election: candidate names, the voters' ballots, tie-break order.
 
-    The profile is also kept as ballot classes: `classes` holds each distinct
+    The profile is kept as ballot classes: `classes` holds each distinct
     ballot once with its count, in first-appearance order, and
     `voter_class[i]` is the class of voter i, so aggregate tables cost one
-    step per class, not per voter.  `ballots` is the per-voter view; equal
-    ballots share one `Preference` object.  A copy made by
+    step per class, not per voter, and a voter costs one tuple slot.
+    `ballots` is the per-voter view, built from the classes on each access
+    (O(n)); library code reads the classes instead.  A copy made by
     `with_ballots_replaced` keeps the classes in order, appends rankings new
     to the election, and keeps a class whose voters were all replaced, with
-    count 0.
+    count 0.  Two instances are equal when their names, tie-break orders and
+    per-voter rankings are, whatever their class order or count-0 classes.
 
     The constructor takes one ballot per voter, or, with `counts` (a
     sequence as long as `ballots`), ballot k cast by `counts[k]` consecutive
@@ -108,12 +110,11 @@ class ElectionInstance:
     """
 
     names: tuple[str, ...]
-    ballots: tuple[Preference, ...]
     tiebreak: Preference
-    classes: tuple[tuple[Preference, int], ...] = field(init=False, compare=False, repr=False)
-    voter_class: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    classes: tuple[tuple[Preference, int], ...] = field(init=False)
+    voter_class: tuple[int, ...] = field(init=False, repr=False)
     # ranking -> class, for `with_ballots_replaced`
-    _index: dict[tuple[int, ...], int] = field(init=False, compare=False, repr=False)
+    _index: dict[tuple[int, ...], int] = field(init=False, repr=False)
 
     def __init__(
         self,
@@ -160,17 +161,32 @@ class ElectionInstance:
                 raise ValidationError("tie-break order must cover the whole roster")
         if counts is not None and len(run_class) != sum(counts):
             run_class = chain.from_iterable(map(repeat, run_class, counts))
-        voter_class = tuple(run_class)
-        ballots = tuple(map(prefs.__getitem__, voter_class))
-        self._set(names, ballots, tb, tuple(zip(prefs, weights)), voter_class, index)
+        self._set(names, tb, tuple(zip(prefs, weights)), tuple(run_class), index)
 
-    def _set(self, names, ballots, tiebreak, classes, voter_class, index) -> None:
+    def _set(self, names, tiebreak, classes, voter_class, index) -> None:
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "ballots", ballots)
         object.__setattr__(self, "tiebreak", tiebreak)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "voter_class", voter_class)
         object.__setattr__(self, "_index", index)
+
+    @property
+    def ballots(self) -> tuple[Preference, ...]:
+        """One ballot per voter, built from the classes on each access."""
+        prefs = [pref for pref, _ in self.classes]
+        return tuple(map(prefs.__getitem__, self.voter_class))
+
+    def _key(self) -> tuple:
+        rankings = [pref.ranking for pref, _ in self.classes]
+        return self.names, self.tiebreak.ranking, tuple(map(rankings.__getitem__, self.voter_class))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ElectionInstance):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def m(self) -> int:
@@ -199,7 +215,6 @@ class ElectionInstance:
         """A copy of this election with the given voters' ballots swapped out."""
         self._check_voters(replacements)
         m = self.m
-        ballots = list(self.ballots)
         classes = list(self.classes)
         voter_class = list(self.voter_class)
         index = dict(self._index)
@@ -213,21 +228,18 @@ class ElectionInstance:
                 classes.append((pref, 0))
             old = voter_class[i]
             classes[old] = (classes[old][0], classes[old][1] - 1)
-            pref, w = classes[k]
-            classes[k] = (pref, w + 1)
+            classes[k] = (classes[k][0], classes[k][1] + 1)
             voter_class[i] = k
-            ballots[i] = pref
         copy = object.__new__(type(self))
-        copy._set(
-            self.names, tuple(ballots), self.tiebreak, tuple(classes), tuple(voter_class), index
-        )
+        copy._set(self.names, self.tiebreak, tuple(classes), tuple(voter_class), index)
         return copy
 
     def ballots_of(self, voters: Iterable[int]) -> list[tuple[Preference, int]]:
         """The weighted profile of just the listed voters, one unit pair each."""
         voters = list(voters)
         self._check_voters(voters)
-        return [(self.ballots[i], 1) for i in voters]
+        classes, voter_class = self.classes, self.voter_class
+        return [(classes[voter_class[i]][0], 1) for i in voters]
 
     def ballots_excluding(self, voters: Iterable[int]) -> list[tuple[Preference, int]]:
         """The weighted profile of every voter but the listed ones, in class order."""

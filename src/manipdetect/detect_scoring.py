@@ -132,8 +132,9 @@ def cpmw_scoring_coalition(
     inst = query.instance
     if vector.is_convex():
         x, y = require_target(query)
+        reported = inst.ballots_of(query.suspects)
         witness = {
-            i: _coalition_test_ballot(inst.ballots[i], x, y) for i in query.suspects
+            i: _coalition_test_ballot(pref, x, y) for i, (pref, _) in zip(query.suspects, reported)
         }
         rest = tally_without(inst, query.rule, query.context.full, query.suspects)
         replay = [(pref, 1) for pref in witness.values()]
@@ -170,8 +171,8 @@ def cpmw_plurality_coalition(query: DetectionQuery) -> DetectionVerdict:
     # choice), minus the suspects' own
     top, low = vector.alphas[0], vector.alphas[-1]
     base = [(s - low * inst.n) // (top - low) for s in query.context.full]
-    for i in suspects:
-        base[inst.ballots[i].ranking[0]] -= 1
+    for pref, _ in inst.ballots_of(suspects):
+        base[pref.ranking[0]] -= 1
     cap = {}
     for z in range(m):
         if z == y:
@@ -294,7 +295,7 @@ def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
 
     witness: dict[int, Preference] = {}
     for idx in islice(order, k):
-        old = inst.ballots[idx]
+        old = inst.classes[inst.voter_class[idx]][0]
         new = _coalition_test_ballot(old, x, y)
         for p, c in enumerate(old.ranking):
             scores[c] -= alphas[p]

@@ -56,7 +56,7 @@ def cpmw_stv(
     inst, suspects, context = query.instance, query.suspects, query.context
     x, y = require_target(query)
     m, tb_rank, memo = inst.m, context.tb_rank, context.first_choices
-    truthful = [inst.ballots[i].ranking for i in suspects]
+    truthful = [pref.ranking for pref, _ in inst.ballots_of(suspects)]
     # each suspect ballot's support sequence, its current top last; a branch
     # point appends a placeholder (y) that each of its choices overwrites
     seqs = [[y] for _ in suspects]

@@ -14,9 +14,9 @@ run open-endedly.
 from __future__ import annotations
 
 from bisect import insort
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb, factorial, inf
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import ElectionInstance, Preference
 from .detection import (
@@ -134,22 +134,6 @@ def oracle_cpm(
 Decider = Callable[[tuple[int, ...]], DetectionVerdict]
 
 
-def _subsets_up_to(n: int, k: int) -> Iterable[tuple[int, ...]]:
-    for size in range(1, min(k, n) + 1):
-        yield from combinations(range(n), size)
-
-
-def _subset_count(n: int, k: int, cap: float = inf) -> int:
-    """How many voter subsets of size 1..k there are, or `cap` if that is
-    less: the sum stops at the first size that reaches it."""
-    count = 0
-    for size in range(1, min(k, n) + 1):
-        count += comb(n, size)
-        if count >= cap:
-            return cap
-    return count
-
-
 def _coalition_count(instance: ElectionInstance, k: int, cap: float = inf) -> int:
     """How many multisets of 1..k ballot classes use no class more often than
     its count (the number of coalitions `_canonical_coalitions` yields), or
@@ -235,17 +219,6 @@ def _canonical_coalitions(instance: ElectionInstance, k: int) -> Iterator[tuple[
         yield from extend(start, total, size)
 
 
-def _check_search(k: int, count: int, subset_budget: int, force: bool) -> None:
-    if k < 0:
-        raise InvalidQueryError("coalition bound must be >= 0")
-    if count > subset_budget and not force:
-        raise BudgetExceededError(
-            f"search would enumerate at least {count} coalitions, budget is {subset_budget}",
-            count,
-            subset_budget,
-        )
-
-
 def _default_decider(
     instance: ElectionInstance,
     rule: VotingRule,
@@ -293,7 +266,15 @@ def search_coalitions(
     subset decided, so the verdict names the procedure that decided it;
     the oracle's exhaustive NO when no subset was decided (k = 0).
     """
-    _check_search(k, _coalition_count(instance, k, subset_budget + 1), subset_budget, force)
+    if k < 0:
+        raise InvalidQueryError("coalition bound must be >= 0")
+    count = _coalition_count(instance, k, subset_budget + 1)
+    if count > subset_budget and not force:
+        raise BudgetExceededError(
+            f"search would enumerate at least {count} coalitions, budget is {subset_budget}",
+            count,
+            subset_budget,
+        )
     if decide is None:
         decide = _default_decider(instance, rule, y, budget, force)
     verdict = None
@@ -306,28 +287,3 @@ def search_coalitions(
         return no_verdict(ORACLE, exhaustive=True)
     return verdict
 
-
-def all_minimal_coalitions(
-    instance: ElectionInstance,
-    rule: VotingRule,
-    k: int,
-    y: int | None = None,
-    *,
-    decide: Decider | None = None,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
-    budget: int = DEFAULT_REPLAY_BUDGET,
-    force: bool = False,
-) -> list[tuple[int, ...]]:
-    """Every YES coalition of size <= k that contains no smaller YES coalition."""
-    n = instance.n
-    _check_search(k, _subset_count(n, k, subset_budget + 1), subset_budget, force)
-    if decide is None:
-        decide = _default_decider(instance, rule, y, budget, force)
-    hits: list[tuple[int, ...]] = []
-    for subset in _subsets_up_to(n, k):
-        members = set(subset)
-        if any(set(h) < members for h in hits):
-            continue
-        if decide(subset).answer:
-            hits.append(subset)
-    return hits

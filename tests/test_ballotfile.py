@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,6 +103,25 @@ def test_parse_render_round_trip(args):
     names, ballots, tb = args
     inst = ElectionInstance(names, ballots, tiebreak=tb)
     assert parse_election(render_election(inst)) == inst
+
+
+def test_parsed_voter_costs_one_tuple_slot():
+    # 10^6 voters over 120 tallied lines: each distinct ballot is stored once,
+    # so what the election keeps per voter is its slot in `voter_class`
+    n = 10**6
+    text = "candidates: a,b,c,d,e\n" + "".join(
+        f"{n // 120 + (k < n % 120)}x {'>'.join(p)}\n"
+        for k, p in enumerate(permutations("abcde"))
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        inst = parse_election(text)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert inst.n == n and len(inst.classes) == 120
+    assert retained <= 9 * n
 
 
 def test_report_round_trip():

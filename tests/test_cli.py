@@ -5,7 +5,9 @@ from math import comb
 
 import pytest
 
-from manipdetect import dispatch
+from manipdetect import cli, dispatch
+from manipdetect.core import Preference
+from manipdetect.detection import verify_verdict, yes_verdict
 from manipdetect.ballotfile import Report, parse_election
 from manipdetect.cli import main, rule_from_string
 from manipdetect.rules import VotingRule, winner
@@ -48,6 +50,18 @@ def test_cpmw_yes_exit_zero(e1_file, capsys):
     assert report.current_winner == "a"
     assert report.witness_actual_winner == "b"
     assert not report.exhaustive
+
+
+def test_witness_outside_the_suspects_exit_two(e1_file, monkeypatch, capsys):
+    # a witness for voter 0 that replays to b, reported for suspect 1 only
+    verdict = yes_verdict({0: Preference((0, 1, 2))}, 1, "planted")
+    verdict.current_winner = 0
+    rule = rule_from_string("borda", 3)
+    assert verify_verdict(parse_election(E1_TEXT), rule, verdict)
+    monkeypatch.setattr(cli, "decide_cpmw", lambda *args, **kwargs: verdict)
+    args = ["cpmw", e1_file, "--rule", "borda", "--suspects", "1", "--actual-winner", "b"]
+    assert main(args) == 2
+    assert "replay verification" in capsys.readouterr().err
 
 
 def test_cpmw_no_exit_one(tmp_path, capsys):

@@ -95,6 +95,25 @@ def test_with_ballots_replaced():
     assert inst.ballots[0].ranking == (A, C, B)  # original untouched
 
 
+def test_instance_equality_is_over_per_voter_rankings():
+    inst = e1()
+    restored = inst.with_ballots_replaced({0: Preference((B, C, A))})
+    restored = restored.with_ballots_replaced({0: Preference((A, C, B))})
+    assert (Preference((B, C, A)), 0) in restored.classes
+    assert restored == inst and hash(restored) == hash(inst)
+    # the same voters in another class order
+    swapped = inst.with_ballots_replaced({0: Preference((B, A, C)), 1: Preference((A, C, B))})
+    fresh = ElectionInstance(inst.names, [(B, A, C), (A, C, B), (B, A, C)])
+    assert swapped.classes != fresh.classes
+    assert swapped == fresh and hash(swapped) == hash(fresh)
+    assert inst.with_ballots_replaced({1: Preference((C, A, B))}) != inst
+    assert ElectionInstance(inst.names, [(A, C, B), (A, C, B)]) != ElectionInstance(
+        inst.names, [(A, C, B), (A, C, B)], tiebreak=(B, A, C)
+    )
+    tallied = ElectionInstance(inst.names, [(A, C, B), (B, A, C)], counts=[1, 2])
+    assert tallied == inst and hash(tallied) == hash(inst)
+
+
 def test_ballots_excluding():
     inst = e1()
     rest = inst.ballots_excluding([1])

@@ -9,7 +9,6 @@ from manipdetect.core import ElectionInstance, Preference
 from manipdetect.detection import verify_verdict
 from manipdetect.errors import BudgetExceededError, InvalidQueryError
 from manipdetect.oracle import (
-    all_minimal_coalitions,
     oracle_cpm,
     oracle_cpmw,
     search_coalitions,
@@ -150,18 +149,6 @@ def test_cpmsw_yes_implies_cpms_yes():
                 assert search_coalitions(inst, rule, 2).answer
 
 
-def test_all_minimal_coalitions_are_minimal_hits():
-    hits = all_minimal_coalitions(e1(), BORDA3, 2, B)
-    assert hits
-    for h in hits:
-        assert oracle_cpmw(e1(), BORDA3, h, B).answer
-        for smaller in combinations(h, len(h) - 1):
-            if smaller:
-                assert not oracle_cpmw(e1(), BORDA3, smaller, B).answer
-    for g, h in combinations(hits, 2):
-        assert not set(g) < set(h) and not set(h) < set(g)
-
-
 def product_walk(inst, rule, suspects, y):
     """The oracle as first written: every ordered tuple of admissible ballots,
     in lexicographic order, each replayed on a fresh copy of the profile.
@@ -254,7 +241,4 @@ def test_untargeted_search_builds_each_targets_admissible_ballots_once(monkeypat
 
     monkeypatch.setattr(oracle, "admissible_preferences", counted)
     assert not search_coalitions(e2(), BORDA3, 2).answer
-    assert sorted(calls) == [B, C]
-    calls.clear()
-    assert all_minimal_coalitions(e2(), BORDA3, 2) == []
     assert sorted(calls) == [B, C]
