@@ -72,10 +72,14 @@ def _verdict_report(
     rule: VotingRule,
     verdict: DetectionVerdict,
     suspects: tuple[int, ...] | None,
+    bound: int | None,
+    target: int | None,
     started: float,
     forced: bool,
 ) -> Report:
-    if verdict.answer and not verify_verdict(instance, rule, verdict, suspects):
+    if verdict.answer and not verify_verdict(
+        instance, rule, verdict, suspects, bound=bound, actual_winner=target
+    ):
         raise ElectionError("internal error: witness failed replay verification")
     names = instance.names
     witness = None
@@ -130,24 +134,26 @@ def _run_detection(args) -> int:
 
     force = args.force
     suspects = _parse_suspects(args.suspects) if problem in ("cpmw", "cpm", "oracle") else None
-    if problem == "cpmw":
+    bound = args.k if problem in ("cpmsw", "cpms") else None
+    y = None
+    if problem in ("cpmw", "cpmsw", "oracle") and args.actual_winner is not None:
         y = instance.candidate_id(args.actual_winner)
+    if problem == "cpmw":
         verdict = decide_cpmw(instance, rule, suspects, y, force=force)
     elif problem == "cpm":
         verdict = decide_cpm(instance, rule, suspects, force=force)
     elif problem == "cpmsw":
-        y = instance.candidate_id(args.actual_winner)
-        verdict = decide_cpmsw(instance, rule, y, args.k, force=force)
+        verdict = decide_cpmsw(instance, rule, y, bound, force=force)
     elif problem == "cpms":
-        verdict = decide_cpms(instance, rule, args.k, force=force)
-    else:  # oracle
-        if args.actual_winner is not None:
-            y = instance.candidate_id(args.actual_winner)
-            query = DetectionQuery(instance, rule, suspects, actual_winner=y)
-            verdict = oracle_cpmw(query, force=force)
-        else:
-            verdict = oracle_cpm(instance, rule, suspects, force=force)
-    report = _verdict_report(problem, args.rule, instance, rule, verdict, suspects, started, force)
+        verdict = decide_cpms(instance, rule, bound, force=force)
+    elif y is not None:  # oracle, winner given
+        query = DetectionQuery(instance, rule, suspects, actual_winner=y)
+        verdict = oracle_cpmw(query, force=force)
+    else:
+        verdict = oracle_cpm(instance, rule, suspects, force=force)
+    report = _verdict_report(
+        problem, args.rule, instance, rule, verdict, suspects, bound, y, started, force
+    )
     _emit(report, args.json)
     return 0 if verdict.answer else 1
 

@@ -199,13 +199,18 @@ def verify_verdict(
     rule: VotingRule,
     verdict: DetectionVerdict,
     suspects: tuple[int, ...] | None = None,
+    *,
+    bound: int | None = None,
+    actual_winner: int | None = None,
 ) -> bool:
     """Check a YES verdict end to end.
 
     The witness must cover exactly the reported coalition (a subset of the
-    given suspects, when provided), every witness ballot must rank the current
-    winner above the claimed actual winner, and replaying the witness must
-    elect the claimed actual winner.  NO verdicts verify trivially.
+    given suspects, and of at most `bound` voters, when provided), its
+    claimed actual winner must be the asked `actual_winner`, when provided,
+    every witness ballot must rank the current winner above the claimed
+    actual winner, and replaying the witness must elect the claimed actual
+    winner.  NO verdicts verify trivially.
 
     The full-profile table is built once: the current winner is read from it,
     and the witness is replayed on top of it minus the table of the witness
@@ -218,6 +223,10 @@ def verify_verdict(
     if verdict.coalition is not None and set(verdict.witness) != set(verdict.coalition):
         return False
     if suspects is not None and not set(verdict.witness) <= set(suspects):
+        return False
+    if bound is not None and len(verdict.witness) > bound:
+        return False
+    if actual_winner is not None and verdict.witness_actual_winner != actual_winner:
         return False
     x, full = winner_and_tally(instance, rule)
     y = verdict.witness_actual_winner

@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Sequence
 
-from .core import ElectionInstance, Preference, Profile, margin_matrix
+from .core import ElectionInstance, Preference, Profile, _unit_columns, margin_matrix
 from .errors import ConfigError, DegenerateRosterError
 
 Score = int | Fraction
@@ -129,13 +129,23 @@ def positional_scores(m: int, profile: Profile, vector: ScoringVector) -> list[S
     Every position scores at least the last entry, so each ballot adds only
     the excess of the positions that score more, and the last entry times
     the total weight is added once at the end: plurality costs one step per
-    ballot class, not m.
+    ballot class, not m.  From `core.COLUMN_CUTOVER` one-voter classes on,
+    at m <= 24, those classes are counted column by column instead:
+    position p adds its excess times `column.count(c)` to each candidate c,
+    and only the scored columns are built (plurality reads column 0 alone,
+    Borda all but the last).
     """
     if len(vector) != m:
         raise ConfigError(f"scoring vector length {len(vector)} does not match roster size {m}")
     excess = vector._excess
+    columns, total, profile = _unit_columns(m, profile, len(excess))
     scores: list[Score] = [0] * m
-    total = 0
+    if columns is not None:
+        for a, column in zip(excess, columns):
+            for c in range(m):
+                k = column.count(c)
+                if k:
+                    scores[c] += a * k
     for ballot, w in profile:
         total += w
         if w == 1:
@@ -159,8 +169,18 @@ def maximin_scores_from_margins(margins: Sequence[Sequence[int]]) -> list[int]:
 
 
 def topk_counts(m: int, profile: Profile) -> list[list[int]]:
-    """counts[c][l] = number of voters ranking c within the top l (l in 0..m)."""
+    """counts[c][l] = number of voters ranking c within the top l (l in 0..m).
+
+    From `core.COLUMN_CUTOVER` one-voter classes on, at m <= 24, those
+    classes are counted column by column: `column.count(c)` of them rank c
+    at position p.
+    """
+    columns, _, profile = _unit_columns(m, profile, m)
     first = [[0] * (m + 1) for _ in range(m)]
+    if columns is not None:
+        for p, column in enumerate(columns, 1):
+            for c in range(m):
+                first[c][p] = column.count(c)
     for ballot, w in profile:
         for p, c in enumerate(ballot.ranking, 1):
             first[c][p] += w

@@ -64,6 +64,38 @@ def test_witness_outside_the_suspects_exit_two(e1_file, monkeypatch, capsys):
     assert "replay verification" in capsys.readouterr().err
 
 
+def test_verify_verdict_checks_bound_and_target():
+    verdict = yes_verdict({0: Preference((0, 1, 2))}, 1, "planted")
+    inst, rule = parse_election(E1_TEXT), rule_from_string("borda", 3)
+    assert verify_verdict(inst, rule, verdict, bound=1, actual_winner=1)
+    assert not verify_verdict(inst, rule, verdict, bound=0)
+    assert not verify_verdict(inst, rule, verdict, actual_winner=2)
+
+
+@pytest.mark.parametrize(
+    "decider, args, code",
+    [
+        ("decide_cpmsw", ["cpmsw", "--actual-winner", "b", "-k", "1"], 0),
+        ("decide_cpmsw", ["cpmsw", "--actual-winner", "b", "-k", "0"], 2),
+        ("decide_cpms", ["cpms", "-k", "0"], 2),
+        ("decide_cpmw", ["cpmw", "--suspects", "0", "--actual-winner", "c"], 2),
+        ("oracle_cpmw", ["oracle", "--suspects", "0", "--actual-winner", "c"], 2),
+    ],
+    ids=["cpmsw-within-bound", "cpmsw-over-bound", "cpms-over-bound", "cpmw-other-target",
+         "oracle-other-target"],
+)
+def test_witness_beyond_the_bound_or_for_another_target_exit_two(
+    e1_file, monkeypatch, capsys, decider, args, code
+):
+    # a replay-valid one-voter witness electing b, whatever was asked
+    verdict = yes_verdict({0: Preference((0, 1, 2))}, 1, "planted")
+    verdict.current_winner = 0
+    monkeypatch.setattr(cli, decider, lambda *args, **kwargs: verdict)
+    assert main([args[0], e1_file, "--rule", "borda", *args[1:]]) == code
+    if code == 2:
+        assert "replay verification" in capsys.readouterr().err
+
+
 def test_cpmw_no_exit_one(tmp_path, capsys):
     path = tmp_path / "e2.txt"
     path.write_text("candidates: a,b,c\na>b>c\na>c>b\nb>a>c\n")

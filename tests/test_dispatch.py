@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from manipdetect import rules
+from manipdetect import core, rules
 from manipdetect.core import ElectionInstance
 from manipdetect.detection import verify_verdict
 from manipdetect.dispatch import decide_cpm, decide_cpms, decide_cpmsw, decide_cpmw
@@ -163,12 +163,25 @@ def _count_tables(monkeypatch, n):
     return counts
 
 
-@pytest.mark.parametrize("m", [3, 5])
-def test_single_suspect_borda_cpm_no_builds_fixed_number_of_score_tables(monkeypatch, m):
+@pytest.mark.parametrize(
+    "m, distinct, copies",
+    [
+        pytest.param(3, 1, 5, id="3"),
+        pytest.param(5, 1, 5, id="5"),
+        pytest.param(6, core.COLUMN_CUTOVER, 1, id="6-columns"),
+    ],
+)
+def test_single_suspect_borda_cpm_no_builds_fixed_number_of_score_tables(
+    monkeypatch, m, distinct, copies
+):
     # The current winner once, then per alternative winner: the full table,
     # the suspect's ballot and m - 1 replays.  The traced benchmark checks the
-    # same count on a 20-candidate profile.
-    inst = ElectionInstance([f"c{i}" for i in range(m)], [tuple(range(m))] * 5)
+    # same count on a 20-candidate profile of distinct rankings, whose full
+    # tables are counted column by column, as here for m = 6.  Candidate 0
+    # leads: it sits as high on every ballot as the number of rankings allows.
+    rankings = sorted(permutations(range(m)), key=lambda r: r.index(0))[:distinct]
+    inst = ElectionInstance([f"c{i}" for i in range(m)], rankings * copies)
+    assert (core._unit_columns(m, inst.classes, 1)[0] is not None) == (copies == 1)
     rule = VotingRule.scoring(ScoringVector.borda(m))
     counts = _count_tables(monkeypatch, 1)
     assert not decide_cpm(inst, rule, (0,)).answer
