@@ -280,39 +280,39 @@ class WeightedMajorityGraph:
 
 # Profiles with at least this many one-voter ballot classes are counted
 # column by column (`_unit_columns`), smaller ones class by class: the
-# measured crossover of the counting kernels at m = 24 (see the README).
+# measured crossover of the Borda and top-k tables at m = 20 (see the README).
 COLUMN_CUTOVER = 256
-# The largest m of the margin kernel, whose fields hold a position in seven
-# bits, and of the counting kernels, which scan a column once per candidate
-# (from 25 candidates on, the loops are as fast).
-_MARGIN_MAX_M = 128
-_COUNT_MAX_M = 24
+# The widest roster counted by columns: the widest measured to win, the
+# benchmark's `wide` election.  At 24 candidates the Borda and top-k
+# columns, each scanned once per candidate, are no faster than the loops.
+_COLUMN_MAX_M = 20
 
 
-def _unit_columns(m: int, profile: Profile, depth: int, max_m: int = _COUNT_MAX_M):
+def _unit_columns(m: int, profile: Profile, depth: int):
     """Split a weighted profile for the column kernels: `(columns, units, rest)`.
 
-    With at least `COLUMN_CUTOVER` one-voter classes and m <= `max_m`,
+    With at least `COLUMN_CUTOVER` one-voter classes and m <= 20,
     `columns[p]` (p < `depth`) is one `bytes` object holding the candidate
     each of those `units` classes ranks at position p, and `rest` holds the
     other pairs; otherwise the result is `(None, 0, profile)`.  A profile
-    without a length is read into a list once.  A few columns are read
-    straight from the rankings, more are sliced out of all rankings packed
-    m bytes per class; the buffers go with the caller's table build.
+    without a length is read into a list once.  Up to two thirds of the
+    columns are read straight from the rankings, more are sliced out of all
+    rankings packed m bytes per class (the measured crossover); the buffers
+    go with the caller's table build.
     """
     try:
         size = len(profile)
     except TypeError:  # a one-shot iterable
         profile = list(profile)
         size = len(profile)
-    if size < COLUMN_CUTOVER or m > max_m:
+    if size < COLUMN_CUTOVER or m > _COLUMN_MAX_M:
         return None, 0, profile
     rankings = [pref.ranking for pref, w in profile if w == 1]
     units = len(rankings)
     if units < COLUMN_CUTOVER:
         return None, 0, profile
     rest = [pair for pair in profile if pair[1] != 1] if units < size else []
-    if 2 * depth <= m:
+    if 3 * depth <= 2 * m:
         columns = [bytes(map(itemgetter(p), rankings)) for p in range(depth)]
     else:
         packed = bytes(chain.from_iterable(rankings))
@@ -323,7 +323,7 @@ def _unit_columns(m: int, profile: Profile, depth: int, max_m: int = _COUNT_MAX_
 def margin_matrix(m: int, profile: Profile) -> list[list[int]]:
     """Pairwise margins of a weighted profile (may be empty).
 
-    From `COLUMN_CUTOVER` one-voter classes on, at m <= 128, those classes
+    From `COLUMN_CUTOVER` one-voter classes on, at m <= 20, those classes
     are counted by big-int arithmetic: `pos[a]` packs the position of a in
     each class into one int, eight bits per class, from one `translate` per
     column and candidate.  With H the high bit of every field set, a field
@@ -332,7 +332,7 @@ def margin_matrix(m: int, profile: Profile) -> list[list[int]]:
     so `(((pos[a] | H) - pos[b]) & H).bit_count()` voters rank b above a.
     That is O(m²) operations on n-byte ints instead of n·m²/2 Python steps.
     """
-    columns, units, profile = _unit_columns(m, profile, m, _MARGIN_MAX_M)
+    columns, units, profile = _unit_columns(m, profile, m)
     d = [[0] * m for _ in range(m)]
     if columns is not None:
         pos = [0] * m

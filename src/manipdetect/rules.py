@@ -130,7 +130,7 @@ def positional_scores(m: int, profile: Profile, vector: ScoringVector) -> list[S
     the excess of the positions that score more, and the last entry times
     the total weight is added once at the end: plurality costs one step per
     ballot class, not m.  From `core.COLUMN_CUTOVER` one-voter classes on,
-    at m <= 24, those classes are counted column by column instead:
+    at m <= 20, those classes are counted column by column instead:
     position p adds its excess times `column.count(c)` to each candidate c,
     and only the scored columns are built (plurality reads column 0 alone,
     Borda all but the last).
@@ -171,7 +171,7 @@ def maximin_scores_from_margins(margins: Sequence[Sequence[int]]) -> list[int]:
 def topk_counts(m: int, profile: Profile) -> list[list[int]]:
     """counts[c][l] = number of voters ranking c within the top l (l in 0..m).
 
-    From `core.COLUMN_CUTOVER` one-voter classes on, at m <= 24, those
+    From `core.COLUMN_CUTOVER` one-voter classes on, at m <= 20, those
     classes are counted column by column: `column.count(c)` of them rank c
     at position p.
     """

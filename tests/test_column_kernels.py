@@ -117,18 +117,14 @@ def test_default_cutover_counts_one_voter_classes_only():
         _assert_columns_match_loops(m, profile, core.COLUMN_CUTOVER)
 
 
-@pytest.mark.parametrize(
-    "m, margins, counts", [(24, True, True), (25, True, False), (128, True, False), (129, False, False)]
-)
-def test_widest_rosters_counted_by_columns(m, margins, counts):
-    # the margin kernel keeps positions up to 127 in the seven low bits of a
-    # field; the counting kernels stop at 24 candidates
+@pytest.mark.parametrize("m, columns", [(20, True), (21, False)])
+def test_widest_rosters_counted_by_columns(m, columns):
+    # all three kernels stop at 20 candidates
     ranks = [tuple(range(m)), tuple(reversed(range(m)))]
-    ranks += [tuple((i * step) % m for i in range(m)) for step in (5, 7, 11, 13) if m % step]
+    ranks += [tuple((i * step) % m for i in range(m)) for step in (3, 7, 11, 13) if m % step]
     ranks += [ranks[0][1:] + ranks[0][:1]]
     profile = [(Preference(r), 1) for r in ranks] + [(Preference(ranks[-1]), 2)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "COLUMN_CUTOVER", 4)
-        assert (_unit_columns(m, profile, m, core._MARGIN_MAX_M)[0] is not None) == margins
-        assert _uses_columns(m, profile) == counts
+        assert _uses_columns(m, profile) == columns
     _assert_columns_match_loops(m, profile, 4)
