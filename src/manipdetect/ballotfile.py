@@ -44,6 +44,17 @@ def _split_names(raw: str, line_no: int) -> list[str]:
 
 
 def _parse_ballot(raw: str, ids: dict[str, int], line_no: int) -> tuple[int, ...]:
+    try:  # a valid ranking, by C-level maps; any other line is read by name
+        ranking = tuple(map(ids.__getitem__, map(str.strip, raw.split(">"))))
+        if len(ranking) == len(ids) == len(set(ranking)):
+            return ranking
+    except KeyError:
+        pass
+    return _parse_ballot_by_name(raw, ids, line_no)
+
+
+def _parse_ballot_by_name(raw: str, ids: dict[str, int], line_no: int) -> tuple[int, ...]:
+    """The ranking of a ballot line, read name by name: the first fault raises."""
     parts = [part.strip() for part in raw.split(">")]
     ranking = []
     seen = set()

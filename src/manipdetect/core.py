@@ -88,6 +88,39 @@ TieBreakOrder = Preference
 Profile = Iterable[tuple[Preference, int]]
 
 
+# Instances with at least this many one-voter ballot classes are counted
+# column by column (`_pack`), smaller ones class by class: the measured
+# crossover of the Borda and top-k tables at m = 20 (see the README).
+COLUMN_CUTOVER = 256
+# The widest roster counted by columns: the widest measured to win, the
+# benchmark's `wide` election.  At 24 candidates the Borda and top-k
+# columns, each scanned once per candidate, are no faster than the loops.
+_COLUMN_MAX_M = 20
+
+
+class _Classes(tuple):
+    """The ballot classes of an instance, `(ballot, count)` pairs.
+
+    Packed by `_pack`, they carry `pack = (packed, rest)`: `packed` holds
+    the rankings of the one-voter classes, m bytes per class, so that
+    `packed[p::m]` is the candidate each ranks at position p, and `rest`
+    the other pairs.  The table kernels count `packed` column by column and
+    `rest` by the loops; a profile without `pack` takes the loops only.
+    """
+
+
+def _pack(m: int, classes: Iterable[tuple[Preference, int]]) -> _Classes:
+    """The classes of an m-candidate instance, packed from `COLUMN_CUTOVER`
+    one-voter classes on at m <= 20: once, when the instance is built."""
+    classes = _Classes(classes)
+    if m <= _COLUMN_MAX_M and len(classes) >= COLUMN_CUTOVER:
+        units = [pref.ranking for pref, w in classes if w == 1]
+        if len(units) >= COLUMN_CUTOVER:
+            rest = tuple(pair for pair in classes if pair[1] != 1)
+            classes.pack = bytes(chain.from_iterable(units)), rest
+    return classes
+
+
 @dataclass(frozen=True, eq=False)
 class ElectionInstance:
     """A full election: candidate names, the voters' ballots, tie-break order.
@@ -102,6 +135,7 @@ class ElectionInstance:
     to the election, and keeps a class whose voters were all replaced, with
     count 0.  Two instances are equal when their names, tie-break orders and
     per-voter rankings are, whatever their class order or count-0 classes.
+    Every instance, a copy too, packs its large profiles once (`_pack`).
 
     The constructor takes one ballot per voter, or, with `counts` (a
     sequence as long as `ballots`), ballot k cast by `counts[k]` consecutive
@@ -166,7 +200,7 @@ class ElectionInstance:
     def _set(self, names, tiebreak, classes, voter_class, index) -> None:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "tiebreak", tiebreak)
-        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "classes", _pack(len(names), classes))
         object.__setattr__(self, "voter_class", voter_class)
         object.__setattr__(self, "_index", index)
 
@@ -231,7 +265,7 @@ class ElectionInstance:
             classes[k] = (classes[k][0], classes[k][1] + 1)
             voter_class[i] = k
         copy = object.__new__(type(self))
-        copy._set(self.names, self.tiebreak, tuple(classes), tuple(voter_class), index)
+        copy._set(self.names, self.tiebreak, classes, tuple(voter_class), index)
         return copy
 
     def ballots_of(self, voters: Iterable[int]) -> list[tuple[Preference, int]]:
@@ -278,72 +312,30 @@ class WeightedMajorityGraph:
         return self.margins[a][b]
 
 
-# Profiles with at least this many one-voter ballot classes are counted
-# column by column (`_unit_columns`), smaller ones class by class: the
-# measured crossover of the Borda and top-k tables at m = 20 (see the README).
-COLUMN_CUTOVER = 256
-# The widest roster counted by columns: the widest measured to win, the
-# benchmark's `wide` election.  At 24 candidates the Borda and top-k
-# columns, each scanned once per candidate, are no faster than the loops.
-_COLUMN_MAX_M = 20
-
-
-def _unit_columns(m: int, profile: Profile, depth: int):
-    """Split a weighted profile for the column kernels: `(columns, units, rest)`.
-
-    With at least `COLUMN_CUTOVER` one-voter classes and m <= 20,
-    `columns[p]` (p < `depth`) is one `bytes` object holding the candidate
-    each of those `units` classes ranks at position p, and `rest` holds the
-    other pairs; otherwise the result is `(None, 0, profile)`.  A profile
-    without a length is read into a list once.  Up to two thirds of the
-    columns are read straight from the rankings, more are sliced out of all
-    rankings packed m bytes per class (the measured crossover); the buffers
-    go with the caller's table build.
-    """
-    try:
-        size = len(profile)
-    except TypeError:  # a one-shot iterable
-        profile = list(profile)
-        size = len(profile)
-    if size < COLUMN_CUTOVER or m > _COLUMN_MAX_M:
-        return None, 0, profile
-    rankings = [pref.ranking for pref, w in profile if w == 1]
-    units = len(rankings)
-    if units < COLUMN_CUTOVER:
-        return None, 0, profile
-    rest = [pair for pair in profile if pair[1] != 1] if units < size else []
-    if 3 * depth <= 2 * m:
-        columns = [bytes(map(itemgetter(p), rankings)) for p in range(depth)]
-    else:
-        packed = bytes(chain.from_iterable(rankings))
-        columns = [packed[p::m] for p in range(depth)]
-    return columns, units, rest
-
-
 def margin_matrix(m: int, profile: Profile) -> list[list[int]]:
     """Pairwise margins of a weighted profile (may be empty).
 
-    From `COLUMN_CUTOVER` one-voter classes on, at m <= 20, those classes
-    are counted by big-int arithmetic: `pos[a]` packs the position of a in
-    each class into one int, eight bits per class, from one `translate` per
-    column and candidate.  With H the high bit of every field set, a field
-    of `(pos[a] | H) - pos[b]` cannot borrow from the next (positions are
-    below 128), and it keeps its high bit exactly when b is ranked above a;
+    An instance's packed classes (`_Classes`) are counted by big-int
+    arithmetic: `pos[a]` packs the position of a in each one-voter class
+    into one int, eight bits per class, from one `translate` per column and
+    candidate.  With H the high bit of every field set, a field of
+    `(pos[a] | H) - pos[b]` cannot borrow from the next (positions are
+    below 20), and it keeps its high bit exactly when b is ranked above a;
     so `(((pos[a] | H) - pos[b]) & H).bit_count()` voters rank b above a.
     That is O(m²) operations on n-byte ints instead of n·m²/2 Python steps.
     """
-    columns, units, profile = _unit_columns(m, profile, m)
+    packed, profile = getattr(profile, "pack", (None, profile))
     d = [[0] * m for _ in range(m)]
-    if columns is not None:
+    if packed is not None:
+        units = len(packed) // m
         pos = [0] * m
         mark = bytearray(256)
         for p in range(1, m):
-            column = columns[p]
+            column = packed[p::m]
             for a in range(m):
                 mark[a] = p
                 pos[a] += int.from_bytes(column.translate(mark), "big")
                 mark[a] = 0
-        del columns
         high = int.from_bytes(b"\x80" * units, "big")
         for a in range(m):
             above, row = pos[a] | high, d[a]

@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Sequence
 
-from .core import ElectionInstance, Preference, Profile, _unit_columns, margin_matrix
+from .core import ElectionInstance, Preference, Profile, margin_matrix
 from .errors import ConfigError, DegenerateRosterError
 
 Score = int | Fraction
@@ -129,19 +129,21 @@ def positional_scores(m: int, profile: Profile, vector: ScoringVector) -> list[S
     Every position scores at least the last entry, so each ballot adds only
     the excess of the positions that score more, and the last entry times
     the total weight is added once at the end: plurality costs one step per
-    ballot class, not m.  From `core.COLUMN_CUTOVER` one-voter classes on,
-    at m <= 20, those classes are counted column by column instead:
-    position p adds its excess times `column.count(c)` to each candidate c,
-    and only the scored columns are built (plurality reads column 0 alone,
-    Borda all but the last).
+    ballot class, not m.  An instance's packed classes (`core._Classes`)
+    are counted column by column instead: position p adds its excess times
+    `column.count(c)` to each candidate c, and only the scored columns are
+    sliced out (plurality reads column 0 alone, Borda all but the last).
     """
     if len(vector) != m:
         raise ConfigError(f"scoring vector length {len(vector)} does not match roster size {m}")
     excess = vector._excess
-    columns, total, profile = _unit_columns(m, profile, len(excess))
+    packed, profile = getattr(profile, "pack", (None, profile))
     scores: list[Score] = [0] * m
-    if columns is not None:
-        for a, column in zip(excess, columns):
+    total = 0
+    if packed is not None:
+        total = len(packed) // m
+        for p, a in enumerate(excess):
+            column = packed[p::m]
             for c in range(m):
                 k = column.count(c)
                 if k:
@@ -171,16 +173,16 @@ def maximin_scores_from_margins(margins: Sequence[Sequence[int]]) -> list[int]:
 def topk_counts(m: int, profile: Profile) -> list[list[int]]:
     """counts[c][l] = number of voters ranking c within the top l (l in 0..m).
 
-    From `core.COLUMN_CUTOVER` one-voter classes on, at m <= 20, those
-    classes are counted column by column: `column.count(c)` of them rank c
-    at position p.
+    An instance's packed classes (`core._Classes`) are counted column by
+    column: `column.count(c)` of them rank c at position p.
     """
-    columns, _, profile = _unit_columns(m, profile, m)
+    packed, profile = getattr(profile, "pack", (None, profile))
     first = [[0] * (m + 1) for _ in range(m)]
-    if columns is not None:
-        for p, column in enumerate(columns, 1):
+    if packed is not None:
+        for p in range(m):
+            column = packed[p::m]
             for c in range(m):
-                first[c][p] = column.count(c)
+                first[c][p + 1] = column.count(c)
     for ballot, w in profile:
         for p, c in enumerate(ballot.ranking, 1):
             first[c][p] += w

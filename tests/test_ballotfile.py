@@ -105,6 +105,37 @@ def test_parse_render_round_trip(args):
     assert parse_election(render_election(inst)) == inst
 
 
+ballot_lines = names_strategy.flatmap(
+    lambda names: st.tuples(
+        st.just(names),
+        st.one_of(
+            st.permutations(names),
+            st.lists(st.sampled_from([*names, "", "q"]), min_size=1, max_size=len(names) + 1),
+        ),
+        st.lists(st.sampled_from(["", " ", "\t "]), min_size=10, max_size=10),
+    )
+)
+
+
+@given(ballot_lines)
+@settings(max_examples=200)
+def test_fast_ballot_path_agrees_with_the_name_loop(args):
+    # valid rankings and faulty lines alike: the same ranking or the same error
+    names, entries, pads = args
+    line = ">".join(pads[2 * i] + e + pads[2 * i + 1] for i, e in enumerate(entries))
+    ids = {name: i for i, name in enumerate(names)}
+
+    def outcome(parse):
+        try:
+            return parse(line, ids, 7)
+        except ParseError as err:
+            return str(err), err.line
+
+    assert outcome(ballotfile._parse_ballot) == outcome(ballotfile._parse_ballot_by_name)
+    if sorted(entries) == sorted(names):
+        assert outcome(ballotfile._parse_ballot) == tuple(map(ids.__getitem__, entries))
+
+
 def test_parsed_voter_costs_one_tuple_slot():
     # 10^6 voters over 120 tallied lines: each distinct ballot is stored once,
     # so what the election keeps per voter is its slot in `voter_class`

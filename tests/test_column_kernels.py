@@ -1,11 +1,15 @@
 """The column kernels against the class-by-class loops.
 
-Above `core.COLUMN_CUTOVER` one-voter classes, `positional_scores`,
-`topk_counts` and `margin_matrix` count those classes column by column.
-Every table must equal the one the loops build; the loops are the
-reference, reached by raising the cut-over past the profile's size.
+An instance built with at least `core.COLUMN_CUTOVER` one-voter classes
+packs their rankings once (`core._pack`), and `positional_scores`,
+`topk_counts` and `margin_matrix` count its classes column by column.
+Every table must equal the one the loops build for the same instance built
+with the cut-over raised past its size: the cut-over is read when an
+instance is built, so each side is built under its own cut-over.
 """
 
+import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -14,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manipdetect import core
-from manipdetect.core import ElectionInstance, Preference, _unit_columns, margin_matrix
-from manipdetect.rules import ScoringVector, positional_scores, topk_counts
+from manipdetect.core import ElectionInstance, Preference, margin_matrix
+from manipdetect.rules import ScoringVector, VotingRule, positional_scores, tally, topk_counts
 
 LOOPS = 10**9
 
@@ -46,85 +50,161 @@ def _types(tables):
     return [type(v) for row in rows for v in row]
 
 
-def _assert_columns_match_loops(m, profile, cutover):
-    """The tables at `cutover` equal the loops' tables, entry by entry and type by type."""
+def _build(m, ballots, counts=None, replacements=None):
+    inst = ElectionInstance([f"c{i}" for i in range(m)], ballots, counts=counts)
+    return inst.with_ballots_replaced(replacements) if replacements else inst
+
+
+def _assert_columns_match_loops(cutover, *args):
+    """The tables of `_build(*args)` built at `cutover` equal, entry by entry
+    and type by type, those of the same instance built for the loops; returns
+    whether the former was packed."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "COLUMN_CUTOVER", LOOPS)
-        expected = _tables(m, profile)
+        loops = _build(*args)
         mp.setattr(core, "COLUMN_CUTOVER", cutover)
-        got = _tables(m, profile)
+        columns = _build(*args)
+    assert columns.classes == loops.classes
+    assert not hasattr(loops.classes, "pack")
+    expected, got = _tables(loops.m, loops.classes), _tables(columns.m, columns.classes)
     assert got == expected
     assert _types(got) == _types(expected)
+    return hasattr(columns.classes, "pack")
 
 
-def _uses_columns(m, profile):
-    return _unit_columns(m, profile, 1)[0] is not None
-
-
-rankings = st.integers(1, 8).flatmap(
-    lambda m: st.lists(
-        st.tuples(st.permutations(range(m)), st.sampled_from([1, 1, 1, 0, 2, 7])),
-        max_size=40,
-    ).map(lambda pairs: (m, [(Preference(r), w) for r, w in pairs]))
+cases = st.integers(1, 8).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.lists(
+            st.tuples(st.permutations(range(m)), st.sampled_from([1, 1, 1, 2, 7])),
+            min_size=1,
+            max_size=40,
+        ),
+        st.lists(st.tuples(st.integers(0, 10**6), st.permutations(range(m))), max_size=12),
+    )
 )
 
 
-@given(rankings)
+@given(cases)
 @settings(max_examples=150, deadline=None)
 def test_column_tables_match_loop_tables(case):
     # unit, weighted and count-0 classes mixed, repeats allowed, m = 1..8
-    m, profile = case
-    _assert_columns_match_loops(m, profile, 1)
+    m, pairs, swaps = case
+    ballots, counts = [r for r, _ in pairs], [w for _, w in pairs]
+    n = sum(counts)
+    replacements = {i % n: Preference(r) for i, r in swaps}
+    packed = _assert_columns_match_loops(1, m, ballots, counts, replacements)
+    classes = _build(m, ballots, counts, replacements).classes
+    assert packed == any(w == 1 for _, w in classes)
 
 
 def test_count_zero_classes_of_replaced_voters():
     m = 5
     pool = list(permutations(range(m)))
-    inst = ElectionInstance([f"c{i}" for i in range(m)], pool[:40] + pool[:10])
-    copy = inst.with_ballots_replaced({i: Preference(pool[60 + i]) for i in range(0, 50, 3)})
+    replacements = {i: Preference(pool[60 + i]) for i in range(0, 50, 3)}
+    copy = _build(m, pool[:40] + pool[:10], None, replacements)
     assert any(w == 0 for _, w in copy.classes)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "COLUMN_CUTOVER", 4)
-        assert _uses_columns(m, copy.classes)
-    _assert_columns_match_loops(m, copy.classes, 4)
+    assert _assert_columns_match_loops(4, m, pool[:40] + pool[:10], None, replacements)
 
 
 @pytest.mark.parametrize("cutover", [3, LOOPS])
 def test_one_shot_profile_is_read_once(cutover):
+    # a one-shot iterable carries no pack: it is read once, by the loops,
+    # whether the instance whose classes it yields was packed or not
     m = 4
     pool = list(permutations(range(m)))
-    profile = [(Preference(r), 1 + (i % 4 == 0)) for i, r in enumerate(pool)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "COLUMN_CUTOVER", cutover)
-        for vector in _vectors(m):
-            assert positional_scores(m, (pair for pair in profile), vector) == positional_scores(
-                m, profile, vector
-            )
-        assert topk_counts(m, iter(profile)) == topk_counts(m, profile)
-        assert margin_matrix(m, iter(profile)) == margin_matrix(m, profile)
+        inst = _build(m, pool, [1 + (i % 4 == 0) for i in range(len(pool))])
+    assert hasattr(inst.classes, "pack") == (cutover == 3)
+    profile = inst.classes
+    for vector in _vectors(m):
+        assert positional_scores(m, (pair for pair in profile), vector) == positional_scores(
+            m, profile, vector
+        )
+    assert topk_counts(m, iter(profile)) == topk_counts(m, profile)
+    assert margin_matrix(m, iter(profile)) == margin_matrix(m, profile)
 
 
 def test_default_cutover_counts_one_voter_classes_only():
     m = 6
-    units = list(permutations(range(m)))[: core.COLUMN_CUTOVER]
-    weighted = [(Preference(r), 3) for r in list(permutations(range(m)))[-10:]]
-    below = [(Preference(r), 1) for r in units[:-1]] + weighted
-    at = [(Preference(r), 1) for r in units] + weighted
-    assert len(below) >= core.COLUMN_CUTOVER
-    assert not _uses_columns(m, below)
-    assert _uses_columns(m, at)
-    for profile in (below, at):
-        _assert_columns_match_loops(m, profile, core.COLUMN_CUTOVER)
+    pool = list(permutations(range(m)))
+    for units in (core.COLUMN_CUTOVER - 1, core.COLUMN_CUTOVER):
+        ballots = pool[:units] + pool[-10:]
+        counts = [1] * units + [3] * 10
+        assert len(ballots) >= core.COLUMN_CUTOVER
+        packed = units == core.COLUMN_CUTOVER
+        assert hasattr(_build(m, ballots, counts).classes, "pack") == packed
+        assert _assert_columns_match_loops(core.COLUMN_CUTOVER, m, ballots, counts) == packed
 
 
-@pytest.mark.parametrize("m, columns", [(20, True), (21, False)])
-def test_widest_rosters_counted_by_columns(m, columns):
+@pytest.mark.parametrize("m, packed", [(20, True), (21, False)])
+def test_widest_rosters_counted_by_columns(m, packed):
     # all three kernels stop at 20 candidates
     ranks = [tuple(range(m)), tuple(reversed(range(m)))]
     ranks += [tuple((i * step) % m for i in range(m)) for step in (3, 7, 11, 13) if m % step]
     ranks += [ranks[0][1:] + ranks[0][:1]]
-    profile = [(Preference(r), 1) for r in ranks] + [(Preference(ranks[-1]), 2)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "COLUMN_CUTOVER", 4)
-        assert _uses_columns(m, profile) == columns
-    _assert_columns_match_loops(m, profile, 4)
+    counts = [1] * len(ranks) + [2]
+    assert _assert_columns_match_loops(4, m, ranks + [(1, 0) + ranks[0][2:]], counts) == packed
+
+
+def _count_packs(monkeypatch):
+    calls = []
+    pack = core._pack
+
+    def counted(m, classes):
+        calls.append(m)
+        return pack(m, classes)
+
+    monkeypatch.setattr(core, "_pack", counted)
+    return calls
+
+
+def test_one_pack_per_instance(monkeypatch):
+    m = 6
+    pool = list(permutations(range(m)))
+    calls = _count_packs(monkeypatch)
+    inst = _build(m, pool[:300])
+    assert len(calls) == 1 and hasattr(inst.classes, "pack")
+    rules = [VotingRule.maximin(), VotingRule.bucklin(), VotingRule.scoring(ScoringVector.borda(m))]
+    for _ in range(3):
+        for rule in rules:
+            tally(m, inst.classes, rule)
+    assert len(calls) == 1
+    copies = [inst.with_ballots_replaced({i: Preference(pool[-1 - i])}) for i in range(4)]
+    assert len(calls) == 1 + len(copies)
+    assert all(hasattr(copy.classes, "pack") for copy in copies)
+
+
+def test_copy_tables_equal_fresh_instance_tables():
+    # the copy keeps its class order and count-0 classes; a fresh instance
+    # of the same voters has neither, and the same tables
+    m = 6
+    pool = list(permutations(range(m)))
+    inst = _build(m, pool[:300] + pool[:20] * 2)
+    copy = inst.with_ballots_replaced(
+        {**{i: Preference(pool[400 + i]) for i in range(0, 300, 7)},
+         **{i: Preference(pool[0]) for i in range(300, 340)}}
+    )
+    fresh = ElectionInstance(copy.names, copy.ballots)
+    assert any(w == 0 for _, w in copy.classes) and not any(w == 0 for _, w in fresh.classes)
+    assert hasattr(copy.classes, "pack") and hasattr(fresh.classes, "pack")
+    assert _tables(m, copy.classes) == _tables(m, fresh.classes)
+
+
+def test_pack_holds_m_bytes_per_one_voter_class():
+    m, rng = 20, random.Random(0)
+    rankings = dict.fromkeys(tuple(rng.sample(range(m), m)) for _ in range(10_000))
+    classes = [(Preference(r), 1) for r in rankings]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        plain = core._Classes(classes)
+        middle = tracemalloc.get_traced_memory()[0]
+        packed = core._pack(m, classes)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert not hasattr(plain, "pack") and hasattr(packed, "pack")
+    # the packed classes cost the plain tuple plus the pack
+    assert (after - middle) - (middle - before) <= m * len(classes) + 1_000
