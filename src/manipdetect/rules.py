@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Sequence
 
-from .core import ElectionInstance, Preference, Profile, margin_matrix
+from .core import ElectionInstance, Preference, Profile, column_counts, margin_matrix
 from .errors import ConfigError, DegenerateRosterError
 
 Score = int | Fraction
@@ -131,8 +131,9 @@ def positional_scores(m: int, profile: Profile, vector: ScoringVector) -> list[S
     the total weight is added once at the end: plurality costs one step per
     ballot class, not m.  An instance's packed classes (`core._Classes`)
     are counted column by column instead: position p adds its excess times
-    `column.count(c)` to each candidate c, and only the scored columns are
-    sliced out (plurality reads column 0 alone, Borda all but the last).
+    the number of classes ranking c there (`core.column_counts`) to each
+    candidate c, and only the scored columns are sliced out (plurality
+    reads column 0 alone, Borda all but the last).
     """
     if len(vector) != m:
         raise ConfigError(f"scoring vector length {len(vector)} does not match roster size {m}")
@@ -143,9 +144,7 @@ def positional_scores(m: int, profile: Profile, vector: ScoringVector) -> list[S
     if packed is not None:
         total = len(packed) // m
         for p, a in enumerate(excess):
-            column = packed[p::m]
-            for c in range(m):
-                k = column.count(c)
+            for c, k in enumerate(column_counts(m, packed[p::m])):
                 if k:
                     scores[c] += a * k
     for ballot, w in profile:
@@ -174,15 +173,14 @@ def topk_counts(m: int, profile: Profile) -> list[list[int]]:
     """counts[c][l] = number of voters ranking c within the top l (l in 0..m).
 
     An instance's packed classes (`core._Classes`) are counted column by
-    column: `column.count(c)` of them rank c at position p.
+    column: `core.column_counts` gives how many rank each c at position p.
     """
     packed, profile = getattr(profile, "pack", (None, profile))
     first = [[0] * (m + 1) for _ in range(m)]
     if packed is not None:
         for p in range(m):
-            column = packed[p::m]
-            for c in range(m):
-                first[c][p + 1] = column.count(c)
+            for c, k in enumerate(column_counts(m, packed[p::m])):
+                first[c][p + 1] = k
     for ballot, w in profile:
         for p, c in enumerate(ballot.ranking, 1):
             first[c][p] += w

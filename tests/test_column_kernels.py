@@ -5,7 +5,9 @@ packs their rankings once (`core._pack`), and `positional_scores`,
 `topk_counts` and `margin_matrix` count its classes column by column.
 Every table must equal the one the loops build for the same instance built
 with the cut-over raised past its size: the cut-over is read when an
-instance is built, so each side is built under its own cut-over.
+instance is built, so each side is built under its own cut-over.  Columns
+shorter than `core._SLICE_MIN` are scanned and longer ones bit-sliced
+(`core.column_counts`); each packed table is checked both ways.
 """
 
 import random
@@ -66,9 +68,13 @@ def _assert_columns_match_loops(cutover, *args):
         columns = _build(*args)
     assert columns.classes == loops.classes
     assert not hasattr(loops.classes, "pack")
-    expected, got = _tables(loops.m, loops.classes), _tables(columns.m, columns.classes)
-    assert got == expected
-    assert _types(got) == _types(expected)
+    expected = _tables(loops.m, loops.classes)
+    for slice_min in (core._SLICE_MIN, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_SLICE_MIN", slice_min)
+            got = _tables(columns.m, columns.classes)
+        assert got == expected
+        assert _types(got) == _types(expected)
     return hasattr(columns.classes, "pack")
 
 
@@ -96,6 +102,29 @@ def test_column_tables_match_loop_tables(case):
     packed = _assert_columns_match_loops(1, m, ballots, counts, replacements)
     classes = _build(m, ballots, counts, replacements).classes
     assert packed == any(w == 1 for _, w in classes)
+
+
+columns = st.integers(1, 32).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.integers(0, m - 1), max_size=200))
+)
+
+
+@given(columns)
+@settings(max_examples=200, deadline=None)
+def test_bit_sliced_column_counts_match_scans(case):
+    # any length, a multiple of 8 or not, empty too, and ids up to 31
+    m, ids = case
+    column = bytes(ids)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_SLICE_MIN", 0)
+        assert core.column_counts(m, column) == [column.count(c) for c in range(m)]
+
+
+@pytest.mark.parametrize("n", [4_095, 4_096, 10_001])
+def test_long_columns_are_counted_right(n):
+    m, rng = 20, random.Random(n)
+    column = bytes(rng.choice(range(m - 3)) for _ in range(n))
+    assert core.column_counts(m, column) == [column.count(c) for c in range(m)]
 
 
 def test_count_zero_classes_of_replaced_voters():
