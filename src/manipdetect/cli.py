@@ -2,7 +2,8 @@
 
 Subcommands: winner, cpmw, cpm, cpmsw, cpms, oracle (force exhaustive
 decisions), and gen (instance generators).  Exit status: 0 for YES/success,
-1 for NO, 2 for any error (including a refused budget without --force).
+1 for NO, 2 for any error (including a refused budget without --force,
+running out of memory and an internal error).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from .ballotfile import Report, ballot_string, parse_election, render_election
@@ -277,6 +279,14 @@ def main(argv=None) -> int:
         return 2
     except (ElectionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # exit 1 means NO, so a bug must not end with Python's default status
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 2
 
 

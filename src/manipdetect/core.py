@@ -89,12 +89,11 @@ Profile = Iterable[tuple[Preference, int]]
 
 
 # Instances with at least this many one-voter ballot classes are counted
-# column by column (`_pack`), smaller ones class by class: the measured
-# crossover of the Borda and top-k tables at m = 20 (see the README).
+# column by column (`_pack`), smaller ones class by class: all three tables
+# are faster by columns from here on at m = 7 to 20 (see the README).
 COLUMN_CUTOVER = 256
 # The widest roster counted by columns: the widest measured to win, the
-# benchmark's `wide` election.  At 24 candidates the Borda and top-k
-# columns, each scanned once per candidate, are no faster than the loops.
+# benchmark's `wide` election.
 _COLUMN_MAX_M = 20
 
 
@@ -105,7 +104,7 @@ class _Classes(tuple):
     the rankings of the one-voter classes, m bytes per class, so that
     `packed[p::m]` is the candidate each ranks at position p, and `rest`
     the other pairs.  The table kernels count `packed` column by column
-    (`column_counts`) and `rest` by the loops; a profile without `pack`
+    (`column_masks`) and `rest` by the loops; a profile without `pack`
     takes the loops only.
     """
 
@@ -122,10 +121,6 @@ def _pack(m: int, classes: Iterable[tuple[Preference, int]]) -> _Classes:
     return classes
 
 
-# Columns of at least this many entries are bit-sliced by `column_counts`,
-# shorter ones scanned once per candidate: near the measured crossover at
-# m = 6 to 20 (see the README).
-_SLICE_MIN = 4096
 # The three steps of an 8x8 bit-matrix transpose (Hacker's Delight, 7-3):
 # the shift, and one 8-byte block of the mask as little-endian bytes.
 _TRANSPOSE = (
@@ -135,22 +130,19 @@ _TRANSPOSE = (
 )
 
 
-def column_counts(m: int, column: bytes) -> list[int]:
-    """How many entries of a column of candidate ids name each of 0..m-1.
+def column_masks(m: int, column: bytes) -> list[int]:
+    """One mask per candidate id 0..m-1: bit v of mask c is set when
+    `column[v] == c`.
 
-    A column of `_SLICE_MIN` entries or more is bit-sliced.  Read as one
-    little-endian int, each block of 8 entries is an 8x8 bit matrix (entry
-    k in byte k); transposing every block at once puts bit j of entry k at
-    bit k of byte j, so byte j of every block, read as an int, is plane j:
-    bit v is bit j of `column[v]`.  Masks then split the entries by their
-    ids' bits from the highest down: after bit j, mask v holds the entries
-    whose id c has c >> j == v.  That is about 2·m operations on
-    len(column)-bit ints, where `column.count(c)` scans the column once per
-    candidate; the scans are cheaper on a short column.
+    The column is bit-sliced.  Read as one little-endian int, each block of
+    8 entries is an 8x8 bit matrix (entry k in byte k); transposing every
+    block at once puts bit j of entry k at bit k of byte j, so byte j of
+    every block, read as an int, is plane j: bit v is bit j of `column[v]`.
+    Masks then split the entries by their ids' bits from the highest down:
+    after bit j, mask v holds the entries whose id c has c >> j == v.  That
+    is about 2·m operations on len(column)-bit ints.
     """
     n = len(column)
-    if n < _SLICE_MIN:
-        return [column.count(c) for c in range(m)]
     size = n + -n % 8
     x = int.from_bytes(column, "little")
     for shift, block in _TRANSPOSE:
@@ -165,7 +157,7 @@ def column_counts(m: int, column: bytes) -> list[int]:
             high = mask & plane
             split += (mask ^ high, high)
         masks = split[:((m - 1) >> j) + 1]
-    return [mask.bit_count() for mask in masks]
+    return masks
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,34 +354,27 @@ class WeightedMajorityGraph:
 def margin_matrix(m: int, profile: Profile) -> list[list[int]]:
     """Pairwise margins of a weighted profile (may be empty).
 
-    An instance's packed classes (`_Classes`) are counted by big-int
-    arithmetic: `pos[a]` packs the position of a in each one-voter class
-    into one int, eight bits per class, from one `translate` per column and
-    candidate.  With H the high bit of every field set, a field of
-    `(pos[a] | H) - pos[b]` cannot borrow from the next (positions are
-    below 20), and it keeps its high bit exactly when b is ranked above a;
-    so `(((pos[a] | H) - pos[b]) & H).bit_count()` voters rank b above a.
-    That is O(m²) operations on n-byte ints instead of n·m²/2 Python steps.
+    An instance's packed classes (`_Classes`) are counted by their column
+    masks (`column_masks`): with `above[b]` the classes that rank b before
+    position p, `at[a] & above[b]` are those that rank a at p below b.
+    Summed over p that gives how many rank b above a; the rest rank a above
+    b.  That is O(m³) operations on n-bit ints instead of n·m²/2 Python
+    steps.
     """
     packed, profile = getattr(profile, "pack", (None, profile))
     d = [[0] * m for _ in range(m)]
     if packed is not None:
-        units = len(packed) // m
-        pos = [0] * m
-        mark = bytearray(256)
-        for p in range(1, m):
-            column = packed[p::m]
+        above = [0] * m
+        for p in range(m):
+            at = column_masks(m, packed[p::m])
             for a in range(m):
-                mark[a] = p
-                pos[a] += int.from_bytes(column.translate(mark), "big")
-                mark[a] = 0
-        high = int.from_bytes(b"\x80" * units, "big")
+                for b in range(a + 1, m):
+                    d[b][a] += (at[a] & above[b]).bit_count()
+            above = [u | v for u, v in zip(above, at)]
+        units = len(packed) // m
         for a in range(m):
-            above, row = pos[a] | high, d[a]
             for b in range(a + 1, m):
-                b_first = ((above - pos[b]) & high).bit_count()
-                row[b] += units - b_first
-                d[b][a] += b_first
+                d[a][b] = units - d[b][a]
     for ballot, w in profile:
         r = ballot.ranking
         for p, a in enumerate(r):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Sequence
 
-from .core import ElectionInstance, Preference, Profile, column_counts, margin_matrix
+from .core import ElectionInstance, Preference, Profile, column_masks, margin_matrix
 from .errors import ConfigError, DegenerateRosterError
 
 Score = int | Fraction
@@ -131,7 +131,7 @@ def positional_scores(m: int, profile: Profile, vector: ScoringVector) -> list[S
     the total weight is added once at the end: plurality costs one step per
     ballot class, not m.  An instance's packed classes (`core._Classes`)
     are counted column by column instead: position p adds its excess times
-    the number of classes ranking c there (`core.column_counts`) to each
+    the number of classes ranking c there (`core.column_masks`) to each
     candidate c, and only the scored columns are sliced out (plurality
     reads column 0 alone, Borda all but the last).
     """
@@ -144,9 +144,9 @@ def positional_scores(m: int, profile: Profile, vector: ScoringVector) -> list[S
     if packed is not None:
         total = len(packed) // m
         for p, a in enumerate(excess):
-            for c, k in enumerate(column_counts(m, packed[p::m])):
-                if k:
-                    scores[c] += a * k
+            for c, mask in enumerate(column_masks(m, packed[p::m])):
+                if mask:
+                    scores[c] += a * mask.bit_count()
     for ballot, w in profile:
         total += w
         if w == 1:
@@ -173,14 +173,14 @@ def topk_counts(m: int, profile: Profile) -> list[list[int]]:
     """counts[c][l] = number of voters ranking c within the top l (l in 0..m).
 
     An instance's packed classes (`core._Classes`) are counted column by
-    column: `core.column_counts` gives how many rank each c at position p.
+    column: `core.column_masks` gives the classes ranking each c at p.
     """
     packed, profile = getattr(profile, "pack", (None, profile))
     first = [[0] * (m + 1) for _ in range(m)]
     if packed is not None:
         for p in range(m):
-            for c, k in enumerate(column_counts(m, packed[p::m])):
-                first[c][p + 1] = k
+            for c, mask in enumerate(column_masks(m, packed[p::m])):
+                first[c][p + 1] = mask.bit_count()
     for ballot, w in profile:
         for p, c in enumerate(ballot.ranking, 1):
             first[c][p] += w

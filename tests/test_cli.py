@@ -162,6 +162,22 @@ def test_error_exit_two(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "exc, line", [(MemoryError(), "error: out of memory"), (RuntimeError("boom"), "internal error:")]
+)
+def test_unexpected_exception_exit_two(e1_file, monkeypatch, capsys, exc, line):
+    # 1 is the NO status, so no failure may end with it
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "decide_cpmw", fail)
+    args = ["cpmw", e1_file, "--rule", "borda", "--suspects", "0", "--actual-winner", "b"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert line in err
+    assert ("Traceback" in err) == isinstance(exc, RuntimeError)
+
+
 def test_budget_error_exit_two_without_force(tmp_path, capsys):
     # 9 candidates, a maximin coalition of two suspects goes to the oracle:
     # C(9!/2 + 1, 2) replays, far beyond the default budget

@@ -5,9 +5,9 @@ packs their rankings once (`core._pack`), and `positional_scores`,
 `topk_counts` and `margin_matrix` count its classes column by column.
 Every table must equal the one the loops build for the same instance built
 with the cut-over raised past its size: the cut-over is read when an
-instance is built, so each side is built under its own cut-over.  Columns
-shorter than `core._SLICE_MIN` are scanned and longer ones bit-sliced
-(`core.column_counts`); each packed table is checked both ways.
+instance is built, so each side is built under its own cut-over.  All
+three kernels read the packed columns through one routine,
+`core.column_masks`, which is checked against the positions of each id.
 """
 
 import random
@@ -69,12 +69,9 @@ def _assert_columns_match_loops(cutover, *args):
     assert columns.classes == loops.classes
     assert not hasattr(loops.classes, "pack")
     expected = _tables(loops.m, loops.classes)
-    for slice_min in (core._SLICE_MIN, 0):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_SLICE_MIN", slice_min)
-            got = _tables(columns.m, columns.classes)
-        assert got == expected
-        assert _types(got) == _types(expected)
+    got = _tables(columns.m, columns.classes)
+    assert got == expected
+    assert _types(got) == _types(expected)
     return hasattr(columns.classes, "pack")
 
 
@@ -109,22 +106,40 @@ columns = st.integers(1, 32).flatmap(
 )
 
 
+def _assert_masks_mark_positions(m, column):
+    masks = core.column_masks(m, column)
+    assert len(masks) == m
+    for c, mask in enumerate(masks):
+        assert mask == sum(1 << v for v, id_ in enumerate(column) if id_ == c)
+
+
 @given(columns)
 @settings(max_examples=200, deadline=None)
-def test_bit_sliced_column_counts_match_scans(case):
+def test_column_masks_mark_positions(case):
     # any length, a multiple of 8 or not, empty too, and ids up to 31
     m, ids = case
-    column = bytes(ids)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_SLICE_MIN", 0)
-        assert core.column_counts(m, column) == [column.count(c) for c in range(m)]
+    _assert_masks_mark_positions(m, bytes(ids))
 
 
 @pytest.mark.parametrize("n", [4_095, 4_096, 10_001])
 def test_long_columns_are_counted_right(n):
     m, rng = 20, random.Random(n)
-    column = bytes(rng.choice(range(m - 3)) for _ in range(n))
-    assert core.column_counts(m, column) == [column.count(c) for c in range(m)]
+    _assert_masks_mark_positions(m, bytes(rng.choice(range(m - 3)) for _ in range(n)))
+
+
+@pytest.mark.parametrize("units", [4_097, 10_001])
+def test_wide_tables_match_loop_tables(units):
+    # the benchmark's `wide` scale: m = 20, a column length that is not a
+    # multiple of 8, and weighted and count-0 classes beside the units
+    m, rng = 20, random.Random(units)
+    rankings = list(dict.fromkeys(tuple(rng.sample(range(m), m)) for _ in range(units + 40)))
+    ballots = rankings[:units] + rankings[units:units + 6]
+    counts = [1] * units + [2, 3, 3, 5, 7, 2]
+    replacements = {i: Preference(r) for i, r in zip(range(0, units, 997), rankings[units + 6:])}
+    copy = _build(m, ballots, counts, replacements)
+    assert any(w == 0 for _, w in copy.classes)
+    assert len(copy.classes.pack[0]) == m * units
+    assert _assert_columns_match_loops(core.COLUMN_CUTOVER, m, ballots, counts, replacements)
 
 
 def test_count_zero_classes_of_replaced_voters():

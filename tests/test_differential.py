@@ -8,7 +8,8 @@ route that decided it, and replay-verifies every YES.  Bucklin coalitions
 run at m = 2-4 with up to four suspects (three suspects at m = 5-6 in the
 slow variant), and the greedy bounded
 search for convex vectors is compared with a search over every coalition
-decided by the oracle.
+decided by the oracle (k up to 4 at m = 4 and 3 at m = 5 in the slow
+variant).
 """
 
 import random
@@ -147,8 +148,14 @@ def _greedy_differential(seed: int, m: int, rule_name: str, k: int, trials: int)
 GREEDY_RULES = ["borda", "2-approval", "veto"]
 
 
+# At m = 5 a search over every 3-coalition takes up to a few seconds per
+# election, so the two widest cases run with `-m slow` only.
 @pytest.mark.parametrize("rule_name", GREEDY_RULES)
-@pytest.mark.parametrize("m, k, trials", [(4, 1, 6), (4, 2, 6), (4, 3, 3), (5, 1, 6), (5, 2, 2)])
+@pytest.mark.parametrize(
+    "m, k, trials",
+    [(4, 1, 6), (4, 2, 6), (4, 3, 3), (5, 1, 6), (5, 2, 2),
+     pytest.param(4, 4, 6, marks=pytest.mark.slow), pytest.param(5, 3, 3, marks=pytest.mark.slow)],
+)
 def test_greedy_search_matches_oracle_search(m, k, trials, rule_name):
     answers = set()
     for seed in range(2):
