@@ -8,6 +8,7 @@ immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -130,28 +131,45 @@ _TRANSPOSE = (
 )
 
 
-def column_masks(m: int, column: bytes) -> list[int]:
-    """One mask per candidate id 0..m-1: bit v of mask c is set when
-    `column[v] == c`.
+@lru_cache(maxsize=8)
+def _transpose_steps(size: int) -> tuple[tuple[int, int], ...]:
+    """`_TRANSPOSE` with each block repeated over `size` bytes (a multiple
+    of 8), as ints: built once per column length, not once per column."""
+    return tuple((s, int.from_bytes(block * (size // 8), "little")) for s, block in _TRANSPOSE)
 
-    The column is bit-sliced.  Read as one little-endian int, each block of
-    8 entries is an 8x8 bit matrix (entry k in byte k); transposing every
-    block at once puts bit j of entry k at bit k of byte j, so byte j of
-    every block, read as an int, is plane j: bit v is bit j of `column[v]`.
-    Masks then split the entries by their ids' bits from the highest down:
-    after bit j, mask v holds the entries whose id c has c >> j == v.  That
-    is about 2·m operations on len(column)-bit ints.
+
+def bit_planes(column: bytes, count: int) -> list[int]:
+    """Planes 0..count-1 of a column of byte ids: bit v of plane j is bit j
+    of `column[v]`.
+
+    Read as one little-endian int, each block of 8 entries is an 8x8 bit
+    matrix (entry k in byte k); transposing every block at once puts bit j
+    of entry k at bit k of byte j, so byte j of every block, read as an int,
+    is plane j.
     """
     n = len(column)
     size = n + -n % 8
     x = int.from_bytes(column, "little")
-    for shift, block in _TRANSPOSE:
-        t = (x ^ (x >> shift)) & int.from_bytes(block * (size // 8), "little")
+    for shift, mask in _transpose_steps(size):
+        t = (x ^ (x >> shift)) & mask
         x ^= t ^ (t << shift)
     planes = x.to_bytes(size, "little")
-    masks = [(1 << n) - 1]
-    for j in reversed(range((m - 1).bit_length())):
-        plane = int.from_bytes(planes[j::8], "little")
+    return [int.from_bytes(planes[j::8], "little") for j in range(count)]
+
+
+def column_masks(m: int, column: bytes) -> list[int]:
+    """One mask per candidate id 0..m-1: bit v of mask c is set when
+    `column[v] == c`.
+
+    The column is bit-sliced (`bit_planes`), and masks then split the
+    entries by their ids' bits from the highest down: after bit j, mask v
+    holds the entries whose id c has c >> j == v.  That is about 2·m
+    operations on len(column)-bit ints.
+    """
+    planes = bit_planes(column, (m - 1).bit_length())
+    masks = [(1 << len(column)) - 1]
+    for j in reversed(range(len(planes))):
+        plane = planes[j]
         split = []
         for mask in masks:
             high = mask & plane

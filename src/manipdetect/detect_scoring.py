@@ -11,15 +11,16 @@ Four procedures cover the scoring family:
   and bounded search (CPMSW) by the same count in closed form;
 * bounded search (CPMSW/CPMS) under convex vectors: rank voters by how much
   replacing their ballot closes the gap between target and winner, then grow
-  the coalition greedily.
+  the coalition greedily; a packed instance's voters are read from the
+  column masks of those two candidates.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, permutations
 from typing import Iterator, Sequence
 
-from .core import Preference
+from .core import ElectionInstance, Preference, bit_planes
 from .detection import (
     DetectionQuery,
     DetectionVerdict,
@@ -217,10 +218,10 @@ def cpmsw_plurality(query: DetectionQuery) -> DetectionVerdict:
     vector = _require_scoring(query)
     if not vector.is_plurality_like():
         raise DispatchError("capacity method needs a plurality-like vector")
-    inst = query.instance
-    y = require_target(query)[1]
     if query.bound is None:
         raise InvalidQueryError("bounded search needs a coalition bound")
+    inst = query.instance
+    y = require_target(query)[1]
     k, n = query.bound, inst.n
     top, low = vector.alphas[0], vector.alphas[-1]
     tops = [(s - low * n) // (top - low) for s in query.context.full]
@@ -256,41 +257,84 @@ def cpmsw_plurality(query: DetectionQuery) -> DetectionVerdict:
     return cpmw_plurality_coalition(query.for_coalition(tuple(coalition)))
 
 
+# A mask's binary digits, '0' and '1', as the flag bytes 0 and 1.
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _shift(ranking: tuple[int, ...], alphas: Sequence[Score], x: int, y: int) -> Score:
+    """How far the test ballot closes the target-minus-winner gap in place of `ranking`."""
+    return alphas[1] - alphas[ranking.index(y)] - alphas[0] + alphas[ranking.index(x)]
+
+
+def _shift_groups(inst: ElectionInstance, alphas: Sequence[Score], x: int, y: int):
+    """For each shift value, from the highest down, one flag per class: is
+    the class's shift that value.
+
+    Unpacked classes take the loop, one `_shift` each.  With x at position p
+    and y at q, a shift is alphas[1] - alphas[0] + alphas[p] - alphas[q], so
+    the packed units of shift d are the OR of x-at-p & y-at-q over the pairs
+    (p, q) with that shift.  Column c is bit-sliced (x to 1, y to 2, planes
+    0 and 1) when a group first needs it.  The pack's `rest` takes the loop,
+    its flags spliced in among the units' at their classes.
+    """
+    classes = inst.classes
+    packed, rest = getattr(classes, "pack", (None, classes))
+    shifts = [_shift(ballot.ranking, alphas, x, y) for ballot, _ in rest]
+    if packed is None:
+        for d in sorted(set(shifts), reverse=True):
+            yield [s == d for s in shifts]
+        return
+    m, rest_shifts = inst.m, set(shifts)
+    pairs: dict[Score, list[tuple[int, int]]] = {d: [] for d in rest_shifts}
+    for p, q in permutations(range(m), 2):
+        pairs.setdefault(alphas[1] - alphas[0] + alphas[p] - alphas[q], []).append((p, q))
+    ids = bytearray(256)
+    ids[x], ids[y] = 1, 2
+    columns: dict[int, list[int]] = {}
+    rest_at = [k for k, (_, w) in enumerate(classes) if w != 1] if rest else []
+    cuts = [k - j for j, k in enumerate(rest_at)]  # the units before each class of `rest`
+    for d in sorted(pairs, reverse=True):
+        mask = 0
+        for p, q in pairs[d]:
+            for c in {p, q} - columns.keys():
+                columns[c] = bit_planes(packed[c::m].translate(ids), 2)
+            mask |= columns[p][0] & columns[q][1]
+        if mask or d in rest_shifts:
+            flags = bin(mask)[:1:-1].ljust(len(packed) // m, "0").encode().translate(_DIGIT_FLAGS)
+            ends = [0, *cuts]
+            parts = [flags[a:b] + bytes([s == d]) for a, b, s in zip(ends, cuts, shifts)]
+            yield b"".join(parts) + flags[ends[-1]:]
+
+
 def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
     """Bounded coalition search (CPMSW) for convex scoring vectors.
 
     For each voter, replacing their ballot with a winner-first/target-second
     ballot shifts the target-minus-winner score gap by a fixed amount that
-    depends only on the ballot, so it is computed once per ballot class.
-    Ordering voters by that shift makes every prefix the best coalition of
-    its size.  Each prefix is confirmed by full winner determination
+    depends only on where the ballot ranks the two.  Ordering voters by that
+    shift, ties by voter index, makes every prefix the best coalition of its
+    size; the order is taken group by group (`_shift_groups`), so a small
+    bound reads only the first groups, and on a packed instance only their
+    columns.  Each prefix is confirmed by full winner determination
     (maintained incrementally, on a copy of the context's score table)
     before a YES is reported.
     """
     vector = _require_scoring(query)
     if not vector.is_convex():
         raise DispatchError("greedy search needs a convex scoring vector")
-    inst = query.instance
-    m, n = inst.m, inst.n
-    x, y = require_target(query)
-    scores = list(query.context.full)
-    tb_rank = query.context.tb_rank
     if query.bound is None:
         raise InvalidQueryError("bounded search needs a coalition bound")
-    k = query.bound
-    alphas = vector.alphas
+    inst = query.instance
+    m, n, k = inst.m, inst.n, query.bound
+    x, y = require_target(query)
     if k == 0:
         return no_verdict(METHOD_GREEDY)
-
-    shift = []
-    for ballot, _ in inst.classes:
-        r = ballot.ranking
-        shift.append(alphas[1] - alphas[r.index(y)] - alphas[0] + alphas[r.index(x)])
-    # Voters by largest shift first, ties by voter index: one lazy scan of the
-    # voters per shift value, so a small k reads only the first few groups.
-    groups = ([s == d for s in shift] for d in sorted(set(shift), reverse=True))
+    scores = list(query.context.full)
+    tb_rank = query.context.tb_rank
+    alphas = vector.alphas
     order = chain.from_iterable(
-        compress(range(n), map(group.__getitem__, inst.voter_class)) for group in groups
+        compress(range(n), map(flags.__getitem__, inst.voter_class))
+        for flags in _shift_groups(inst, alphas, x, y)
     )
 
     witness: dict[int, Preference] = {}

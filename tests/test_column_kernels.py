@@ -8,6 +8,9 @@ with the cut-over raised past its size: the cut-over is read when an
 instance is built, so each side is built under its own cut-over.  All
 three kernels read the packed columns through one routine,
 `core.column_masks`, which is checked against the positions of each id.
+The greedy CPMSW search reads a packed instance's voters from the same
+transpose (`core.bit_planes`); its verdicts and witnesses must equal the
+per-class loop's, built the same way.
 """
 
 import random
@@ -19,9 +22,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manipdetect import core
+from manipdetect import core, detect_scoring
 from manipdetect.core import ElectionInstance, Preference, margin_matrix
-from manipdetect.rules import ScoringVector, VotingRule, positional_scores, tally, topk_counts
+from manipdetect.detect_scoring import cpmsw_scoring_greedy
+from manipdetect.detection import DetectionQuery
+from manipdetect.rules import (
+    ScoringVector,
+    VotingRule,
+    positional_scores,
+    tally,
+    topk_counts,
+    winner,
+)
 
 LOOPS = 10**9
 
@@ -252,3 +264,128 @@ def test_pack_holds_m_bytes_per_one_voter_class():
     assert not hasattr(plain, "pack") and hasattr(packed, "pack")
     # the packed classes cost the plain tuple plus the pack
     assert (after - middle) - (middle - before) <= m * len(classes) + 1_000
+
+
+def test_transpose_masks_are_built_once_per_length_and_stay_bounded():
+    # interleaved lengths, each visited again after others evicted it: the
+    # memo keyed by the padded length must hand back the masks of that length
+    rng = random.Random(7)
+    lengths = [4_096, 8, 4_097, 1, 10_001, 0, 9, 4_096, 10_001, 1]
+    for n in lengths + list(range(100, 140)) + lengths:
+        _assert_masks_mark_positions(20, bytes(rng.randrange(20) for _ in range(n)))
+    info = core._transpose_steps.cache_info()
+    assert info.currsize <= info.maxsize <= 16
+    assert info.hits
+
+
+# --- the greedy search from the columns --------------------------------------
+
+
+def _greedy_vectors(m):
+    """Borda, 2-approval, veto and a convex Fraction vector."""
+    return [
+        ScoringVector.borda(m),
+        ScoringVector.approval(2, m),
+        ScoringVector.veto(m),
+        ScoringVector([Fraction(m * m - p * p, 3) for p in range(m)]),
+    ]
+
+
+def _greedy_instance(rng, m, units, weighted, replaced):
+    """`units` distinct one-voter rankings, then `weighted` rankings cast by 2
+    to 5 voters each, then `replaced` voters given fresh rankings (leaving
+    count-0 classes), under a random tie-break; fewer where m! runs out."""
+    wanted = units + weighted + replaced
+    draws = (tuple(rng.sample(range(m), m)) for _ in range(4 * wanted))
+    rankings = list(dict.fromkeys(draws))[:wanted]
+    ballots = rankings[:units + weighted]
+    counts = [1 if i < units else rng.randint(2, 5) for i in range(len(ballots))]
+    fresh = rankings[units + weighted:] or rankings[:1]
+    swaps = {rng.randrange(sum(counts)): Preference(r) for r in fresh[:replaced]}
+    tiebreak = rng.sample(range(m), m)
+    inst = ElectionInstance([f"c{i}" for i in range(m)], ballots, tiebreak, counts)
+    return inst.with_ballots_replaced(swaps) if swaps else inst
+
+
+def _greedy_verdicts(inst, rule):
+    x = winner(inst, rule)
+    scores = positional_scores(inst.m, inst.classes, rule.vector)
+    rivals = sorted((c for c in range(inst.m) if c != x), key=lambda c: -scores[c])
+    return [
+        cpmsw_scoring_greedy(DetectionQuery(inst, rule, actual_winner=y, bound=k))
+        for y in {rivals[0], rivals[-1]}
+        for k in (0, 1, 5, inst.n)
+    ]
+
+
+@pytest.mark.parametrize("m, units, cutover", [(3, 4, 1), (7, 300, 256), (20, 300, 256)])
+@pytest.mark.parametrize("weighted, replaced", [(0, 0), (4, 0), (0, 3), (4, 3)])
+def test_greedy_from_columns_matches_loop(m, units, cutover, weighted, replaced):
+    # the same verdicts, witnesses and coalitions from the column masks as
+    # from the per-class loop, with weighted and count-0 classes or without
+    seed = f"greedy-{m}-{units}-{weighted}-{replaced}"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "COLUMN_CUTOVER", LOOPS)
+        loops = _greedy_instance(random.Random(seed), m, units, weighted, replaced)
+        mp.setattr(core, "COLUMN_CUTOVER", cutover)
+        columns = _greedy_instance(random.Random(seed), m, units, weighted, replaced)
+    assert columns.classes == loops.classes and not hasattr(loops.classes, "pack")
+    rest = columns.classes.pack[1]
+    assert bool(rest) == bool(weighted or replaced)
+    answers = set()
+    for vector in _greedy_vectors(m):
+        rule = VotingRule.scoring(vector)
+        expected = _greedy_verdicts(loops, rule)
+        answers.update(v.answer for v in expected)
+        with pytest.MonkeyPatch.context() as mp:
+            shifts = []
+            shift = detect_scoring._shift
+            mp.setattr(detect_scoring, "_shift", lambda *args: shifts.append(args) or shift(*args))
+            got = _greedy_verdicts(columns, rule)
+        assert got == expected
+        # only the classes beside the units get a per-class shift
+        assert {args[0] for args in shifts} <= {pref.ranking for pref, _ in rest}
+    assert answers == {True, False}
+
+
+def test_weighted_class_alone_in_its_shift_group():
+    # a three-way tie won by 0 on the tie-break: against target 2, only the
+    # weighted class ranks 0 first and 2 last, so the top shift group holds
+    # no unit, and one of its voters alone makes 2 win
+    ballots, counts = [(2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 1, 2)], [1, 1, 1, 2]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "COLUMN_CUTOVER", LOOPS)
+        loops = _build(3, ballots, counts)
+        mp.setattr(core, "COLUMN_CUTOVER", 1)
+        columns = _build(3, ballots, counts)
+    rule = VotingRule.scoring(ScoringVector.borda(3))
+    assert columns.classes.pack[1] == ((Preference((0, 1, 2)), 2),)
+    expected = _greedy_verdicts(loops, rule)
+    assert any(verdict.coalition == (3,) for verdict in expected)
+    assert _greedy_verdicts(columns, rule) == expected
+
+
+def test_packed_units_compute_no_per_class_shift(monkeypatch):
+    m, rng = 20, random.Random(3)
+    rankings = list(dict.fromkeys(tuple(rng.sample(range(m), m)) for _ in range(4_100)))
+    inst = _build(m, rankings[:4_097])
+    assert inst.classes.pack[1] == ()
+    rule = VotingRule.scoring(ScoringVector.borda(m))
+    expected = _greedy_verdicts(inst, rule)
+
+    def per_class_shift(*args):
+        raise AssertionError("per-class shift on a packed instance")
+
+    monkeypatch.setattr(detect_scoring, "_shift", per_class_shift)
+    assert _greedy_verdicts(inst, rule) == expected
+    # a small bound slices only the columns of the first shift groups: the
+    # top group alone (winner first, target last) holds about 4097 / 380
+    # voters, and reads columns 0 and m - 1
+    columns = []
+    bit_planes = core.bit_planes
+    monkeypatch.setattr(
+        detect_scoring, "bit_planes", lambda *args: columns.append(args) or bit_planes(*args)
+    )
+    y = next(c for c in range(m) if c != winner(inst, rule))
+    cpmsw_scoring_greedy(DetectionQuery(inst, rule, actual_winner=y, bound=5))
+    assert len(columns) == 2

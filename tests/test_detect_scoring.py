@@ -3,6 +3,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from manipdetect import detection, rules
 from manipdetect.core import ElectionInstance, Preference
 from manipdetect.detection import DetectionQuery, no_verdict, verify_verdict
 from manipdetect.detect_scoring import (
@@ -233,6 +234,28 @@ def test_greedy_e2_target_c_k3_no():
     ).answer
     # the oracle agrees over every coalition of size <= 3
     assert not search_coalitions(e2(), BORDA3, 3, C).answer
+
+
+@pytest.mark.parametrize(
+    "search, rule", [(cpmsw_scoring_greedy, BORDA3), (cpmsw_plurality, PLURALITY3)]
+)
+def test_search_without_bound_is_refused_before_any_table(monkeypatch, search, rule):
+    tables = []
+
+    def counted(*args):
+        tables.append(args)
+        return tally(*args)
+
+    tally = rules.tally
+    y = next(c for c in (A, B, C) if c != winner(e1(), rule))
+    monkeypatch.setattr(rules, "tally", counted)
+    monkeypatch.setattr(detection, "tally", counted)
+    with pytest.raises(InvalidQueryError, match="coalition bound"):
+        search(DetectionQuery(e1(), rule, actual_winner=y))
+    assert tables == []
+    # the same query with a bound does build the full table
+    search(DetectionQuery(e1(), rule, actual_winner=y, bound=1))
+    assert tables
 
 
 def test_greedy_monotone_in_k():
