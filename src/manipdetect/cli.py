@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .ballotfile import Report, ballot_string, parse_election, render_election
 from .core import ElectionInstance
-from .detection import DetectionQuery, DetectionVerdict, verify_verdict
+from .detection import DetectionVerdict, verify_verdict
 from .dispatch import decide_cpm, decide_cpms, decide_cpmsw, decide_cpmw
 from .errors import BudgetExceededError, ElectionError
 from .generators import (
@@ -149,8 +149,7 @@ def _run_detection(args) -> int:
     elif problem == "cpms":
         verdict = decide_cpms(instance, rule, bound, force=force)
     elif y is not None:  # oracle, winner given
-        query = DetectionQuery(instance, rule, suspects, actual_winner=y)
-        verdict = oracle_cpmw(query, force=force)
+        verdict = oracle_cpmw(instance, rule, suspects, y, force=force)
     else:
         verdict = oracle_cpm(instance, rule, suspects, force=force)
     report = _verdict_report(

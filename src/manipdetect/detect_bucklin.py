@@ -41,10 +41,9 @@ from .detection import (
     DetectionVerdict,
     no_verdict,
     require_target,
-    yes_verdict,
 )
 from .errors import DispatchError
-from .rules import BUCKLIN, tally_without, winner_from_ballots
+from .rules import BUCKLIN
 
 METHOD_BUCKLIN = "bucklin-greedy"
 
@@ -59,7 +58,7 @@ def cpmw_bucklin(query: DetectionQuery) -> DetectionVerdict:
     m, c = inst.m, len(suspects)
     majority = (inst.n + 1) // 2
     tb_rank = query.context.tb_rank
-    ext = tally_without(inst, query.rule, query.context.full, suspects)
+    ext = query.rest
     late = {z for z in range(m) if tb_rank[z] > tb_rank[y]}
 
     for beta in range(1, m + 1):
@@ -78,9 +77,9 @@ def cpmw_bucklin(query: DetectionQuery) -> DetectionVerdict:
         for i, top in zip(suspects, tops):
             ranking = top + [z for z in (x, y) if z not in top]
             witness[i] = Preference(ranking + [z for z in range(m) if z not in ranking])
-        replay = [(pref, 1) for pref in witness.values()]
-        if winner_from_ballots(m, replay, inst.tiebreak, query.rule, base=ext) == y:
-            return yes_verdict(witness, y, METHOD_BUCKLIN)
+        verdict = query.confirm(witness, METHOD_BUCKLIN)
+        if verdict:
+            return verdict
     return no_verdict(METHOD_BUCKLIN)
 
 

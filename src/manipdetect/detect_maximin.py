@@ -32,14 +32,11 @@ from .detection import (
     DetectionVerdict,
     no_verdict,
     require_target,
-    yes_verdict,
 )
 from .errors import DegenerateRosterError, DispatchError
 from .rules import (
     MAXIMIN,
     maximin_scores_from_margins,
-    tally_without,
-    winner_from_ballots,
 )
 
 METHOD_MAXIMIN = "maximin-single"
@@ -51,23 +48,21 @@ def cpmw_maximin_single(query: DetectionQuery) -> DetectionVerdict:
         raise DispatchError(f"maximin detector cannot handle a {query.rule.kind} rule")
     if len(query.suspects) != 1:
         raise DispatchError("this procedure handles exactly one suspect")
-    inst = query.instance
-    m = inst.m
-    if m < 2:
+    if query.instance.m < 2:
         raise DegenerateRosterError("maximin detection needs at least two candidates")
     x, y = require_target(query)
     (i,) = query.suspects
 
-    margins = tally_without(inst, query.rule, query.context.full, query.suspects)
+    margins = query.rest
     scores = maximin_scores_from_margins(margins)
     tb_rank = query.context.tb_rank
     for t in (scores[y] + 1, scores[y] - 1):
         ballot = _greedy_ballot(margins, scores, tb_rank, x, y, t)
         if ballot is None:
             continue
-        pref = Preference(ballot)
-        if winner_from_ballots(m, [(pref, 1)], inst.tiebreak, query.rule, base=margins) == y:
-            return yes_verdict({i: pref}, y, METHOD_MAXIMIN)
+        verdict = query.confirm({i: Preference(ballot)}, METHOD_MAXIMIN)
+        if verdict:
+            return verdict
     return no_verdict(METHOD_MAXIMIN)
 
 

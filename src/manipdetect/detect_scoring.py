@@ -29,14 +29,11 @@ from .detection import (
     yes_verdict,
 )
 from .errors import DispatchError, InvalidQueryError
-from .oracle import DEFAULT_REPLAY_BUDGET, ORACLE, oracle_cpmw
+from .oracle import ORACLE, oracle_cpmw
 from .rules import (
     SCORING,
     Score,
-    ScoreTable,
     ScoringVector,
-    tally_without,
-    winner_from_ballots,
     winner_from_tally,
 )
 
@@ -57,7 +54,7 @@ def _require_scoring(query: DetectionQuery) -> ScoringVector:
 
 
 def canonical_manipulated_preference(
-    external_scores: ScoreTable | Sequence[Score],
+    scores: Sequence[Score],
     x: int,
     y: int,
     j: int,
@@ -71,7 +68,6 @@ def canonical_manipulated_preference(
     ordered tie-break-latest first: of two equally scored outsiders the one
     favored by the tie-break order is the more dangerous and goes lower.
     """
-    scores = external_scores.scores if isinstance(external_scores, ScoreTable) else external_scores
     m = len(scores)
     if x == y:
         raise InvalidQueryError("x and y must differ")
@@ -99,15 +95,14 @@ def cpmw_scoring_single(query: DetectionQuery) -> DetectionVerdict:
     vector = _require_scoring(query)
     if len(query.suspects) != 1:
         raise DispatchError("this procedure handles exactly one suspect")
-    inst = query.instance
     x, y = require_target(query)
     (i,) = query.suspects
-    m = inst.m
-    external = tally_without(inst, query.rule, query.context.full, query.suspects)
-    for j in range(1, m):
-        pref = canonical_manipulated_preference(external, x, y, j, inst.tiebreak)
-        if winner_from_ballots(m, [(pref, 1)], inst.tiebreak, query.rule, base=external) == y:
-            return yes_verdict({i: pref}, y, METHOD_SINGLE)
+    rest, tiebreak = query.rest, query.instance.tiebreak
+    for j in range(1, query.instance.m):
+        pref = canonical_manipulated_preference(rest, x, y, j, tiebreak)
+        verdict = query.confirm({i: pref}, METHOD_SINGLE)
+        if verdict:
+            return verdict
     return no_verdict(METHOD_SINGLE)
 
 
@@ -116,12 +111,7 @@ def _coalition_test_ballot(reported: Preference, x: int, y: int) -> Preference:
     return Preference([x, y] + rest)
 
 
-def cpmw_scoring_coalition(
-    query: DetectionQuery,
-    *,
-    budget: int = DEFAULT_REPLAY_BUDGET,
-    force: bool = False,
-) -> DetectionVerdict:
+def cpmw_scoring_coalition(query: DetectionQuery) -> DetectionVerdict:
     """Coalition CPMW for scoring rules.
 
     Convex vectors are decided by one test profile: each suspect ballot gets
@@ -130,21 +120,16 @@ def cpmw_scoring_coalition(
     any other vector falls back to the exhaustive oracle (verdict annotated).
     """
     vector = _require_scoring(query)
-    inst = query.instance
     if vector.is_convex():
         x, y = require_target(query)
-        reported = inst.ballots_of(query.suspects)
+        reported = query.instance.ballots_of(query.suspects)
         witness = {
             i: _coalition_test_ballot(pref, x, y) for i, (pref, _) in zip(query.suspects, reported)
         }
-        rest = tally_without(inst, query.rule, query.context.full, query.suspects)
-        replay = [(pref, 1) for pref in witness.values()]
-        if winner_from_ballots(inst.m, replay, inst.tiebreak, query.rule, base=rest) == y:
-            return yes_verdict(witness, y, METHOD_COALITION)
-        return no_verdict(METHOD_COALITION)
+        return query.confirm(witness, METHOD_COALITION) or no_verdict(METHOD_COALITION)
     if vector.is_plurality_like():
         return cpmw_plurality_coalition(query)
-    verdict = oracle_cpmw(query, budget=budget, force=force)
+    verdict = oracle_cpmw(query)
     verdict.method = METHOD_FALLBACK
     return verdict
 
@@ -162,29 +147,15 @@ def cpmw_plurality_coalition(query: DetectionQuery) -> DetectionVerdict:
     vector = _require_scoring(query)
     if not vector.is_plurality_like():
         raise DispatchError("capacity method needs a plurality-like vector")
-    inst = query.instance
     x, y = require_target(query)
-    m, suspects = inst.m, query.suspects
+    m, suspects = query.instance.m, query.suspects
     tb_rank = query.context.tb_rank
-
-    # top votes of the rest of the profile: those of the whole profile, read
-    # off its scores (every voter scores `low` but `top` for their first
-    # choice), minus the suspects' own
-    top, low = vector.alphas[0], vector.alphas[-1]
-    base = [(s - low * inst.n) // (top - low) for s in query.context.full]
-    for pref, _ in inst.ballots_of(suspects):
-        base[pref.ranking[0]] -= 1
-    cap = {}
-    for z in range(m):
-        if z == y:
-            continue
-        allowed = base[y] - 1 + (1 if tb_rank[y] < tb_rank[z] else 0)
-        cap[z] = allowed - base[z]
-    if any(c < 0 for c in cap.values()) or sum(cap.values()) < len(suspects):
+    excess = _excess(query, vector, y)[1]
+    if any(e > 0 for e in excess.values()) or -sum(excess.values()) < len(suspects):
         return no_verdict(METHOD_CAPACITY)
 
-    assignable = sorted(cap, key=lambda z: tb_rank[z])
-    remaining = dict(cap)
+    assignable = sorted(excess, key=lambda z: tb_rank[z])
+    remaining = {z: -e for z, e in excess.items()}
     witness: dict[int, Preference] = {}
     for i in suspects:
         z = next(c for c in assignable if remaining[c] > 0)
@@ -223,21 +194,11 @@ def cpmsw_plurality(query: DetectionQuery) -> DetectionVerdict:
     inst = query.instance
     y = require_target(query)[1]
     k, n = query.bound, inst.n
-    top, low = vector.alphas[0], vector.alphas[-1]
-    tops = [(s - low * n) // (top - low) for s in query.context.full]
+    tops, excess = _excess(query, vector, y)
     if k == 0 or tops[y] == n:
         return no_verdict(ORACLE, exhaustive=True)
-    tb_rank = query.context.tb_rank
-    slack = 0
-    over: dict[int, int] = {}
-    for z in range(inst.m):
-        if z == y:
-            continue
-        allowed = tops[y] - 1 + (1 if tb_rank[y] < tb_rank[z] else 0)
-        slack += allowed - tops[z]
-        if tops[z] > allowed:
-            over[z] = tops[z] - allowed
-    if slack < 0 or sum(over.values()) > k:
+    over = {z: e for z, e in excess.items() if e > 0}
+    if sum(excess.values()) > 0 or sum(over.values()) > k:
         return no_verdict(METHOD_CAPACITY)
 
     class_top = [pref.ranking[0] for pref, _ in inst.classes]
@@ -255,6 +216,24 @@ def cpmsw_plurality(query: DetectionQuery) -> DetectionVerdict:
     else:
         coalition = [next(voters_topping(y.__ne__))]
     return cpmw_plurality_coalition(query.for_coalition(tuple(coalition)))
+
+
+def _excess(
+    query: DetectionQuery, vector: ScoringVector, y: int
+) -> tuple[list[int], dict[int, int]]:
+    """Top votes per candidate of every voter but the suspects, read off the
+    full scores (each voter scores `low` but `top` for their first choice),
+    and each z != y's excess over allowed_z = tops_y - 1 + [y before z in
+    the tie-break order], the most that still loses to y."""
+    top, low = vector.alphas[0], vector.alphas[-1]
+    tops = [(s - low * query.instance.n) // (top - low) for s in query.context.full]
+    for pref, _ in query.instance.ballots_of(query.suspects):
+        tops[pref.ranking[0]] -= 1
+    tb_rank = query.context.tb_rank
+    excess = {
+        z: tops[z] - tops[y] + 1 - (tb_rank[y] < tb_rank[z]) for z in range(len(tops)) if z != y
+    }
+    return tops, excess
 
 
 # A mask's binary digits, '0' and '1', as the flag bytes 0 and 1.

@@ -25,37 +25,37 @@ complete, and exponential: one suspect gives at most about 1.62^m nodes
 counts depend only on the alive set; they are memoized per alive bitmask
 in the query's context, so every coalition of a search shares them, and
 the rest of the profile counts that minus each suspect's own top alive
-candidate.  The budget counts simulated rounds.
+candidate.  The budget, `oracle.DEFAULT_REPLAY_BUDGET`, counts simulated
+rounds; the query's context may `force` past it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
+from . import oracle
 from .core import Preference
 from .detection import (
     DetectionQuery,
     DetectionVerdict,
     no_verdict,
     require_target,
-    yes_verdict,
 )
 from .errors import BudgetExceededError, DispatchError
-from .oracle import DEFAULT_REPLAY_BUDGET
-from .rules import STV, stv_loser, tally_without, winner_from_ballots
+from .rules import STV, stv_loser
 
 METHOD_STV = "stv-tree"
 
 
-def cpmw_stv(
-    query: DetectionQuery, *, budget: int = DEFAULT_REPLAY_BUDGET, force: bool = False
-) -> DetectionVerdict:
-    """Coalition CPMW for STV; past `budget` rounds, refuse unless `force`."""
+def cpmw_stv(query: DetectionQuery) -> DetectionVerdict:
+    """Coalition CPMW for STV; past the round budget, refuse unless the
+    query's context has `force` set."""
     if query.rule.kind != STV:
         raise DispatchError(f"STV detector cannot handle a {query.rule.kind} rule")
     inst, suspects, context = query.instance, query.suspects, query.context
     x, y = require_target(query)
     m, tb_rank, memo = inst.m, context.tb_rank, context.first_choices
+    budget = oracle.DEFAULT_REPLAY_BUDGET
     truthful = [pref.ranking for pref, _ in inst.ballots_of(suspects)]
     # each suspect ballot's support sequence, its current top last; a branch
     # point appends a placeholder (y) that each of its choices overwrites
@@ -85,7 +85,7 @@ def cpmw_stv(
                 counts[seq[-1]] += 1
             drop = stv_loser(counts, [c for c in range(m) if mask >> c & 1], tb_rank)
             rounds += 1
-            if rounds > budget and not force:
+            if rounds > budget and not context.force:
                 raise BudgetExceededError(
                     f"STV elimination-tree search needs more than {budget} rounds, "
                     f"budget is {budget}",
@@ -97,10 +97,9 @@ def cpmw_stv(
             mask &= ~(1 << drop)
             if not mask & (mask - 1):
                 witness = {i: _ballot(seq, x, y, m) for i, seq in zip(suspects, seqs)}
-                rest = tally_without(inst, query.rule, context.full, suspects)
-                replay = [(pref, 1) for pref in witness.values()]
-                if winner_from_ballots(m, replay, inst.tiebreak, query.rule, base=rest) == y:
-                    return yes_verdict(witness, y, METHOD_STV, exhaustive=True)
+                verdict = query.confirm(witness, METHOD_STV, exhaustive=True)
+                if verdict:
+                    return verdict
                 break
             moving = [seq for seq in seqs if seq[-1] == drop]
             if moving:

@@ -4,7 +4,9 @@ loop over alternative winners, and witness verification.
 A coalition of suspects M is a coalition of possible manipulators against a
 candidate y when there is an assignment of one preference per suspect, each
 ranking the current winner x above y, whose substitution into the profile
-makes y the winner.  A YES verdict always carries such a witness.
+makes y the winner.  A YES verdict always carries such a witness, and one
+replay checks every witness: `DetectionQuery.confirm` before a detector
+reports it, and `verify_verdict` after.
 """
 
 from __future__ import annotations
@@ -32,19 +34,22 @@ class TargetContext:
     once.  `admissible` is left to the oracle: the rankings that place the
     current winner above the target, with the one-ballot table of each.
     `first_choices` is left to the STV search: the whole profile's
-    first-choice counts per alive-candidate bitmask.  Queries derived by
-    `DetectionQuery.for_coalition` share their parent's context, so a
-    coalition search builds the full table, the admissible ballots and the
-    counts of each alive set once.
+    first-choice counts per alive-candidate bitmask.  `force` lifts the
+    replay and subset budgets (`oracle.DEFAULT_REPLAY_BUDGET`,
+    `oracle.DEFAULT_SUBSET_BUDGET`) for every search that reads this
+    context.  Queries derived by `DetectionQuery.for_coalition` share their
+    parent's context, so a coalition search builds the full table, the
+    admissible ballots and the counts of each alive set once.
     """
 
     __slots__ = (
-        "instance", "rule", "admissible", "first_choices", "_tb_rank", "_full", "_winner"
+        "instance", "rule", "force", "admissible", "first_choices", "_tb_rank", "_full", "_winner"
     )
 
     def __init__(self, instance: ElectionInstance, rule: VotingRule):
         self.instance = instance
         self.rule = rule
+        self.force = False
         self.admissible = self._tb_rank = self._full = self._winner = None
         self.first_choices: dict[int, list[int]] = {}
 
@@ -69,11 +74,14 @@ class TargetContext:
 
 @dataclass(frozen=True)
 class DetectionQuery:
-    """One detection problem instance.
+    """One detection problem instance, and everything its decision reads.
 
     `suspects` is the coalition M (used by CPM/CPMW); `actual_winner` is the
     hypothesized truthful winner y (present for CPMW/CPMSW); `bound` is the
-    maximum coalition size k (used by CPMS/CPMSW).
+    maximum coalition size k (used by CPMS/CPMSW).  `context` holds what
+    every query about the same target shares, `force` included; `rest` is
+    the `rules.tally` table of every voter but the suspects, built on first
+    use; `confirm` replays a witness on it.
     """
 
     instance: ElectionInstance
@@ -82,6 +90,7 @@ class DetectionQuery:
     actual_winner: int | None = None
     bound: int | None = None
     context: TargetContext = field(init=False, compare=False, repr=False)
+    _rest = None  # not a field: set on first use of `rest`
 
     def __post_init__(self):
         n = self.instance.n
@@ -104,6 +113,27 @@ class DetectionQuery:
         query = DetectionQuery(self.instance, self.rule, suspects, self.actual_winner)
         object.__setattr__(query, "context", self.context)
         return query
+
+    def for_target(self, y: int) -> "DetectionQuery":
+        """The same suspects, bound and `force` against target y, with a fresh context."""
+        query = DetectionQuery(self.instance, self.rule, self.suspects, y, self.bound)
+        query.context.force = self.context.force
+        return query
+
+    @property
+    def rest(self):
+        if self._rest is None:
+            rest = tally_without(self.instance, self.rule, self.context.full, self.suspects)
+            object.__setattr__(self, "_rest", rest)
+        return self._rest
+
+    def confirm(self, witness: Mapping[int, Preference], method: str, exhaustive=False):
+        """The YES verdict of `witness` if casting its ballots for the
+        suspects elects the target, else None."""
+        y = self.actual_winner
+        if _elects(self.instance, self.rule, self.rest, witness, y):
+            return yes_verdict(witness, y, method, exhaustive)
+        return None
 
 
 @dataclass
@@ -174,7 +204,7 @@ def _first_yes(
     Without a YES, the last NO, so the verdict names the route that decided
     it; `no_target` when the roster leaves no alternative winner, its only
     candidate being the current winner.  Each `decide(y)` asks about its own
-    target, so it builds its own query and context.
+    target, on its own query and context (`DetectionQuery.for_target`).
     """
     if query.instance.m == 1:
         no_target.current_winner = 0
@@ -192,6 +222,14 @@ def _first_yes(
 def replay(instance: ElectionInstance, witness: Mapping[int, Preference]) -> ElectionInstance:
     """The election as it would have been with the witness ballots cast."""
     return instance.with_ballots_replaced(witness)
+
+
+def _elects(instance: ElectionInstance, rule: VotingRule, rest, witness, y: int) -> bool:
+    """Does the witness, cast on top of `rest` (the table of every other
+    voter), elect y?  The one replay behind every YES: it costs the table of
+    the witness ballots and one table addition."""
+    ballots = [(pref, 1) for pref in witness.values()]
+    return winner_from_ballots(instance.m, ballots, instance.tiebreak, rule, base=rest) == y
 
 
 def verify_verdict(
@@ -213,8 +251,9 @@ def verify_verdict(
     winner.  NO verdicts verify trivially.
 
     The full-profile table is built once: the current winner is read from it,
-    and the witness is replayed on top of it minus the table of the witness
-    voters' old ballots.
+    and the witness is replayed, by the detectors' own `_elects`, on top of
+    it minus the table of the witness voters' old ballots.  No query or
+    context is built.
     """
     if not verdict.answer:
         return True
@@ -238,8 +277,7 @@ def verify_verdict(
             return False
     rest = tally_without(instance, rule, full, witness)
     m = instance.m
-    ballots = [(pref, 1) for pref in witness.values()]
-    for pref, _ in ballots:
+    for pref in witness.values():
         if pref.m != m:
             raise ValidationError(f"ballot {pref.ranking!r} does not cover the {m}-candidate roster")
-    return winner_from_ballots(m, ballots, instance.tiebreak, rule, base=rest) == y
+    return _elects(instance, rule, rest, witness, y)

@@ -8,14 +8,15 @@ budget.  Everything else (maximin coalitions, irregular scoring vectors
 with coalitions) goes to the exhaustive oracle under a replay budget.  The
 verdicts of both exhaustive searches are flagged as exhaustive.  CPM and
 CPMS are CPMW and CPMSW tried against every alternative winner, in
-tie-break order, by `detection._first_yes`.
+tie-break order, by `detection._first_yes`, each on the query's
+`for_target` derivation: the same suspects, bound and `force`.
 
 Bounded searches (CPMSW) are decided greedily for convex vectors and in
 closed form for plurality; every other rule searches one coalition per
 multiset of ballot classes (`search_coalitions`), each decided by CPMW on a
 query derived from the search's own, so every coalition reads the current
-winner and the full-profile table from one shared context.  Every verdict
-carries the current winner from its query's context.
+winner, the full-profile table and `force` from one shared context.  Every
+verdict carries the current winner from its query's context.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ from .detect_scoring import (
     cpmw_scoring_single,
 )
 from .detect_stv import cpmw_stv
+from .errors import InvalidQueryError
 from .oracle import (
-    DEFAULT_REPLAY_BUDGET,
-    DEFAULT_SUBSET_BUDGET,
     oracle_cpmw,
     search_coalitions,
 )
@@ -47,64 +47,64 @@ from .rules import BUCKLIN, MAXIMIN, SCORING, STV, VotingRule
 
 
 def decide_cpmw(
-    instance: ElectionInstance,
-    rule: VotingRule,
-    suspects,
-    y: int,
+    query: DetectionQuery | ElectionInstance,
+    rule: VotingRule | None = None,
+    suspects=(),
+    y: int | None = None,
     *,
-    budget: int = DEFAULT_REPLAY_BUDGET,
     force: bool = False,
 ) -> DetectionVerdict:
-    query = DetectionQuery(instance, rule, tuple(suspects), actual_winner=y)
-    return _decide_cpmw(query, budget, force)
+    """Decide a CPMW query by the cheapest complete route; the instance form
+    builds `DetectionQuery(instance, rule, suspects, y)` with `force` set."""
+    if not isinstance(query, DetectionQuery):
+        query = DetectionQuery(query, rule, tuple(suspects), actual_winner=y)
+        query.context.force = force
+    return _decide_cpmw(query)
 
 
-def _decide_cpmw(query: DetectionQuery, budget: int, force: bool) -> DetectionVerdict:
+def _decide_cpmw(query: DetectionQuery) -> DetectionVerdict:
     rule = query.rule
     if rule.kind == SCORING:
         if len(query.suspects) == 1:
             verdict = cpmw_scoring_single(query)
         else:
-            verdict = cpmw_scoring_coalition(query, budget=budget, force=force)
+            verdict = cpmw_scoring_coalition(query)
     elif rule.kind == MAXIMIN and len(query.suspects) == 1:
         verdict = cpmw_maximin_single(query)
     elif rule.kind == BUCKLIN:
         verdict = cpmw_bucklin(query)
     elif rule.kind == STV:
-        verdict = cpmw_stv(query, budget=budget, force=force)
+        verdict = cpmw_stv(query)
     else:
-        verdict = oracle_cpmw(query, budget=budget, force=force)
+        verdict = oracle_cpmw(query)
     verdict.current_winner = query.context.winner
     return verdict
 
 
 def decide_cpm(
-    instance: ElectionInstance,
-    rule: VotingRule,
-    suspects,
-    *,
-    budget: int = DEFAULT_REPLAY_BUDGET,
-    force: bool = False,
+    instance: ElectionInstance, rule: VotingRule, suspects, *, force: bool = False
 ) -> DetectionVerdict:
     query = DetectionQuery(instance, rule, tuple(suspects))
-    return _first_yes(
-        query,
-        lambda y: decide_cpmw(instance, rule, query.suspects, y, budget=budget, force=force),
-        no_verdict("cpm"),
-    )
+    query.context.force = force
+    return _first_yes(query, lambda y: decide_cpmw(query.for_target(y)), no_verdict("cpm"))
 
 
 def decide_cpmsw(
-    instance: ElectionInstance,
-    rule: VotingRule,
-    y: int,
-    k: int,
+    query: DetectionQuery | ElectionInstance,
+    rule: VotingRule | None = None,
+    y: int | None = None,
+    k: int | None = None,
     *,
-    budget: int = DEFAULT_REPLAY_BUDGET,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
     force: bool = False,
 ) -> DetectionVerdict:
-    query = DetectionQuery(instance, rule, (), actual_winner=y, bound=k)
+    """Decide a CPMSW query; the instance form builds
+    `DetectionQuery(instance, rule, (), y, k)` with `force` set."""
+    if not isinstance(query, DetectionQuery):
+        query = DetectionQuery(query, rule, (), actual_winner=y, bound=k)
+        query.context.force = force
+    if query.bound is None:
+        raise InvalidQueryError("bounded search needs a coalition bound")
+    rule = query.rule
     if rule.kind == SCORING and rule.vector.is_convex():
         verdict = cpmsw_scoring_greedy(query)
     elif rule.kind == SCORING and rule.vector.is_plurality_like():
@@ -112,32 +112,20 @@ def decide_cpmsw(
     else:
         require_target(query)
         verdict = search_coalitions(
-            instance,
+            query.instance,
             rule,
-            k,
-            y,
-            decide=lambda subset: _decide_cpmw(query.for_coalition(subset), budget, force),
-            subset_budget=subset_budget,
-            force=force,
+            query.bound,
+            query.actual_winner,
+            decide=lambda subset: _decide_cpmw(query.for_coalition(subset)),
+            force=query.context.force,
         )
     verdict.current_winner = query.context.winner
     return verdict
 
 
 def decide_cpms(
-    instance: ElectionInstance,
-    rule: VotingRule,
-    k: int,
-    *,
-    budget: int = DEFAULT_REPLAY_BUDGET,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
-    force: bool = False,
+    instance: ElectionInstance, rule: VotingRule, k: int, *, force: bool = False
 ) -> DetectionVerdict:
-    query = DetectionQuery(instance, rule)
-    return _first_yes(
-        query,
-        lambda y: decide_cpmsw(
-            instance, rule, y, k, budget=budget, subset_budget=subset_budget, force=force
-        ),
-        no_verdict("cpms"),
-    )
+    query = DetectionQuery(instance, rule, bound=k)
+    query.context.force = force
+    return _first_yes(query, lambda y: decide_cpmsw(query.for_target(y)), no_verdict("cpms"))

@@ -7,8 +7,10 @@ multiset decides as any ordering of it would: C(h + |M| - 1, |M|) replays
 instead of h^|M|.  They are the reference oracle for the polynomial
 algorithms and for the STV elimination-tree search (`detect_stv`), and the
 solver of last resort for maximin coalitions and irregular scoring vectors
-with coalitions.  Searches refuse to start past a replay budget rather than
-run open-endedly.
+with coalitions.  Searches refuse to start past a replay budget
+(`DEFAULT_REPLAY_BUDGET`) or a subset budget (`DEFAULT_SUBSET_BUDGET`)
+rather than run open-endedly, unless their query's context has `force`
+set.  Both are read when a search checks them, so a test may patch them.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .detection import (
     yes_verdict,
 )
 from .errors import BudgetExceededError, InvalidQueryError
-from .rules import VotingRule, _add_tables, tally, tally_without, winner_from_tally
+from .rules import VotingRule, _add_tables, tally, winner_from_tally
 
 DEFAULT_REPLAY_BUDGET = 10_000_000
 DEFAULT_SUBSET_BUDGET = 1_000_000
@@ -51,14 +53,14 @@ def oracle_cpmw(
     suspects: Sequence[int] = (),
     y: int | None = None,
     *,
-    budget: int = DEFAULT_REPLAY_BUDGET,
     force: bool = False,
 ) -> DetectionVerdict:
     """Decide by exhaustion whether the query's suspects can be possible
     manipulators against its target.
 
-    `oracle_cpmw(instance, rule, suspects, y)` decides
-    `DetectionQuery(instance, rule, suspects, actual_winner=y)`.
+    `oracle_cpmw(instance, rule, suspects, y, force=...)` decides
+    `DetectionQuery(instance, rule, suspects, actual_winner=y)` with
+    `force` on its context; a query carries its own.
 
     The walk is depth first over nondecreasing tuples of admissible ballot
     indices, in lexicographic order (the `combinations_with_replacement`
@@ -66,10 +68,10 @@ def oracle_cpmw(
     one-ballot table of every admissible ballot is built once per context,
     so every coalition of one search shares them, and the partial sum of
     every prefix is kept, starting from the table of the rest of the
-    profile; a level that moves adds its ballot's table to the sum above
-    it, so most leaves cost one table addition.  The budget counts the
-    leaves, C(m!/2 + |M| - 1, |M|), and is checked before anything is
-    built.
+    profile (`query.rest`); a level that moves adds its ballot's table to
+    the sum above it, so most leaves cost one table addition.  The budget
+    counts the leaves, C(m!/2 + |M| - 1, |M|), and is checked before
+    anything is built.
 
     The witness reported on YES is the lexicographically first admissible
     ballot combination (suspects in index order, ballots as id sequences).
@@ -78,13 +80,15 @@ def oracle_cpmw(
     """
     if not isinstance(query, DetectionQuery):
         query = DetectionQuery(query, rule, tuple(suspects), actual_winner=y)
-    instance, rule, suspects = query.instance, query.rule, query.suspects
-    m, context = instance.m, query.context
+        query.context.force = force
+    rule, suspects = query.rule, query.suspects
+    m, context = query.instance.m, query.context
     x, y = require_target(query)
 
     half = factorial(m) // 2
     cost = comb(half + len(suspects) - 1, len(suspects))
-    if cost > budget and not force:
+    budget = DEFAULT_REPLAY_BUDGET
+    if cost > budget and not context.force:
         raise BudgetExceededError(
             f"exhaustive search needs {cost} replays, budget is {budget}", cost, budget
         )
@@ -98,7 +102,7 @@ def oracle_cpmw(
     # the table of the rest of the profile plus the ballots of levels < d
     size, last = len(suspects), len(slots) - 1
     chosen = [0] * size
-    sums = [tally_without(instance, rule, context.full, suspects)]
+    sums = [query.rest]
     for _ in range(size):
         sums.append(_add_tables(rule, sums[-1], tables[0]))
     while winner_from_tally(m, sums[-1], tb_rank, rule) != y:
@@ -124,11 +128,12 @@ def oracle_cpm(
     rule: VotingRule,
     suspects: Sequence[int],
     *,
-    budget: int = DEFAULT_REPLAY_BUDGET,
     force: bool = False,
 ) -> DetectionVerdict:
     """Disjunction of oracle_cpmw over every alternative winner, in tie-break order."""
-    return _default_decider(instance, rule, None, budget, force)(tuple(suspects))
+    query = DetectionQuery(instance, rule)
+    query.context.force = force
+    return _default_decider(query)(tuple(suspects))
 
 
 Decider = Callable[[tuple[int, ...]], DetectionVerdict]
@@ -219,23 +224,15 @@ def _canonical_coalitions(instance: ElectionInstance, k: int) -> Iterator[tuple[
         yield from extend(start, total, size)
 
 
-def _default_decider(
-    instance: ElectionInstance,
-    rule: VotingRule,
-    y: int | None,
-    budget: int,
-    force: bool,
-) -> Decider:
-    if y is not None:
-        query = DetectionQuery(instance, rule, actual_winner=y)
-        return lambda subset: oracle_cpmw(query.for_coalition(subset), budget=budget, force=force)
+def _default_decider(query: DetectionQuery) -> Decider:
+    if query.actual_winner is not None:
+        return lambda subset: oracle_cpmw(query.for_coalition(subset))
     # one query per target, so that every coalition shares each target's
     # context: its admissible ballots and their tables are built once
-    whole = DetectionQuery(instance, rule)
-    targets = [DetectionQuery(instance, rule, actual_winner=t) for t in range(instance.m)]
+    targets = [query.for_target(t) for t in range(query.instance.m)]
     return lambda subset: _first_yes(
-        whole.for_coalition(subset),
-        lambda t: oracle_cpmw(targets[t].for_coalition(subset), budget=budget, force=force),
+        query.for_coalition(subset),
+        lambda t: oracle_cpmw(targets[t].for_coalition(subset)),
         no_verdict(ORACLE, exhaustive=True),
     )
 
@@ -247,8 +244,6 @@ def search_coalitions(
     y: int | None = None,
     *,
     decide: Decider | None = None,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
-    budget: int = DEFAULT_REPLAY_BUDGET,
     force: bool = False,
 ) -> DetectionVerdict:
     """Is there any coalition of size <= k of possible manipulators (against y, if given)?
@@ -260,23 +255,27 @@ def search_coalitions(
     subset's representative is also YES and no later in that order, so the
     first hit is the first YES voter subset in size-then-index order.  The
     subset budget counts these representatives; the count stops at one past
-    the budget, so a refusal reports that as its cost.  Each subset is decided by
-    `decide` when supplied (letting callers plug in a polynomial
-    procedure), else by the oracle.  Without a hit, the NO of the last
-    subset decided, so the verdict names the procedure that decided it;
-    the oracle's exhaustive NO when no subset was decided (k = 0).
+    the budget, so a refusal reports that as its cost.  Each subset is
+    decided by `decide` when supplied (letting callers plug in a polynomial
+    procedure), else by the oracle under the same `force`.  Without a hit,
+    the NO of the last subset decided, so the verdict names the procedure
+    that decided it; the oracle's exhaustive NO when no subset was decided
+    (k = 0).
     """
     if k < 0:
         raise InvalidQueryError("coalition bound must be >= 0")
-    count = _coalition_count(instance, k, subset_budget + 1)
-    if count > subset_budget and not force:
+    budget = DEFAULT_SUBSET_BUDGET
+    count = _coalition_count(instance, k, budget + 1)
+    if count > budget and not force:
         raise BudgetExceededError(
-            f"search would enumerate at least {count} coalitions, budget is {subset_budget}",
+            f"search would enumerate at least {count} coalitions, budget is {budget}",
             count,
-            subset_budget,
+            budget,
         )
     if decide is None:
-        decide = _default_decider(instance, rule, y, budget, force)
+        query = DetectionQuery(instance, rule, actual_winner=y)
+        query.context.force = force
+        decide = _default_decider(query)
     verdict = None
     for subset in _canonical_coalitions(instance, k):
         verdict = decide(subset)

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from manipdetect import cli, dispatch
+from manipdetect import cli, oracle
 from manipdetect.core import Preference
 from manipdetect.detection import verify_verdict, yes_verdict
 from manipdetect.ballotfile import Report, parse_election
@@ -216,7 +216,7 @@ def test_budget_refusal_json_report(tmp_path, capsys):
 
 def test_stv_round_budget_refusal_json_report(tmp_path, capsys, monkeypatch):
     # the STV search counts rounds; a refusal reports one past the budget
-    monkeypatch.setitem(dispatch.decide_cpmw.__kwdefaults__, "budget", 10)
+    monkeypatch.setattr(oracle, "DEFAULT_REPLAY_BUDGET", 10)
     path = tmp_path / "five.txt"
     path.write_text("candidates: c0,c1,c2,c3,c4\n3x c0>c1>c2>c3>c4\n")
     args = ["cpmw", str(path), "--rule", "stv", "--suspects", "0,1", "--actual-winner", "c1"]

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from manipdetect import oracle
 from manipdetect.core import ElectionInstance, Preference
 from manipdetect.detect_stv import cpmw_stv
 from manipdetect.detection import DetectionQuery, verify_verdict
@@ -105,16 +106,18 @@ def test_dispatch_problems_match_oracle(m):
     assert answers == {True, False}
 
 
-def test_round_budget_refusal_and_force():
+def test_round_budget_refusal_and_force(monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_REPLAY_BUDGET", 10)
     inst = ElectionInstance([f"c{i}" for i in range(5)], [(0, 1, 2, 3, 4)] * 3)
     query = DetectionQuery(inst, STV, (0, 1), actual_winner=1)
     with pytest.raises(BudgetExceededError) as refused:
-        cpmw_stv(query, budget=10)
+        cpmw_stv(query)
     assert (refused.value.cost, refused.value.budget) == (11, 10)
-    forced = cpmw_stv(query, budget=10, force=True)
-    assert forced.answer == oracle_cpmw(inst, STV, (0, 1), 1).answer
+    query.context.force = True
+    forced = cpmw_stv(query)
+    assert forced.answer == oracle_cpmw(inst, STV, (0, 1), 1, force=True).answer
     with pytest.raises(BudgetExceededError):
-        decide_cpmw(inst, STV, (0, 1), 1, budget=10)
+        decide_cpmw(inst, STV, (0, 1), 1)
 
 
 def test_coalitions_of_a_search_share_the_first_choice_counts():

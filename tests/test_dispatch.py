@@ -3,15 +3,15 @@ from itertools import permutations
 
 import pytest
 
-from manipdetect import core, rules
+from manipdetect import core, detection, oracle, rules
 from manipdetect.core import ElectionInstance
-from manipdetect.detection import verify_verdict
+from manipdetect.detection import DetectionQuery, verify_verdict
 from manipdetect.dispatch import decide_cpm, decide_cpms, decide_cpmsw, decide_cpmw
-from manipdetect.errors import InvalidQueryError, RosterError
+from manipdetect.errors import BudgetExceededError, InvalidQueryError, RosterError
 from manipdetect.oracle import oracle_cpm, oracle_cpmw, search_coalitions
 from manipdetect.rules import ScoringVector, VotingRule, winner
 
-from samples import e1, e4, e6
+from samples import e1, e4, e5, e6
 
 
 def test_routing_methods():
@@ -89,6 +89,9 @@ def test_cpmsw_validates_target_on_every_route(rule, k):
         decide_cpmsw(inst, rule, winner(inst, rule), k)
     with pytest.raises(RosterError):
         decide_cpmsw(inst, rule, inst.m, k)
+    y = next(c for c in range(inst.m) if c != winner(inst, rule))
+    with pytest.raises(InvalidQueryError):
+        decide_cpmsw(DetectionQuery(inst, rule, actual_winner=y))
 
 
 def test_dispatch_agrees_with_oracle_across_rules():
@@ -249,3 +252,50 @@ def test_each_polynomial_route_builds_one_full_profile_table(monkeypatch):
             assert counts["large"] == 1, (y, k)
             seen.add(verdict.answer)
     assert seen == {False, True}
+
+
+@pytest.mark.parametrize(
+    "election, rule, suspects, y, method",
+    [
+        (e1, VotingRule.scoring(ScoringVector.borda(3)), (0,), 1, "scoring-single"),
+        (e4, VotingRule.scoring(ScoringVector.borda(3)), (0, 1), 1, "scoring-coalition"),
+        (e6, VotingRule.maximin(), (0,), 2, "maximin-single"),
+        (e4, VotingRule.bucklin(), (0,), 1, "bucklin-greedy"),
+        (e4, VotingRule.stv(), (0, 1), 1, "stv-tree"),
+    ],
+)
+def test_no_yes_bypasses_the_shared_replay(monkeypatch, election, rule, suspects, y, method):
+    verdict = decide_cpmw(election(), rule, suspects, y)
+    assert (verdict.answer, verdict.method) == (True, method)
+    monkeypatch.setattr(detection, "_elects", lambda *args: False)
+    verdict = decide_cpmw(election(), rule, suspects, y)
+    assert (verdict.answer, verdict.method) == (False, method)
+
+
+def test_replay_budget_reaches_every_derived_query(monkeypatch):
+    # Suspects 2 and 3 of e5 can elect a under STV and under maximin.  With a
+    # budget of 2, the STV search refuses one round past it, in a target's
+    # query (CPM) and in a coalition's (CPMS); the oracle refuses the
+    # C(3 + 1, 2) = 6 multisets of two of the 3!/2 admissible ballots.
+    stv, maximin = VotingRule.stv(), VotingRule.maximin()
+    calls = (
+        (lambda force: decide_cpm(e5(), stv, (2, 3), force=force), (3, 2)),
+        (lambda force: decide_cpms(e5(), stv, 2, force=force), (3, 2)),
+        (lambda force: oracle_cpm(e5(), maximin, (2, 3), force=force), (6, 2)),
+    )
+    unbounded = [call(False) for call, _ in calls]
+    assert all(verdict.answer for verdict in unbounded)
+    monkeypatch.setattr(oracle, "DEFAULT_REPLAY_BUDGET", 2)
+    for (call, refusal), verdict in zip(calls, unbounded):
+        with pytest.raises(BudgetExceededError) as refused:
+            call(False)
+        assert (refused.value.cost, refused.value.budget) == refusal
+        assert call(True) == verdict
+    # e5 has two ballot classes, so five coalitions of at most two voters;
+    # the count stops one past the subset budget
+    monkeypatch.setattr(oracle, "DEFAULT_SUBSET_BUDGET", 1)
+    cpms = calls[1][0]
+    with pytest.raises(BudgetExceededError) as refused:
+        cpms(False)
+    assert (refused.value.cost, refused.value.budget) == (2, 1)
+    assert cpms(True) == unbounded[1]

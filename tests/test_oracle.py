@@ -91,16 +91,16 @@ def test_search_e2_k2_no_target_is_no():
     assert not search_coalitions(e2(), BORDA3, 2).answer
 
 
-def test_budget_refusal_and_force():
+def test_budget_refusal_and_force(monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_REPLAY_BUDGET", 1000)
     inst = ElectionInstance(
         tuple("abcdefgh"), [tuple(range(8))] * 2, tiebreak=tuple(range(8))
     )
-    # 8!/2 = 20160 admissible ballots per suspect; two suspects exceed 10^7 replays
+    # 8!/2 = 20160 admissible ballots per suspect: one suspect already
+    # exceeds a budget of 1000 replays
     with pytest.raises(BudgetExceededError):
-        oracle_cpmw(inst, VotingRule.scoring(ScoringVector.borda(8)), [0, 1], 1, budget=1000)
-    verdict = oracle_cpmw(
-        inst, VotingRule.scoring(ScoringVector.borda(8)), [0], 1, budget=1000, force=True
-    )
+        oracle_cpmw(inst, VotingRule.scoring(ScoringVector.borda(8)), [0, 1], 1)
+    verdict = oracle_cpmw(inst, VotingRule.scoring(ScoringVector.borda(8)), [0], 1, force=True)
     assert verdict.exhaustive
 
 
