@@ -101,24 +101,26 @@ _COLUMN_MAX_M = 20
 class _Classes(tuple):
     """The ballot classes of an instance, `(ballot, count)` pairs.
 
-    Packed by `_pack`, they carry `pack = (packed, rest)`: `packed` holds
-    the rankings of the one-voter classes, m bytes per class, so that
-    `packed[p::m]` is the candidate each ranks at position p, and `rest`
-    the other pairs.  The table kernels count `packed` column by column
-    (`column_masks`) and `rest` by the loops; a profile without `pack`
-    takes the loops only.
+    Packed by `_pack`, they carry `pack = (planes, units, rest)`: bit v of
+    `planes[p][j]` is bit j of the candidate the v-th of the `units`
+    one-voter classes ranks at position p (`bit_planes`), and `rest` holds
+    the other pairs.  The table kernels split each column's planes into
+    masks (`column_masks`) and count `rest` by the loops; a profile
+    without `pack` takes the loops only.
     """
 
 
 def _pack(m: int, classes: Iterable[tuple[Preference, int]]) -> _Classes:
     """The classes of an m-candidate instance, packed from `COLUMN_CUTOVER`
-    one-voter classes on at m <= 20: once, when the instance is built."""
+    one-voter classes on at m <= 20: each column's planes, built once."""
     classes = _Classes(classes)
     if m <= _COLUMN_MAX_M and len(classes) >= COLUMN_CUTOVER:
         units = [pref.ranking for pref, w in classes if w == 1]
         if len(units) >= COLUMN_CUTOVER:
             rest = tuple(pair for pair in classes if pair[1] != 1)
-            classes.pack = bytes(chain.from_iterable(units)), rest
+            packed, bits = bytes(chain.from_iterable(units)), (m - 1).bit_length()
+            planes = tuple(bit_planes(packed[p::m], bits) for p in range(m))
+            classes.pack = planes, len(units), rest
     return classes
 
 
@@ -157,17 +159,15 @@ def bit_planes(column: bytes, count: int) -> list[int]:
     return [int.from_bytes(planes[j::8], "little") for j in range(count)]
 
 
-def column_masks(m: int, column: bytes) -> list[int]:
-    """One mask per candidate id 0..m-1: bit v of mask c is set when
-    `column[v] == c`.
+def column_masks(m: int, planes: Sequence[int], units: int) -> list[int]:
+    """One mask per candidate id 0..m-1 from the bit planes of a column of
+    `units` entries: bit v of mask c is set when entry v is c.
 
-    The column is bit-sliced (`bit_planes`), and masks then split the
-    entries by their ids' bits from the highest down: after bit j, mask v
-    holds the entries whose id c has c >> j == v.  That is about 2·m
-    operations on len(column)-bit ints.
+    The masks split the entries by their ids' bits from the highest down:
+    after plane j, mask v holds the entries whose id c has c >> j == v.
+    That is about 2·m operations on `units`-bit ints.
     """
-    planes = bit_planes(column, (m - 1).bit_length())
-    masks = [(1 << len(column)) - 1]
+    masks = [(1 << units) - 1]
     for j in reversed(range(len(planes))):
         plane = planes[j]
         split = []
@@ -379,17 +379,16 @@ def margin_matrix(m: int, profile: Profile) -> list[list[int]]:
     b.  That is O(m³) operations on n-bit ints instead of n·m²/2 Python
     steps.
     """
-    packed, profile = getattr(profile, "pack", (None, profile))
+    planes, units, profile = getattr(profile, "pack", (None, 0, profile))
     d = [[0] * m for _ in range(m)]
-    if packed is not None:
+    if planes is not None:
         above = [0] * m
         for p in range(m):
-            at = column_masks(m, packed[p::m])
+            at = column_masks(m, planes[p], units)
             for a in range(m):
                 for b in range(a + 1, m):
                     d[b][a] += (at[a] & above[b]).bit_count()
             above = [u | v for u, v in zip(above, at)]
-        units = len(packed) // m
         for a in range(m):
             for b in range(a + 1, m):
                 d[a][b] = units - d[b][a]

@@ -11,16 +11,17 @@ Four procedures cover the scoring family:
   and bounded search (CPMSW) by the same count in closed form;
 * bounded search (CPMSW/CPMS) under convex vectors: rank voters by how much
   replacing their ballot closes the gap between target and winner, then grow
-  the coalition greedily; a packed instance's voters are read from the
-  column masks of those two candidates.
+  the coalition greedily; a packed instance's voters are read from its
+  stored bit planes.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, compress, islice, permutations
 from typing import Iterator, Sequence
 
-from .core import ElectionInstance, Preference, bit_planes
+from .core import ElectionInstance, Preference
 from .detection import (
     DetectionQuery,
     DetectionVerdict,
@@ -142,7 +143,8 @@ def cpmw_plurality_coalition(query: DetectionQuery) -> DetectionVerdict:
     top vote to some other candidate.  The question reduces to capacities:
     every candidate must fit under the score that still loses to y, and the
     slack must absorb all suspect votes.  With two candidates only the
-    current winner has a capacity, so every suspect vote goes to it.
+    current winner has a capacity, so every suspect vote goes to it.  The
+    witness is replayed (`query.confirm`) before YES.
     """
     vector = _require_scoring(query)
     if not vector.is_plurality_like():
@@ -163,9 +165,7 @@ def cpmw_plurality_coalition(query: DetectionQuery) -> DetectionVerdict:
         head = [z, x, y] if z != x else [x, y]
         tail = [c for c in range(m) if c not in head]
         witness[i] = Preference(head + tail)
-    if not witness:
-        return no_verdict(METHOD_CAPACITY)
-    return yes_verdict(witness, y, METHOD_CAPACITY)
+    return query.confirm(witness, METHOD_CAPACITY) or no_verdict(METHOD_CAPACITY)
 
 
 def cpmsw_plurality(query: DetectionQuery) -> DetectionVerdict:
@@ -252,14 +252,15 @@ def _shift_groups(inst: ElectionInstance, alphas: Sequence[Score], x: int, y: in
     Unpacked classes take the loop, one `_shift` each.  With x at position p
     and y at q, a shift is alphas[1] - alphas[0] + alphas[p] - alphas[q], so
     the packed units of shift d are the OR of x-at-p & y-at-q over the pairs
-    (p, q) with that shift.  Column c is bit-sliced (x to 1, y to 2, planes
-    0 and 1) when a group first needs it.  The pack's `rest` takes the loop,
-    its flags spliced in among the units' at their classes.
+    (p, q) with that shift.  x-at-p ANDs column p's stored planes, each as
+    is where x has a 1 bit and inverted where it has a 0, and is built when
+    a group first needs it; y-at-q likewise.  The pack's `rest` takes the
+    loop, its flags spliced in among the units' at their classes.
     """
     classes = inst.classes
-    packed, rest = getattr(classes, "pack", (None, classes))
+    planes, units, rest = getattr(classes, "pack", (None, 0, classes))
     shifts = [_shift(ballot.ranking, alphas, x, y) for ballot, _ in rest]
-    if packed is None:
+    if planes is None:
         for d in sorted(set(shifts), reverse=True):
             yield [s == d for s in shifts]
         return
@@ -267,19 +268,22 @@ def _shift_groups(inst: ElectionInstance, alphas: Sequence[Score], x: int, y: in
     pairs: dict[Score, list[tuple[int, int]]] = {d: [] for d in rest_shifts}
     for p, q in permutations(range(m), 2):
         pairs.setdefault(alphas[1] - alphas[0] + alphas[p] - alphas[q], []).append((p, q))
-    ids = bytearray(256)
-    ids[x], ids[y] = 1, 2
-    columns: dict[int, list[int]] = {}
+
+    @cache
+    def at(c: int, p: int) -> int:  # the units ranking c at position p
+        mask = (1 << units) - 1
+        for j, plane in enumerate(planes[p]):
+            mask &= plane if c >> j & 1 else ~plane
+        return mask
+
     rest_at = [k for k, (_, w) in enumerate(classes) if w != 1] if rest else []
     cuts = [k - j for j, k in enumerate(rest_at)]  # the units before each class of `rest`
     for d in sorted(pairs, reverse=True):
         mask = 0
         for p, q in pairs[d]:
-            for c in {p, q} - columns.keys():
-                columns[c] = bit_planes(packed[c::m].translate(ids), 2)
-            mask |= columns[p][0] & columns[q][1]
+            mask |= at(x, p) & at(y, q)
         if mask or d in rest_shifts:
-            flags = bin(mask)[:1:-1].ljust(len(packed) // m, "0").encode().translate(_DIGIT_FLAGS)
+            flags = bin(mask)[:1:-1].ljust(units, "0").encode().translate(_DIGIT_FLAGS)
             ends = [0, *cuts]
             parts = [flags[a:b] + bytes([s == d]) for a, b, s in zip(ends, cuts, shifts)]
             yield b"".join(parts) + flags[ends[-1]:]
@@ -293,10 +297,9 @@ def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
     depends only on where the ballot ranks the two.  Ordering voters by that
     shift, ties by voter index, makes every prefix the best coalition of its
     size; the order is taken group by group (`_shift_groups`), so a small
-    bound reads only the first groups, and on a packed instance only their
-    columns.  Each prefix is confirmed by full winner determination
-    (maintained incrementally, on a copy of the context's score table)
-    before a YES is reported.
+    bound reads only the first groups.  Each prefix is confirmed by full
+    winner determination (maintained incrementally, on a copy of the
+    context's score table) before a YES is reported.
     """
     vector = _require_scoring(query)
     if not vector.is_convex():

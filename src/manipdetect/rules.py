@@ -132,19 +132,17 @@ def positional_scores(m: int, profile: Profile, vector: ScoringVector) -> list[S
     ballot class, not m.  An instance's packed classes (`core._Classes`)
     are counted column by column instead: position p adds its excess times
     the number of classes ranking c there (`core.column_masks`) to each
-    candidate c, and only the scored columns are sliced out (plurality
-    reads column 0 alone, Borda all but the last).
+    candidate c, and only the scored columns' stored planes are split
+    (plurality reads column 0 alone, Borda all but the last).
     """
     if len(vector) != m:
         raise ConfigError(f"scoring vector length {len(vector)} does not match roster size {m}")
     excess = vector._excess
-    packed, profile = getattr(profile, "pack", (None, profile))
+    planes, total, profile = getattr(profile, "pack", (None, 0, profile))
     scores: list[Score] = [0] * m
-    total = 0
-    if packed is not None:
-        total = len(packed) // m
+    if planes is not None:
         for p, a in enumerate(excess):
-            for c, mask in enumerate(column_masks(m, packed[p::m])):
+            for c, mask in enumerate(column_masks(m, planes[p], total)):
                 if mask:
                     scores[c] += a * mask.bit_count()
     for ballot, w in profile:
@@ -173,13 +171,13 @@ def topk_counts(m: int, profile: Profile) -> list[list[int]]:
     """counts[c][l] = number of voters ranking c within the top l (l in 0..m).
 
     An instance's packed classes (`core._Classes`) are counted column by
-    column: `core.column_masks` gives the classes ranking each c at p.
+    column: `core.column_masks` splits column p's planes by candidate.
     """
-    packed, profile = getattr(profile, "pack", (None, profile))
+    planes, units, profile = getattr(profile, "pack", (None, 0, profile))
     first = [[0] * (m + 1) for _ in range(m)]
-    if packed is not None:
+    if planes is not None:
         for p in range(m):
-            for c, mask in enumerate(column_masks(m, packed[p::m])):
+            for c, mask in enumerate(column_masks(m, planes[p], units)):
                 first[c][p + 1] = mask.bit_count()
     for ballot, w in profile:
         for p, c in enumerate(ballot.ranking, 1):

@@ -1,16 +1,18 @@
 """The column kernels against the class-by-class loops.
 
 An instance built with at least `core.COLUMN_CUTOVER` one-voter classes
-packs their rankings once (`core._pack`), and `positional_scores`,
-`topk_counts` and `margin_matrix` count its classes column by column.
+stores the bit planes of each of their columns once (`core._pack`), and
+`positional_scores`, `topk_counts` and `margin_matrix` count its classes
+column by column.
 Every table must equal the one the loops build for the same instance built
 with the cut-over raised past its size: the cut-over is read when an
 instance is built, so each side is built under its own cut-over.  All
-three kernels read the packed columns through one routine,
-`core.column_masks`, which is checked against the positions of each id.
-The greedy CPMSW search reads a packed instance's voters from the same
-transpose (`core.bit_planes`); its verdicts and witnesses must equal the
-per-class loop's, built the same way.
+three kernels read the stored planes through one routine,
+`core.column_masks`, which is checked against the positions of each id,
+and the planes are checked against `core.bit_planes` of each column.  The
+greedy CPMSW search reads a packed instance's voters from the same planes;
+its verdicts and witnesses must equal the per-class loop's, built the same
+way.  Once an instance is built, nothing transposes a column again.
 """
 
 import random
@@ -119,7 +121,8 @@ columns = st.integers(1, 32).flatmap(
 
 
 def _assert_masks_mark_positions(m, column):
-    masks = core.column_masks(m, column)
+    planes = core.bit_planes(column, (m - 1).bit_length())
+    masks = core.column_masks(m, planes, len(column))
     assert len(masks) == m
     for c, mask in enumerate(masks):
         assert mask == sum(1 << v for v, id_ in enumerate(column) if id_ == c)
@@ -150,7 +153,7 @@ def test_wide_tables_match_loop_tables(units):
     replacements = {i: Preference(r) for i, r in zip(range(0, units, 997), rankings[units + 6:])}
     copy = _build(m, ballots, counts, replacements)
     assert any(w == 0 for _, w in copy.classes)
-    assert len(copy.classes.pack[0]) == m * units
+    assert copy.classes.pack[1] == units
     assert _assert_columns_match_loops(core.COLUMN_CUTOVER, m, ballots, counts, replacements)
 
 
@@ -248,10 +251,11 @@ def test_copy_tables_equal_fresh_instance_tables():
     assert _tables(m, copy.classes) == _tables(m, fresh.classes)
 
 
-def test_pack_holds_m_bytes_per_one_voter_class():
+def test_planes_take_one_bit_per_unit_and_id_bit():
     m, rng = 20, random.Random(0)
     rankings = dict.fromkeys(tuple(rng.sample(range(m), m)) for _ in range(10_000))
     classes = [(Preference(r), 1) for r in rankings]
+    core._pack(m, classes)  # the transpose masks of this length, built once
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -262,8 +266,65 @@ def test_pack_holds_m_bytes_per_one_voter_class():
     finally:
         tracemalloc.stop()
     assert not hasattr(plain, "pack") and hasattr(packed, "pack")
-    # the packed classes cost the plain tuple plus the pack
-    assert (after - middle) - (middle - before) <= m * len(classes) + 1_000
+    # the packed classes cost the plain tuple plus the planes: m columns of
+    # five planes, a bit per unit, in ints of 30-bit digits stored in 32
+    # bits, well under the m bytes per unit of the byte pack they replaced
+    bits = (m - 1).bit_length()
+    assert (after - middle) - (middle - before) <= m * bits * len(classes) // 7
+
+
+def _assert_planes_stored(inst):
+    """The instance's stored planes are those of its units' columns: each
+    equals `core.bit_planes` of the column, and bit v of plane j of column p
+    is bit j of the id the v-th unit ranks at p."""
+    m = inst.m
+    planes, units, rest = inst.classes.pack
+    rankings = [pref.ranking for pref, w in inst.classes if w == 1]
+    assert units == len(rankings) and rest == tuple(pair for pair in inst.classes if pair[1] != 1)
+    bits = (m - 1).bit_length()
+    assert len(planes) == m
+    for p, column in enumerate(planes):
+        ids = bytes(r[p] for r in rankings)
+        assert column == core.bit_planes(ids, bits)
+        for j, plane in enumerate(column):
+            assert plane == int("".join(str(c >> j & 1) for c in reversed(ids)), 2)
+
+
+@pytest.mark.parametrize("units", [4_097, 10_001])
+def test_stored_planes_are_the_columns_planes(units):
+    # a fresh instance with weighted classes, and a copy with weighted and
+    # count-0 classes, at column lengths that are not a multiple of 8
+    m, rng = 20, random.Random(units)
+    rankings = list(dict.fromkeys(tuple(rng.sample(range(m), m)) for _ in range(units + 40)))
+    ballots = rankings[:units] + rankings[units:units + 6]
+    counts = [1] * units + [2, 3, 3, 5, 7, 2]
+    inst = _build(m, ballots, counts)
+    copy = inst.with_ballots_replaced(
+        {i: Preference(r) for i, r in zip(range(0, units, 997), rankings[units + 6:])}
+    )
+    assert any(w == 0 for _, w in copy.classes)
+    for built in (inst, copy):
+        assert any(w > 1 for _, w in built.classes)
+        _assert_planes_stored(built)
+
+
+def test_built_instances_transpose_no_column(monkeypatch):
+    # every table and the greedy search read the planes stored at build time
+    m, rng = 20, random.Random(5)
+    rankings = list(dict.fromkeys(tuple(rng.sample(range(m), m)) for _ in range(1_100)))
+    inst = _build(m, rankings[:1_000] + rankings[1_000:1_003], [1] * 1_000 + [2, 3, 4])
+    copy = inst.with_ballots_replaced({7: Preference(rankings[-1])})
+    rules = [VotingRule.scoring(v) for v in _greedy_vectors(m)]
+
+    def transpose(*args):
+        raise AssertionError("a column transposed after build")
+
+    monkeypatch.setattr(core, "bit_planes", transpose)
+    for built in (inst, copy):
+        assert hasattr(built.classes, "pack")
+        _tables(m, built.classes)
+        for rule in rules:
+            _greedy_verdicts(built, rule)
 
 
 def test_transpose_masks_are_built_once_per_length_and_stay_bounded():
@@ -330,7 +391,7 @@ def test_greedy_from_columns_matches_loop(m, units, cutover, weighted, replaced)
         mp.setattr(core, "COLUMN_CUTOVER", cutover)
         columns = _greedy_instance(random.Random(seed), m, units, weighted, replaced)
     assert columns.classes == loops.classes and not hasattr(loops.classes, "pack")
-    rest = columns.classes.pack[1]
+    rest = columns.classes.pack[2]
     assert bool(rest) == bool(weighted or replaced)
     answers = set()
     for vector in _greedy_vectors(m):
@@ -359,7 +420,7 @@ def test_weighted_class_alone_in_its_shift_group():
         mp.setattr(core, "COLUMN_CUTOVER", 1)
         columns = _build(3, ballots, counts)
     rule = VotingRule.scoring(ScoringVector.borda(3))
-    assert columns.classes.pack[1] == ((Preference((0, 1, 2)), 2),)
+    assert columns.classes.pack[2] == ((Preference((0, 1, 2)), 2),)
     expected = _greedy_verdicts(loops, rule)
     assert any(verdict.coalition == (3,) for verdict in expected)
     assert _greedy_verdicts(columns, rule) == expected
@@ -369,7 +430,7 @@ def test_packed_units_compute_no_per_class_shift(monkeypatch):
     m, rng = 20, random.Random(3)
     rankings = list(dict.fromkeys(tuple(rng.sample(range(m), m)) for _ in range(4_100)))
     inst = _build(m, rankings[:4_097])
-    assert inst.classes.pack[1] == ()
+    assert inst.classes.pack[2] == ()
     rule = VotingRule.scoring(ScoringVector.borda(m))
     expected = _greedy_verdicts(inst, rule)
 
@@ -378,14 +439,12 @@ def test_packed_units_compute_no_per_class_shift(monkeypatch):
 
     monkeypatch.setattr(detect_scoring, "_shift", per_class_shift)
     assert _greedy_verdicts(inst, rule) == expected
-    # a small bound slices only the columns of the first shift groups: the
-    # top group alone (winner first, target last) holds about 4097 / 380
-    # voters, and reads columns 0 and m - 1
-    columns = []
+    # the greedy transposes no column: it ANDs the stored planes
+    transposes = []
     bit_planes = core.bit_planes
     monkeypatch.setattr(
-        detect_scoring, "bit_planes", lambda *args: columns.append(args) or bit_planes(*args)
+        core, "bit_planes", lambda *args: transposes.append(args) or bit_planes(*args)
     )
     y = next(c for c in range(m) if c != winner(inst, rule))
     cpmsw_scoring_greedy(DetectionQuery(inst, rule, actual_winner=y, bound=5))
-    assert len(columns) == 2
+    assert transposes == []

@@ -254,6 +254,11 @@ def test_each_polynomial_route_builds_one_full_profile_table(monkeypatch):
     assert seen == {False, True}
 
 
+def a3_b2():
+    # plurality tops a:3, b:2; voters 0 and 1 top a
+    return ElectionInstance(("a", "b", "c"), [(0, 1, 2)] * 3 + [(1, 0, 2)] * 2)
+
+
 @pytest.mark.parametrize(
     "election, rule, suspects, y, method",
     [
@@ -262,14 +267,21 @@ def test_each_polynomial_route_builds_one_full_profile_table(monkeypatch):
         (e6, VotingRule.maximin(), (0,), 2, "maximin-single"),
         (e4, VotingRule.bucklin(), (0,), 1, "bucklin-greedy"),
         (e4, VotingRule.stv(), (0, 1), 1, "stv-tree"),
+        (a3_b2, VotingRule.scoring(ScoringVector.plurality(3)), (0, 1), 1, "plurality-capacity"),
     ],
 )
 def test_no_yes_bypasses_the_shared_replay(monkeypatch, election, rule, suspects, y, method):
-    verdict = decide_cpmw(election(), rule, suspects, y)
-    assert (verdict.answer, verdict.method) == (True, method)
+    decisions = [lambda: decide_cpmw(election(), rule, suspects, y)]
+    if method == "plurality-capacity":
+        # the plurality CPMSW answers with the capacity decision's witness
+        decisions.append(lambda: decide_cpmsw(election(), rule, y, len(suspects)))
+    for decide in decisions:
+        verdict = decide()
+        assert (verdict.answer, verdict.method) == (True, method)
     monkeypatch.setattr(detection, "_elects", lambda *args: False)
-    verdict = decide_cpmw(election(), rule, suspects, y)
-    assert (verdict.answer, verdict.method) == (False, method)
+    for decide in decisions:
+        verdict = decide()
+        assert (verdict.answer, verdict.method) == (False, method)
 
 
 def test_replay_budget_reaches_every_derived_query(monkeypatch):
