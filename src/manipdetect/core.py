@@ -90,8 +90,8 @@ Profile = Iterable[tuple[Preference, int]]
 
 
 # Instances with at least this many one-voter ballot classes are counted
-# column by column (`_pack`), smaller ones class by class: all three tables
-# are faster by columns from here on at m = 7 to 20 (see the README).
+# from bit planes (`_pack`), smaller ones class by class: all three tables
+# are faster from planes from here on at m = 7 to 20 (see the README).
 COLUMN_CUTOVER = 256
 # The widest roster counted by columns: the widest measured to win, the
 # benchmark's `wide` election.
@@ -102,25 +102,45 @@ class _Classes(tuple):
     """The ballot classes of an instance, `(ballot, count)` pairs.
 
     Packed by `_pack`, they carry `pack = (planes, units, rest)`: bit v of
-    `planes[p][j]` is bit j of the candidate the v-th of the `units`
-    one-voter classes ranks at position p (`bit_planes`), and `rest` holds
-    the other pairs.  The table kernels split each column's planes into
-    masks (`column_masks`) and count `rest` by the loops; a profile
-    without `pack` takes the loops only.
+    `planes[c][j]` is bit j of the position (0 = top) at which the v-th of
+    the `units` one-voter classes ranks candidate c, and `rest` holds the
+    other pairs.  `units_are_voters` says whether unit v is voter v.  The
+    table kernels read each candidate's planes (`column_masks` splits them
+    by position) and count `rest` by the loops; a profile without `pack`
+    takes the loops only.
     """
 
 
-def _pack(m: int, classes: Iterable[tuple[Preference, int]]) -> _Classes:
+def _pack(
+    m: int, classes: Iterable[tuple[Preference, int]], voter_class: tuple[int, ...]
+) -> _Classes:
     """The classes of an m-candidate instance, packed from `COLUMN_CUTOVER`
-    one-voter classes on at m <= 20: each column's planes, built once."""
+    one-voter classes on at m <= 20: each candidate's position planes, built
+    once.
+
+    Each column's id planes (`bit_planes`) split into the units ranking
+    each candidate c there (`column_masks`), and each such mask ORs into
+    c's planes at the set bits of the column's position.  Unit v is voter v
+    only when `voter_class` lists the unit classes in order: counts alone
+    do not say so, since two voters who swap rankings leave every class
+    with one voter.
+    """
     classes = _Classes(classes)
     if m <= _COLUMN_MAX_M and len(classes) >= COLUMN_CUTOVER:
-        units = [pref.ranking for pref, w in classes if w == 1]
-        if len(units) >= COLUMN_CUTOVER:
+        unit_classes = [k for k, (_, w) in enumerate(classes) if w == 1]
+        if len(unit_classes) >= COLUMN_CUTOVER:
             rest = tuple(pair for pair in classes if pair[1] != 1)
-            packed, bits = bytes(chain.from_iterable(units)), (m - 1).bit_length()
-            planes = tuple(bit_planes(packed[p::m], bits) for p in range(m))
-            classes.pack = planes, len(units), rest
+            packed = b"".join(bytes(pref.ranking) for pref, w in classes if w == 1)
+            bits, ones = (m - 1).bit_length(), (1 << len(unit_classes)) - 1
+            planes = [[0] * bits for _ in range(m)]
+            for p in range(m):
+                masks = column_masks(m, bit_planes(packed[p::m], bits), ones)
+                for j in range(bits):
+                    if p >> j & 1:
+                        for own, mask in zip(planes, masks):
+                            own[j] |= mask
+            classes.pack = tuple(map(tuple, planes)), len(unit_classes), rest
+            classes.units_are_voters = voter_class == tuple(unit_classes)
     return classes
 
 
@@ -159,15 +179,18 @@ def bit_planes(column: bytes, count: int) -> list[int]:
     return [int.from_bytes(planes[j::8], "little") for j in range(count)]
 
 
-def column_masks(m: int, planes: Sequence[int], units: int) -> list[int]:
-    """One mask per candidate id 0..m-1 from the bit planes of a column of
-    `units` entries: bit v of mask c is set when entry v is c.
+def column_masks(m: int, planes: Sequence[int], ones: int) -> list[int]:
+    """One mask per value 0..m-1 from the bit planes of the entries that
+    `ones` marks: bit v of mask c is set when entry v is c.  Split a
+    candidate's position planes, they give the units ranking it at each
+    position; split a column's id planes, the units ranking each candidate
+    there.
 
-    The masks split the entries by their ids' bits from the highest down:
-    after plane j, mask v holds the entries whose id c has c >> j == v.
-    That is about 2·m operations on `units`-bit ints.
+    The masks split the entries by their values' bits from the highest
+    down: after plane j, mask v holds the entries whose value c has
+    c >> j == v.  That is about 2·m operations on n-bit ints.
     """
-    masks = [(1 << units) - 1]
+    masks = [ones]
     for j in reversed(range(len(planes))):
         plane = planes[j]
         split = []
@@ -257,7 +280,7 @@ class ElectionInstance:
     def _set(self, names, tiebreak, classes, voter_class, index) -> None:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "tiebreak", tiebreak)
-        object.__setattr__(self, "classes", _pack(len(names), classes))
+        object.__setattr__(self, "classes", _pack(len(names), classes, voter_class))
         object.__setattr__(self, "voter_class", voter_class)
         object.__setattr__(self, "_index", index)
 
@@ -372,26 +395,25 @@ class WeightedMajorityGraph:
 def margin_matrix(m: int, profile: Profile) -> list[list[int]]:
     """Pairwise margins of a weighted profile (may be empty).
 
-    An instance's packed classes (`_Classes`) are counted by their column
-    masks (`column_masks`): with `above[b]` the classes that rank b before
-    position p, `at[a] & above[b]` are those that rank a at p below b.
-    Summed over p that gives how many rank b above a; the rest rank a above
-    b.  That is O(m³) operations on n-bit ints instead of n·m²/2 Python
-    steps.
+    An instance's packed classes (`_Classes`) are compared pair by pair
+    from the two candidates' position planes, bit-sliced: from the lowest
+    plane up, `above` marks the units on which a's position, read so far,
+    is the smaller one, and a plane where the two positions differ
+    overrides it with b's bit there.  So `above` ends as the units ranking
+    a above b, after four operations per plane and one `bit_count()` per
+    pair, O(m²·log m) operations on n-bit ints; the other units rank b
+    above a.
     """
     planes, units, profile = getattr(profile, "pack", (None, 0, profile))
     d = [[0] * m for _ in range(m)]
     if planes is not None:
-        above = [0] * m
-        for p in range(m):
-            at = column_masks(m, planes[p], units)
-            for a in range(m):
-                for b in range(a + 1, m):
-                    d[b][a] += (at[a] & above[b]).bit_count()
-            above = [u | v for u, v in zip(above, at)]
-        for a in range(m):
+        for a, mine in enumerate(planes):
             for b in range(a + 1, m):
-                d[a][b] = units - d[b][a]
+                above = 0
+                for x, y in zip(mine, planes[b]):
+                    above ^= (above ^ y) & (x ^ y)
+                d[a][b] = above = above.bit_count()
+                d[b][a] = units - above
     for ballot, w in profile:
         r = ballot.ranking
         for p, a in enumerate(r):

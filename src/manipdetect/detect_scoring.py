@@ -17,17 +17,15 @@ Four procedures cover the scoring family:
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import chain, compress, islice, permutations
 from typing import Iterator, Sequence
 
-from .core import ElectionInstance, Preference
+from .core import ElectionInstance, Preference, column_masks
 from .detection import (
     DetectionQuery,
     DetectionVerdict,
     no_verdict,
     require_target,
-    yes_verdict,
 )
 from .errors import DispatchError, InvalidQueryError
 from .oracle import ORACLE, oracle_cpmw
@@ -245,48 +243,60 @@ def _shift(ranking: tuple[int, ...], alphas: Sequence[Score], x: int, y: int) ->
     return alphas[1] - alphas[ranking.index(y)] - alphas[0] + alphas[ranking.index(x)]
 
 
-def _shift_groups(inst: ElectionInstance, alphas: Sequence[Score], x: int, y: int):
-    """For each shift value, from the highest down, one flag per class: is
-    the class's shift that value.
+def _set_bits(mask: int) -> Iterator[int]:
+    """The indices of `mask`'s set bits, ascending."""
+    digits = bin(mask)[:1:-1]
+    v = digits.find("1")
+    while v >= 0:
+        yield v
+        v = digits.find("1", v + 1)
 
-    Unpacked classes take the loop, one `_shift` each.  With x at position p
-    and y at q, a shift is alphas[1] - alphas[0] + alphas[p] - alphas[q], so
-    the packed units of shift d are the OR of x-at-p & y-at-q over the pairs
-    (p, q) with that shift.  x-at-p ANDs column p's stored planes, each as
-    is where x has a 1 bit and inverted where it has a 0, and is built when
-    a group first needs it; y-at-q likewise.  The pack's `rest` takes the
-    loop, its flags spliced in among the units' at their classes.
+
+def _shift_groups(inst: ElectionInstance, alphas: Sequence[Score], x: int, y: int):
+    """For each shift value, from the highest down, the voters whose shift
+    is that value, in ascending order.
+
+    Unpacked classes take the loop, one `_shift` each, and a scan of
+    `voter_class` finds each group's voters.  With x at position p and y at
+    q, a shift is alphas[1] - alphas[0] + alphas[p] - alphas[q], so the
+    packed units of shift d are the OR of x-at-p & y-at-q over the pairs
+    (p, q) with that shift; x's and y's position planes split into x-at-p
+    and y-at-q (`core.column_masks`).  When unit v is voter v
+    (`units_are_voters`), the group's voters are its mask's set bits.
+    Otherwise the mask gives one flag per unit, the pack's `rest` takes the
+    loop, its flags spliced in among the units' at their classes, and the
+    scan finds the voters.
     """
-    classes = inst.classes
+    classes, n = inst.classes, inst.n
     planes, units, rest = getattr(classes, "pack", (None, 0, classes))
     shifts = [_shift(ballot.ranking, alphas, x, y) for ballot, _ in rest]
+
+    def scan(flags) -> Iterator[int]:
+        return compress(range(n), map(flags.__getitem__, inst.voter_class))
+
     if planes is None:
         for d in sorted(set(shifts), reverse=True):
-            yield [s == d for s in shifts]
+            yield scan([s == d for s in shifts])
         return
     m, rest_shifts = inst.m, set(shifts)
     pairs: dict[Score, list[tuple[int, int]]] = {d: [] for d in rest_shifts}
     for p, q in permutations(range(m), 2):
         pairs.setdefault(alphas[1] - alphas[0] + alphas[p] - alphas[q], []).append((p, q))
-
-    @cache
-    def at(c: int, p: int) -> int:  # the units ranking c at position p
-        mask = (1 << units) - 1
-        for j, plane in enumerate(planes[p]):
-            mask &= plane if c >> j & 1 else ~plane
-        return mask
-
+    ones = (1 << units) - 1
+    x_at, y_at = column_masks(m, planes[x], ones), column_masks(m, planes[y], ones)
     rest_at = [k for k, (_, w) in enumerate(classes) if w != 1] if rest else []
     cuts = [k - j for j, k in enumerate(rest_at)]  # the units before each class of `rest`
     for d in sorted(pairs, reverse=True):
         mask = 0
         for p, q in pairs[d]:
-            mask |= at(x, p) & at(y, q)
-        if mask or d in rest_shifts:
+            mask |= x_at[p] & y_at[q]
+        if classes.units_are_voters:
+            yield _set_bits(mask)
+        elif mask or d in rest_shifts:
             flags = bin(mask)[:1:-1].ljust(units, "0").encode().translate(_DIGIT_FLAGS)
             ends = [0, *cuts]
             parts = [flags[a:b] + bytes([s == d]) for a, b, s in zip(ends, cuts, shifts)]
-            yield b"".join(parts) + flags[ends[-1]:]
+            yield scan(b"".join(parts) + flags[ends[-1]:])
 
 
 def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
@@ -297,9 +307,10 @@ def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
     depends only on where the ballot ranks the two.  Ordering voters by that
     shift, ties by voter index, makes every prefix the best coalition of its
     size; the order is taken group by group (`_shift_groups`), so a small
-    bound reads only the first groups.  Each prefix is confirmed by full
-    winner determination (maintained incrementally, on a copy of the
-    context's score table) before a YES is reported.
+    bound reads only the first groups.  Each prefix is tried on an
+    incrementally kept copy of the context's score table, and the first
+    that elects the target is replayed (`query.confirm`) before a YES is
+    reported.
     """
     vector = _require_scoring(query)
     if not vector.is_convex():
@@ -307,17 +318,14 @@ def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
     if query.bound is None:
         raise InvalidQueryError("bounded search needs a coalition bound")
     inst = query.instance
-    m, n, k = inst.m, inst.n, query.bound
+    m, k = inst.m, query.bound
     x, y = require_target(query)
     if k == 0:
         return no_verdict(METHOD_GREEDY)
     scores = list(query.context.full)
     tb_rank = query.context.tb_rank
     alphas = vector.alphas
-    order = chain.from_iterable(
-        compress(range(n), map(flags.__getitem__, inst.voter_class))
-        for flags in _shift_groups(inst, alphas, x, y)
-    )
+    order = chain.from_iterable(_shift_groups(inst, alphas, x, y))
 
     witness: dict[int, Preference] = {}
     for idx in islice(order, k):
@@ -329,5 +337,6 @@ def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
             scores[c] += alphas[p]
         witness[idx] = new
         if winner_from_tally(m, scores, tb_rank, query.rule) == y:
-            return yes_verdict(witness, y, METHOD_GREEDY)
+            verdict = query.for_coalition(tuple(witness)).confirm(witness, METHOD_GREEDY)
+            return verdict or no_verdict(METHOD_GREEDY)
     return no_verdict(METHOD_GREEDY)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from functools import reduce
+from operator import add, or_, sub
 from typing import Iterable, Sequence
 
 from .core import ElectionInstance, Preference, Profile, column_masks, margin_matrix
@@ -43,6 +44,22 @@ class ScoringVector:
         # `positional_scores` visits per ballot
         low = alphas[-1]
         object.__setattr__(self, "_excess", tuple(a - low for a in alphas if a != low))
+        # the drop per position of an affine vector (Borda and its
+        # scalings), else None; read by `positional_scores`.  Its packed
+        # paths take vectors of one number type only, so that their scores
+        # keep the loops' types.
+        step = alphas[0] - alphas[1]
+        affine = len(set(map(type, alphas))) == 1 and all(
+            a - b == step for a, b in zip(alphas, alphas[1:])
+        )
+        object.__setattr__(self, "_step", step if affine else None)
+        # k when the vector's excess is one entry, of one type, over the top
+        # 2^k positions (plurality, 2-approval, ...), else None; read by
+        # `positional_scores`
+        excess = self._excess
+        top = len(excess).bit_length() - 1
+        alike = len(set(excess)) == len(set(map(type, excess))) == 1
+        object.__setattr__(self, "_top", top if alike and len(excess) == 1 << top else None)
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -130,21 +147,37 @@ def positional_scores(m: int, profile: Profile, vector: ScoringVector) -> list[S
     the excess of the positions that score more, and the last entry times
     the total weight is added once at the end: plurality costs one step per
     ballot class, not m.  An instance's packed classes (`core._Classes`)
-    are counted column by column instead: position p adds its excess times
-    the number of classes ranking c there (`core.column_masks`) to each
-    candidate c, and only the scored columns' stored planes are split
-    (plurality reads column 0 alone, Borda all but the last).
+    are counted from each candidate's position planes instead.  An affine
+    vector's excess at position p is step·(m − 1 − p), so a candidate's
+    excess is step times units·(m − 1) less the sum of its positions,
+    Σⱼ 2ʲ·popcount(plane j): one `bit_count()` per plane.  A vector that
+    scores its top 2ᵏ positions alike counts the units ranking c there,
+    units − popcount(OR of planes k and up): plurality ORs them all.  Any
+    other vector splits the planes by position (`core.column_masks`), only
+    as far as the positions it scores.
     """
     if len(vector) != m:
         raise ConfigError(f"scoring vector length {len(vector)} does not match roster size {m}")
-    excess = vector._excess
+    excess, step = vector._excess, vector._step
     planes, total, profile = getattr(profile, "pack", (None, 0, profile))
     scores: list[Score] = [0] * m
     if planes is not None:
-        for p, a in enumerate(excess):
-            for c, mask in enumerate(column_masks(m, planes[p], total)):
-                if mask:
-                    scores[c] += a * mask.bit_count()
+        ones, last, top = (1 << total) - 1, total * (m - 1), vector._top
+        for c, own in enumerate(planes):
+            # a candidate no unit ranks at a scored position adds nothing,
+            # an int 0, as in the loops
+            if step is not None:
+                below = last - sum(plane.bit_count() << j for j, plane in enumerate(own))
+                if below:
+                    scores[c] += step * below
+            elif top is not None:
+                count = total - reduce(or_, own[top:]).bit_count()
+                if count:
+                    scores[c] += excess[0] * count
+            else:
+                for a, mask in zip(excess, column_masks(len(excess), own, ones)):
+                    if mask:
+                        scores[c] += a * mask.bit_count()
     for ballot, w in profile:
         total += w
         if w == 1:
@@ -170,15 +203,15 @@ def maximin_scores_from_margins(margins: Sequence[Sequence[int]]) -> list[int]:
 def topk_counts(m: int, profile: Profile) -> list[list[int]]:
     """counts[c][l] = number of voters ranking c within the top l (l in 0..m).
 
-    An instance's packed classes (`core._Classes`) are counted column by
-    column: `core.column_masks` splits column p's planes by candidate.
+    An instance's packed classes (`core._Classes`) are counted candidate by
+    candidate: `core.column_masks` splits c's position planes by position.
     """
     planes, units, profile = getattr(profile, "pack", (None, 0, profile))
     first = [[0] * (m + 1) for _ in range(m)]
     if planes is not None:
-        for p in range(m):
-            for c, mask in enumerate(column_masks(m, planes[p], units)):
-                first[c][p + 1] = mask.bit_count()
+        ones = (1 << units) - 1
+        for row, own in zip(first, planes):
+            row[1:] = [mask.bit_count() for mask in column_masks(m, own, ones)]
     for ballot, w in profile:
         for p, c in enumerate(ballot.ranking, 1):
             first[c][p] += w

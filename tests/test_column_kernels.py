@@ -1,32 +1,33 @@
-"""The column kernels against the class-by-class loops.
+"""The packed kernels against the class-by-class loops.
 
 An instance built with at least `core.COLUMN_CUTOVER` one-voter classes
-stores the bit planes of each of their columns once (`core._pack`), and
+stores, once (`core._pack`), each candidate's position planes: bit v of
+plane j of candidate c is bit j of the position at which unit v ranks c.
 `positional_scores`, `topk_counts` and `margin_matrix` count its classes
-column by column.
-Every table must equal the one the loops build for the same instance built
-with the cut-over raised past its size: the cut-over is read when an
-instance is built, so each side is built under its own cut-over.  All
-three kernels read the stored planes through one routine,
-`core.column_masks`, which is checked against the positions of each id,
-and the planes are checked against `core.bit_planes` of each column.  The
-greedy CPMSW search reads a packed instance's voters from the same planes;
-its verdicts and witnesses must equal the per-class loop's, built the same
+from those planes.  Every table must equal the one the loops build for the
+same instance built with the cut-over raised past its size: the cut-over
+is read when an instance is built, so each side is built under its own
+cut-over.  `core.column_masks`, which splits planes into one mask per
+value, is checked against each value's entries, and the stored planes
+against `core.bit_planes` of each candidate's positions.  The greedy CPMSW
+search reads a packed instance's voters from the same planes; its verdicts,
+witnesses and voter order must equal the per-class loop's, built the same
 way.  Once an instance is built, nothing transposes a column again.
 """
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manipdetect import core, detect_scoring
+from manipdetect import core, detect_scoring, rules
 from manipdetect.core import ElectionInstance, Preference, margin_matrix
-from manipdetect.detect_scoring import cpmsw_scoring_greedy
+from manipdetect.detect_scoring import _shift_groups, cpmsw_scoring_greedy
 from manipdetect.detection import DetectionQuery
 from manipdetect.rules import (
     ScoringVector,
@@ -41,13 +42,20 @@ LOOPS = 10**9
 
 
 def _vectors(m):
-    """Plurality, 2-approval, veto, Borda and two irregular Fraction vectors."""
+    """Plurality, 2-approval, veto, a 2-approval of mixed int and Fraction
+    entries, Borda, two scaled Bordas (one of Fractions), a Borda of mixed
+    entries, a convex Fraction vector and two irregular Fraction vectors."""
     if m < 2:
         return []
     fractions = [Fraction(3 * (m - p) ** 2, 2 * p + 1) for p in range(m - 1)]
     return [
         *(ScoringVector.approval(k, m) for k in sorted({1, min(2, m - 1), m - 1})),
+        *([ScoringVector([Fraction(1), 1] + [0] * (m - 2))] if m > 2 else []),
         ScoringVector.borda(m),
+        ScoringVector([3 * (m - 1 - p) + 2 for p in range(m)]),
+        ScoringVector([Fraction(m - 1 - p, 3) for p in range(m)]),
+        ScoringVector([Fraction(m - 1), *range(m - 2, -1, -1)]),
+        ScoringVector([Fraction(m * m - p * p, 3) for p in range(m)]),
         ScoringVector(fractions + [Fraction(-1, 3)]),
         ScoringVector(fractions + [0]),
     ]
@@ -122,7 +130,7 @@ columns = st.integers(1, 32).flatmap(
 
 def _assert_masks_mark_positions(m, column):
     planes = core.bit_planes(column, (m - 1).bit_length())
-    masks = core.column_masks(m, planes, len(column))
+    masks = core.column_masks(m, planes, (1 << len(column)) - 1)
     assert len(masks) == m
     for c, mask in enumerate(masks):
         assert mask == sum(1 << v for v, id_ in enumerate(column) if id_ == c)
@@ -155,6 +163,21 @@ def test_wide_tables_match_loop_tables(units):
     assert any(w == 0 for _, w in copy.classes)
     assert copy.classes.pack[1] == units
     assert _assert_columns_match_loops(core.COLUMN_CUTOVER, m, ballots, counts, replacements)
+
+
+@pytest.mark.parametrize("m, units, cutover", [(3, 2, 1), (7, 4_097, core.COLUMN_CUTOVER)])
+def test_narrow_tables_match_loop_tables(m, units, cutover):
+    # positions of two and three bits, weighted classes beside the units,
+    # and a copy whose replaced voters leave count-0 classes
+    rng = random.Random(m)
+    rankings = rng.sample(list(permutations(range(m))), min(units + 9, math.factorial(m)))
+    ballots = rankings[:units + 3]
+    counts = [1] * units + [2, 3, 5]
+    replacements = {i: Preference(r) for i, r in zip(range(0, units, 997), rankings[units + 3:])}
+    copy = _build(m, ballots, counts, replacements)
+    assert any(w == 0 for _, w in copy.classes)
+    for swaps in ({}, replacements):
+        assert _assert_columns_match_loops(cutover, m, ballots, counts, swaps)
 
 
 def test_count_zero_classes_of_replaced_voters():
@@ -211,9 +234,9 @@ def _count_packs(monkeypatch):
     calls = []
     pack = core._pack
 
-    def counted(m, classes):
+    def counted(m, *args):
         calls.append(m)
-        return pack(m, classes)
+        return pack(m, *args)
 
     monkeypatch.setattr(core, "_pack", counted)
     return calls
@@ -251,49 +274,51 @@ def test_copy_tables_equal_fresh_instance_tables():
     assert _tables(m, copy.classes) == _tables(m, fresh.classes)
 
 
-def test_planes_take_one_bit_per_unit_and_id_bit():
+def test_planes_take_one_bit_per_unit_and_position_bit():
     m, rng = 20, random.Random(0)
     rankings = dict.fromkeys(tuple(rng.sample(range(m), m)) for _ in range(10_000))
     classes = [(Preference(r), 1) for r in rankings]
-    core._pack(m, classes)  # the transpose masks of this length, built once
+    voters = tuple(range(len(classes)))
+    core._pack(m, classes, voters)  # the transpose masks of this length, built once
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         plain = core._Classes(classes)
         middle = tracemalloc.get_traced_memory()[0]
-        packed = core._pack(m, classes)
+        packed = core._pack(m, classes, voters)
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert not hasattr(plain, "pack") and hasattr(packed, "pack")
-    # the packed classes cost the plain tuple plus the planes: m columns of
-    # five planes, a bit per unit, in ints of 30-bit digits stored in 32
-    # bits, well under the m bytes per unit of the byte pack they replaced
+    # the packed classes cost the plain tuple plus the planes: m candidates
+    # of five planes, a bit per unit, in ints of 30-bit digits stored in 32
+    # bits, well under the m bytes per unit of a byte pack
     bits = (m - 1).bit_length()
     assert (after - middle) - (middle - before) <= m * bits * len(classes) // 7
 
 
 def _assert_planes_stored(inst):
-    """The instance's stored planes are those of its units' columns: each
-    equals `core.bit_planes` of the column, and bit v of plane j of column p
-    is bit j of the id the v-th unit ranks at p."""
+    """The instance's stored planes are its units' position planes: those
+    of candidate c equal `core.bit_planes` of the positions at which the
+    units rank c, and bit v of plane j of c is bit j of the position at
+    which the v-th unit ranks c."""
     m = inst.m
     planes, units, rest = inst.classes.pack
     rankings = [pref.ranking for pref, w in inst.classes if w == 1]
     assert units == len(rankings) and rest == tuple(pair for pair in inst.classes if pair[1] != 1)
     bits = (m - 1).bit_length()
     assert len(planes) == m
-    for p, column in enumerate(planes):
-        ids = bytes(r[p] for r in rankings)
-        assert column == core.bit_planes(ids, bits)
-        for j, plane in enumerate(column):
-            assert plane == int("".join(str(c >> j & 1) for c in reversed(ids)), 2)
+    for c, own in enumerate(planes):
+        positions = bytes(r.index(c) for r in rankings)
+        assert list(own) == core.bit_planes(positions, bits)
+        for j, plane in enumerate(own):
+            assert plane == int("".join(str(p >> j & 1) for p in reversed(positions)), 2)
 
 
 @pytest.mark.parametrize("units", [4_097, 10_001])
-def test_stored_planes_are_the_columns_planes(units):
+def test_stored_planes_are_the_candidates_position_planes(units):
     # a fresh instance with weighted classes, and a copy with weighted and
-    # count-0 classes, at column lengths that are not a multiple of 8
+    # count-0 classes, at unit counts that are not a multiple of 8
     m, rng = 20, random.Random(units)
     rankings = list(dict.fromkeys(tuple(rng.sample(range(m), m)) for _ in range(units + 40)))
     ballots = rankings[:units] + rankings[units:units + 6]
@@ -309,21 +334,46 @@ def test_stored_planes_are_the_columns_planes(units):
 
 
 def test_built_instances_transpose_no_column(monkeypatch):
-    # every table and the greedy search read the planes stored at build time
+    # every table and the greedy search read the planes stored at build
+    # time: an affine or plurality score table and the margins split none
+    # of them, the other tables split each candidate's planes once, and the
+    # greedy x's and y's
     m, rng = 20, random.Random(5)
     rankings = list(dict.fromkeys(tuple(rng.sample(range(m), m)) for _ in range(1_100)))
     inst = _build(m, rankings[:1_000] + rankings[1_000:1_003], [1] * 1_000 + [2, 3, 4])
     copy = inst.with_ballots_replaced({7: Preference(rankings[-1])})
-    rules = [VotingRule.scoring(v) for v in _greedy_vectors(m)]
+    rules_ = [VotingRule.scoring(v) for v in _greedy_vectors(m)]
 
     def transpose(*args):
         raise AssertionError("a column transposed after build")
 
     monkeypatch.setattr(core, "bit_planes", transpose)
+    splits = []
+    for module in (rules, detect_scoring):
+        split = module.column_masks
+        monkeypatch.setattr(
+            module, "column_masks", lambda *args, split=split: splits.append(args[1]) or split(*args)
+        )
     for built in (inst, copy):
+        planes = built.classes.pack[0]
         assert hasattr(built.classes, "pack")
         _tables(m, built.classes)
-        for rule in rules:
+        splits.clear()
+        for vector in (ScoringVector.borda(m), ScoringVector.plurality(m)):
+            positional_scores(m, built.classes, vector)
+        margin_matrix(m, built.classes)
+        assert splits == []
+        topk_counts(m, built.classes)
+        assert splits == list(planes)
+        splits.clear()
+        positional_scores(m, built.classes, ScoringVector.veto(m))
+        assert splits == list(planes)
+        borda = VotingRule.scoring(ScoringVector.borda(m))
+        x = winner(built, borda)
+        splits.clear()
+        cpmsw_scoring_greedy(DetectionQuery(built, borda, actual_winner=(x + 1) % m, bound=5))
+        assert splits == [planes[x], planes[(x + 1) % m]]
+        for rule in rules_:
             _greedy_verdicts(built, rule)
 
 
@@ -382,7 +432,7 @@ def _greedy_verdicts(inst, rule):
 @pytest.mark.parametrize("m, units, cutover", [(3, 4, 1), (7, 300, 256), (20, 300, 256)])
 @pytest.mark.parametrize("weighted, replaced", [(0, 0), (4, 0), (0, 3), (4, 3)])
 def test_greedy_from_columns_matches_loop(m, units, cutover, weighted, replaced):
-    # the same verdicts, witnesses and coalitions from the column masks as
+    # the same verdicts, witnesses and coalitions from the position masks as
     # from the per-class loop, with weighted and count-0 classes or without
     seed = f"greedy-{m}-{units}-{weighted}-{replaced}"
     with pytest.MonkeyPatch.context() as mp:
@@ -448,3 +498,44 @@ def test_packed_units_compute_no_per_class_shift(monkeypatch):
     y = next(c for c in range(m) if c != winner(inst, rule))
     cpmsw_scoring_greedy(DetectionQuery(inst, rule, actual_winner=y, bound=5))
     assert transposes == []
+
+
+def test_greedy_reads_voters_from_mask_bits_when_units_are_voters():
+    # Unit v is voter v in a fresh instance of distinct rankings, but not in
+    # a copy where voters 0 and 1 swapped rankings, though every class still
+    # holds one voter, nor beside a weighted class.  Every search takes its
+    # voters in the loop's order and gives the loop's verdicts and
+    # witnesses; only the first reads them from the mask bits, scanning no
+    # `voter_class`.
+    m, units = 7, 300
+    rankings = random.Random("unit-voters").sample(list(permutations(range(m))), units + 1)
+    swap = {0: Preference(rankings[1]), 1: Preference(rankings[0])}
+    cases = [
+        ((rankings[:units], None, None), True),
+        ((rankings[:units], None, swap), False),
+        ((rankings, [1] * units + [3], None), False),
+    ]
+
+    def scan(*args):
+        raise AssertionError("scanned voter_class")
+
+    for (ballots, counts, swaps), unit_voters in cases:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "COLUMN_CUTOVER", LOOPS)
+            loops = _build(m, ballots, counts, swaps)
+        columns = _build(m, ballots, counts, swaps)
+        assert columns.classes.units_are_voters == unit_voters
+        assert len(columns.classes.pack[2]) == (counts is not None)
+        for vector in _greedy_vectors(m):
+            rule = VotingRule.scoring(vector)
+
+            def searches(inst):
+                pairs = permutations(range(m), 2)
+                groups = (_shift_groups(inst, vector.alphas, x, y) for x, y in pairs)
+                return [list(chain.from_iterable(g)) for g in groups], _greedy_verdicts(inst, rule)
+
+            expected = searches(loops)
+            with pytest.MonkeyPatch.context() as mp:
+                if unit_voters:
+                    mp.setattr(detect_scoring, "compress", scan)
+                assert searches(columns) == expected

@@ -268,13 +268,19 @@ def a3_b2():
         (e4, VotingRule.bucklin(), (0,), 1, "bucklin-greedy"),
         (e4, VotingRule.stv(), (0, 1), 1, "stv-tree"),
         (a3_b2, VotingRule.scoring(ScoringVector.plurality(3)), (0, 1), 1, "plurality-capacity"),
+        (e1, VotingRule.scoring(ScoringVector.borda(3)), (0,), 1, "delta-greedy"),
     ],
 )
 def test_no_yes_bypasses_the_shared_replay(monkeypatch, election, rule, suspects, y, method):
-    decisions = [lambda: decide_cpmw(election(), rule, suspects, y)]
-    if method == "plurality-capacity":
-        # the plurality CPMSW answers with the capacity decision's witness
-        decisions.append(lambda: decide_cpmsw(election(), rule, y, len(suspects)))
+    def cpmw():
+        return decide_cpmw(election(), rule, suspects, y)
+
+    def cpmsw():
+        return decide_cpmsw(election(), rule, y, len(suspects))
+
+    # the plurality CPMSW answers with the capacity decision's witness; the
+    # greedy search decides CPMSW alone, with a coalition of up to |suspects|
+    decisions = {"plurality-capacity": [cpmw, cpmsw], "delta-greedy": [cpmsw]}.get(method, [cpmw])
     for decide in decisions:
         verdict = decide()
         assert (verdict.answer, verdict.method) == (True, method)
