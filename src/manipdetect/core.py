@@ -227,8 +227,6 @@ class ElectionInstance:
     tiebreak: Preference
     classes: tuple[tuple[Preference, int], ...] = field(init=False)
     voter_class: tuple[int, ...] = field(init=False, repr=False)
-    # ranking -> class, for `with_ballots_replaced`
-    _index: dict[tuple[int, ...], int] = field(init=False, repr=False)
 
     def __init__(
         self,
@@ -275,14 +273,13 @@ class ElectionInstance:
                 raise ValidationError("tie-break order must cover the whole roster")
         if counts is not None and len(run_class) != sum(counts):
             run_class = chain.from_iterable(map(repeat, run_class, counts))
-        self._set(names, tb, tuple(zip(prefs, weights)), tuple(run_class), index)
+        self._set(names, tb, tuple(zip(prefs, weights)), tuple(run_class))
 
-    def _set(self, names, tiebreak, classes, voter_class, index) -> None:
+    def _set(self, names, tiebreak, classes, voter_class) -> None:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "tiebreak", tiebreak)
         object.__setattr__(self, "classes", _pack(len(names), classes, voter_class))
         object.__setattr__(self, "voter_class", voter_class)
-        object.__setattr__(self, "_index", index)
 
     @property
     def ballots(self) -> tuple[Preference, ...]:
@@ -331,7 +328,7 @@ class ElectionInstance:
         m = self.m
         classes = list(self.classes)
         voter_class = list(self.voter_class)
-        index = dict(self._index)
+        index = {pref.ranking: k for k, (pref, _) in enumerate(classes)}
         for i, pref in replacements.items():
             if not isinstance(pref, Preference):
                 pref = Preference(pref)
@@ -345,7 +342,7 @@ class ElectionInstance:
             classes[k] = (classes[k][0], classes[k][1] + 1)
             voter_class[i] = k
         copy = object.__new__(type(self))
-        copy._set(self.names, self.tiebreak, classes, tuple(voter_class), index)
+        copy._set(self.names, self.tiebreak, classes, tuple(voter_class))
         return copy
 
     def ballots_of(self, voters: Iterable[int]) -> list[tuple[Preference, int]]:

@@ -25,6 +25,7 @@ from .detection import (
     DetectionQuery,
     DetectionVerdict,
     no_verdict,
+    require_bound,
     require_target,
 )
 from .errors import DispatchError, InvalidQueryError
@@ -187,11 +188,9 @@ def cpmsw_plurality(query: DetectionQuery) -> DetectionVerdict:
     vector = _require_scoring(query)
     if not vector.is_plurality_like():
         raise DispatchError("capacity method needs a plurality-like vector")
-    if query.bound is None:
-        raise InvalidQueryError("bounded search needs a coalition bound")
     inst = query.instance
+    k, n = require_bound(query), inst.n
     y = require_target(query)[1]
-    k, n = query.bound, inst.n
     tops, excess = _excess(query, vector, y)
     if k == 0 or tops[y] == n:
         return no_verdict(ORACLE, exhaustive=True)
@@ -234,10 +233,6 @@ def _excess(
     return tops, excess
 
 
-# A mask's binary digits, '0' and '1', as the flag bytes 0 and 1.
-_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
 def _shift(ranking: tuple[int, ...], alphas: Sequence[Score], x: int, y: int) -> Score:
     """How far the test ballot closes the target-minus-winner gap in place of `ranking`."""
     return alphas[1] - alphas[ranking.index(y)] - alphas[0] + alphas[ranking.index(x)]
@@ -263,9 +258,9 @@ def _shift_groups(inst: ElectionInstance, alphas: Sequence[Score], x: int, y: in
     (p, q) with that shift; x's and y's position planes split into x-at-p
     and y-at-q (`core.column_masks`).  When unit v is voter v
     (`units_are_voters`), the group's voters are its mask's set bits.
-    Otherwise the mask gives one flag per unit, the pack's `rest` takes the
-    loop, its flags spliced in among the units' at their classes, and the
-    scan finds the voters.
+    Otherwise each group flags its classes: the class of each unit the
+    mask sets, and each class of the pack's `rest` whose shift is the
+    group's; the scan finds the voters.
     """
     classes, n = inst.classes, inst.n
     planes, units, rest = getattr(classes, "pack", (None, 0, classes))
@@ -284,8 +279,9 @@ def _shift_groups(inst: ElectionInstance, alphas: Sequence[Score], x: int, y: in
         pairs.setdefault(alphas[1] - alphas[0] + alphas[p] - alphas[q], []).append((p, q))
     ones = (1 << units) - 1
     x_at, y_at = column_masks(m, planes[x], ones), column_masks(m, planes[y], ones)
-    rest_at = [k for k, (_, w) in enumerate(classes) if w != 1] if rest else []
-    cuts = [k - j for j, k in enumerate(rest_at)]  # the units before each class of `rest`
+    if not classes.units_are_voters:
+        unit_at = [k for k, (_, w) in enumerate(classes) if w == 1]
+        rest_at = [k for k, (_, w) in enumerate(classes) if w != 1]
     for d in sorted(pairs, reverse=True):
         mask = 0
         for p, q in pairs[d]:
@@ -293,10 +289,12 @@ def _shift_groups(inst: ElectionInstance, alphas: Sequence[Score], x: int, y: in
         if classes.units_are_voters:
             yield _set_bits(mask)
         elif mask or d in rest_shifts:
-            flags = bin(mask)[:1:-1].ljust(units, "0").encode().translate(_DIGIT_FLAGS)
-            ends = [0, *cuts]
-            parts = [flags[a:b] + bytes([s == d]) for a, b, s in zip(ends, cuts, shifts)]
-            yield scan(b"".join(parts) + flags[ends[-1]:])
+            flags = [False] * len(classes)
+            for v in _set_bits(mask):
+                flags[unit_at[v]] = True
+            for k, s in zip(rest_at, shifts):
+                flags[k] = s == d
+            yield scan(flags)
 
 
 def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
@@ -315,10 +313,8 @@ def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
     vector = _require_scoring(query)
     if not vector.is_convex():
         raise DispatchError("greedy search needs a convex scoring vector")
-    if query.bound is None:
-        raise InvalidQueryError("bounded search needs a coalition bound")
     inst = query.instance
-    m, k = inst.m, query.bound
+    m, k = inst.m, require_bound(query)
     x, y = require_target(query)
     if k == 0:
         return no_verdict(METHOD_GREEDY)

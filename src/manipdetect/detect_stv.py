@@ -26,7 +26,7 @@ counts depend only on the alive set; they are memoized per alive bitmask
 in the query's context, so every coalition of a search shares them, and
 the rest of the profile counts that minus each suspect's own top alive
 candidate.  The budget, `oracle.DEFAULT_REPLAY_BUDGET`, counts simulated
-rounds; the query's context may `force` past it.
+rounds; a query with `force` set runs past it.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ METHOD_STV = "stv-tree"
 
 def cpmw_stv(query: DetectionQuery) -> DetectionVerdict:
     """Coalition CPMW for STV; past the round budget, refuse unless the
-    query's context has `force` set."""
+    query has `force` set."""
     if query.rule.kind != STV:
         raise DispatchError(f"STV detector cannot handle a {query.rule.kind} rule")
     inst, suspects, context = query.instance, query.suspects, query.context
@@ -85,7 +85,7 @@ def cpmw_stv(query: DetectionQuery) -> DetectionVerdict:
                 counts[seq[-1]] += 1
             drop = stv_loser(counts, [c for c in range(m) if mask >> c & 1], tb_rank)
             rounds += 1
-            if rounds > budget and not context.force:
+            if rounds > budget and not query.force:
                 raise BudgetExceededError(
                     f"STV elimination-tree search needs more than {budget} rounds, "
                     f"budget is {budget}",

@@ -1,6 +1,12 @@
 """Shared detection types: queries, their per-target context, verdicts, the
 loop over alternative winners, and witness verification.
 
+A `DetectionQuery` is one question, with its options and checks: the
+suspects or the bound k, the target, and `force`.  It validates them when
+built; `require_target` and `require_bound` check what a procedure needs
+of them.  Its `TargetContext` only caches what the queries about one
+target share.
+
 A coalition of suspects M is a coalition of possible manipulators against a
 candidate y when there is an assignment of one preference per suspect, each
 ranking the current winner x above y, whose substitution into the profile
@@ -12,6 +18,7 @@ reports it, and `verify_verdict` after.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 from .core import ElectionInstance, Preference
@@ -34,42 +41,29 @@ class TargetContext:
     once.  `admissible` is left to the oracle: the rankings that place the
     current winner above the target, with the one-ballot table of each.
     `first_choices` is left to the STV search: the whole profile's
-    first-choice counts per alive-candidate bitmask.  `force` lifts the
-    replay and subset budgets (`oracle.DEFAULT_REPLAY_BUDGET`,
-    `oracle.DEFAULT_SUBSET_BUDGET`) for every search that reads this
-    context.  Queries derived by `DetectionQuery.for_coalition` share their
-    parent's context, so a coalition search builds the full table, the
-    admissible ballots and the counts of each alive set once.
+    first-choice counts per alive-candidate bitmask.  Queries derived by
+    `DetectionQuery.for_coalition` share their parent's context, so a
+    coalition search builds the full table, the admissible ballots and the
+    counts of each alive set once.
     """
-
-    __slots__ = (
-        "instance", "rule", "force", "admissible", "first_choices", "_tb_rank", "_full", "_winner"
-    )
 
     def __init__(self, instance: ElectionInstance, rule: VotingRule):
         self.instance = instance
         self.rule = rule
-        self.force = False
-        self.admissible = self._tb_rank = self._full = self._winner = None
+        self.admissible = None
         self.first_choices: dict[int, list[int]] = {}
 
-    @property
+    @cached_property
     def tb_rank(self) -> list[int]:
-        if self._tb_rank is None:
-            self._tb_rank = self.instance.tiebreak.positions()
-        return self._tb_rank
+        return self.instance.tiebreak.positions()
 
-    @property
+    @cached_property
     def full(self):
-        if self._full is None:
-            self._full = tally(self.instance.m, self.instance.classes, self.rule)
-        return self._full
+        return tally(self.instance.m, self.instance.classes, self.rule)
 
-    @property
+    @cached_property
     def winner(self) -> int:
-        if self._winner is None:
-            self._winner = winner_from_tally(self.instance.m, self.full, self.tb_rank, self.rule)
-        return self._winner
+        return winner_from_tally(self.instance.m, self.full, self.tb_rank, self.rule)
 
 
 @dataclass(frozen=True)
@@ -78,10 +72,13 @@ class DetectionQuery:
 
     `suspects` is the coalition M (used by CPM/CPMW); `actual_winner` is the
     hypothesized truthful winner y (present for CPMW/CPMSW); `bound` is the
-    maximum coalition size k (used by CPMS/CPMSW).  `context` holds what
-    every query about the same target shares, `force` included; `rest` is
-    the `rules.tally` table of every voter but the suspects, built on first
-    use; `confirm` replays a witness on it.
+    maximum coalition size k (used by CPMS/CPMSW).  `force` lifts the
+    replay and subset budgets (`oracle.DEFAULT_REPLAY_BUDGET`,
+    `oracle.DEFAULT_SUBSET_BUDGET`) for every search of this query and of
+    the queries derived from it.  `context` holds what every query about
+    the same target shares; `rest` is the `rules.tally` table of every
+    voter but the suspects, built on first use; `confirm` replays a witness
+    on it.
     """
 
     instance: ElectionInstance
@@ -89,8 +86,8 @@ class DetectionQuery:
     suspects: tuple[int, ...] = ()
     actual_winner: int | None = None
     bound: int | None = None
+    force: bool = field(default=False, kw_only=True)
     context: TargetContext = field(init=False, compare=False, repr=False)
-    _rest = None  # not a field: set on first use of `rest`
 
     def __post_init__(self):
         n = self.instance.n
@@ -109,23 +106,23 @@ class DetectionQuery:
         object.__setattr__(self, "context", TargetContext(self.instance, self.rule))
 
     def for_coalition(self, suspects: tuple[int, ...]) -> "DetectionQuery":
-        """The same target with `suspects` as the coalition, sharing this query's context."""
-        query = DetectionQuery(self.instance, self.rule, suspects, self.actual_winner)
+        """The same target and `force` with `suspects` as the coalition, sharing
+        this query's context."""
+        query = DetectionQuery(
+            self.instance, self.rule, suspects, self.actual_winner, force=self.force
+        )
         object.__setattr__(query, "context", self.context)
         return query
 
     def for_target(self, y: int) -> "DetectionQuery":
         """The same suspects, bound and `force` against target y, with a fresh context."""
-        query = DetectionQuery(self.instance, self.rule, self.suspects, y, self.bound)
-        query.context.force = self.context.force
-        return query
+        return DetectionQuery(
+            self.instance, self.rule, self.suspects, y, self.bound, force=self.force
+        )
 
-    @property
+    @cached_property
     def rest(self):
-        if self._rest is None:
-            rest = tally_without(self.instance, self.rule, self.context.full, self.suspects)
-            object.__setattr__(self, "_rest", rest)
-        return self._rest
+        return tally_without(self.instance, self.rule, self.context.full, self.suspects)
 
     def confirm(self, witness: Mapping[int, Preference], method: str, exhaustive=False):
         """The YES verdict of `witness` if casting its ballots for the
@@ -194,6 +191,13 @@ def require_target(query: DetectionQuery) -> tuple[int, int]:
     return x, y
 
 
+def require_bound(query: DetectionQuery) -> int:
+    """The query's coalition bound k, which a bounded search needs."""
+    if query.bound is None:
+        raise InvalidQueryError("bounded search needs a coalition bound")
+    return query.bound
+
+
 def _first_yes(
     query: DetectionQuery,
     decide: Callable[[int], DetectionVerdict],
@@ -248,7 +252,8 @@ def verify_verdict(
     claimed actual winner must be the asked `actual_winner`, when provided,
     every witness ballot must rank the current winner above the claimed
     actual winner, and replaying the witness must elect the claimed actual
-    winner.  NO verdicts verify trivially.
+    winner.  NO verdicts verify trivially.  A witness ballot that does not
+    rank exactly the roster raises `ValidationError`.
 
     The full-profile table is built once: the current winner is read from it,
     and the witness is replayed, by the detectors' own `_elects`, on top of
@@ -271,13 +276,11 @@ def verify_verdict(
     y = verdict.witness_actual_winner
     if y == x:
         return False
-    witness = verdict.witness
-    for pref in witness.values():
-        if not pref.prefers(x, y):
-            return False
-    rest = tally_without(instance, rule, full, witness)
-    m = instance.m
+    witness, m = verdict.witness, instance.m
     for pref in witness.values():
         if pref.m != m:
             raise ValidationError(f"ballot {pref.ranking!r} does not cover the {m}-candidate roster")
+        if not pref.prefers(x, y):
+            return False
+    rest = tally_without(instance, rule, full, witness)
     return _elects(instance, rule, rest, witness, y)

@@ -9,14 +9,16 @@ with coalitions) goes to the exhaustive oracle under a replay budget.  The
 verdicts of both exhaustive searches are flagged as exhaustive.  CPM and
 CPMS are CPMW and CPMSW tried against every alternative winner, in
 tie-break order, by `detection._first_yes`, each on the query's
-`for_target` derivation: the same suspects, bound and `force`.
+`for_target` derivation: the same suspects, bound and `force`.  The
+instance forms of `decide_*` build that query, `force` included.
 
 Bounded searches (CPMSW) are decided greedily for convex vectors and in
 closed form for plurality; every other rule searches one coalition per
 multiset of ballot classes (`search_coalitions`), each decided by CPMW on a
-query derived from the search's own, so every coalition reads the current
-winner, the full-profile table and `force` from one shared context.  Every
-verdict carries the current winner from its query's context.
+query derived from the search's own (`for_coalition`), so every coalition
+keeps its `force` and reads the current winner and the full-profile table
+from one shared context.  Every verdict carries the current winner from
+its query's context.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .detection import (
     DetectionVerdict,
     _first_yes,
     no_verdict,
+    require_bound,
     require_target,
 )
 from .detect_bucklin import cpmw_bucklin
@@ -38,7 +41,6 @@ from .detect_scoring import (
     cpmw_scoring_single,
 )
 from .detect_stv import cpmw_stv
-from .errors import InvalidQueryError
 from .oracle import (
     oracle_cpmw,
     search_coalitions,
@@ -55,10 +57,9 @@ def decide_cpmw(
     force: bool = False,
 ) -> DetectionVerdict:
     """Decide a CPMW query by the cheapest complete route; the instance form
-    builds `DetectionQuery(instance, rule, suspects, y)` with `force` set."""
+    builds `DetectionQuery(instance, rule, suspects, y, force=force)`."""
     if not isinstance(query, DetectionQuery):
-        query = DetectionQuery(query, rule, tuple(suspects), actual_winner=y)
-        query.context.force = force
+        query = DetectionQuery(query, rule, tuple(suspects), y, force=force)
     return _decide_cpmw(query)
 
 
@@ -84,8 +85,7 @@ def _decide_cpmw(query: DetectionQuery) -> DetectionVerdict:
 def decide_cpm(
     instance: ElectionInstance, rule: VotingRule, suspects, *, force: bool = False
 ) -> DetectionVerdict:
-    query = DetectionQuery(instance, rule, tuple(suspects))
-    query.context.force = force
+    query = DetectionQuery(instance, rule, tuple(suspects), force=force)
     return _first_yes(query, lambda y: decide_cpmw(query.for_target(y)), no_verdict("cpm"))
 
 
@@ -98,12 +98,10 @@ def decide_cpmsw(
     force: bool = False,
 ) -> DetectionVerdict:
     """Decide a CPMSW query; the instance form builds
-    `DetectionQuery(instance, rule, (), y, k)` with `force` set."""
+    `DetectionQuery(instance, rule, (), y, k, force=force)`."""
     if not isinstance(query, DetectionQuery):
-        query = DetectionQuery(query, rule, (), actual_winner=y, bound=k)
-        query.context.force = force
-    if query.bound is None:
-        raise InvalidQueryError("bounded search needs a coalition bound")
+        query = DetectionQuery(query, rule, (), y, k, force=force)
+    bound = require_bound(query)
     rule = query.rule
     if rule.kind == SCORING and rule.vector.is_convex():
         verdict = cpmsw_scoring_greedy(query)
@@ -114,10 +112,10 @@ def decide_cpmsw(
         verdict = search_coalitions(
             query.instance,
             rule,
-            query.bound,
+            bound,
             query.actual_winner,
             decide=lambda subset: _decide_cpmw(query.for_coalition(subset)),
-            force=query.context.force,
+            force=query.force,
         )
     verdict.current_winner = query.context.winner
     return verdict
@@ -126,6 +124,5 @@ def decide_cpmsw(
 def decide_cpms(
     instance: ElectionInstance, rule: VotingRule, k: int, *, force: bool = False
 ) -> DetectionVerdict:
-    query = DetectionQuery(instance, rule, bound=k)
-    query.context.force = force
+    query = DetectionQuery(instance, rule, bound=k, force=force)
     return _first_yes(query, lambda y: decide_cpmsw(query.for_target(y)), no_verdict("cpms"))

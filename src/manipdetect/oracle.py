@@ -9,8 +9,9 @@ algorithms and for the STV elimination-tree search (`detect_stv`), and the
 solver of last resort for maximin coalitions and irregular scoring vectors
 with coalitions.  Searches refuse to start past a replay budget
 (`DEFAULT_REPLAY_BUDGET`) or a subset budget (`DEFAULT_SUBSET_BUDGET`)
-rather than run open-endedly, unless their query's context has `force`
-set.  Both are read when a search checks them, so a test may patch them.
+rather than run open-endedly, unless their query has `force` set; the
+queries a search derives, one per target or coalition, keep it.  Both
+budgets are read when a search checks them, so a test may patch them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .detection import (
     require_target,
     yes_verdict,
 )
-from .errors import BudgetExceededError, InvalidQueryError
+from .errors import BudgetExceededError
 from .rules import VotingRule, _add_tables, tally, winner_from_tally
 
 DEFAULT_REPLAY_BUDGET = 10_000_000
@@ -59,8 +60,8 @@ def oracle_cpmw(
     manipulators against its target.
 
     `oracle_cpmw(instance, rule, suspects, y, force=...)` decides
-    `DetectionQuery(instance, rule, suspects, actual_winner=y)` with
-    `force` on its context; a query carries its own.
+    `DetectionQuery(instance, rule, suspects, y, force=force)`; a query
+    carries its own `force`.
 
     The walk is depth first over nondecreasing tuples of admissible ballot
     indices, in lexicographic order (the `combinations_with_replacement`
@@ -79,8 +80,7 @@ def oracle_cpmw(
     tuple no later than it, so the walk reaches it first.
     """
     if not isinstance(query, DetectionQuery):
-        query = DetectionQuery(query, rule, tuple(suspects), actual_winner=y)
-        query.context.force = force
+        query = DetectionQuery(query, rule, tuple(suspects), y, force=force)
     rule, suspects = query.rule, query.suspects
     m, context = query.instance.m, query.context
     x, y = require_target(query)
@@ -88,7 +88,7 @@ def oracle_cpmw(
     half = factorial(m) // 2
     cost = comb(half + len(suspects) - 1, len(suspects))
     budget = DEFAULT_REPLAY_BUDGET
-    if cost > budget and not context.force:
+    if cost > budget and not query.force:
         raise BudgetExceededError(
             f"exhaustive search needs {cost} replays, budget is {budget}", cost, budget
         )
@@ -131,8 +131,7 @@ def oracle_cpm(
     force: bool = False,
 ) -> DetectionVerdict:
     """Disjunction of oracle_cpmw over every alternative winner, in tie-break order."""
-    query = DetectionQuery(instance, rule)
-    query.context.force = force
+    query = DetectionQuery(instance, rule, force=force)
     return _default_decider(query)(tuple(suspects))
 
 
@@ -255,26 +254,25 @@ def search_coalitions(
     subset's representative is also YES and no later in that order, so the
     first hit is the first YES voter subset in size-then-index order.  The
     subset budget counts these representatives; the count stops at one past
-    the budget, so a refusal reports that as its cost.  Each subset is
-    decided by `decide` when supplied (letting callers plug in a polynomial
-    procedure), else by the oracle under the same `force`.  Without a hit,
-    the NO of the last subset decided, so the verdict names the procedure
-    that decided it; the oracle's exhaustive NO when no subset was decided
+    the budget, so a refusal reports that as its cost.  The search's own
+    query, `DetectionQuery(instance, rule, actual_winner=y, bound=k,
+    force=force)`, checks k and y.  Each subset is decided by `decide` when
+    supplied (letting callers plug in a polynomial procedure), else by the
+    oracle on a query derived from the search's.  Without a hit, the NO of
+    the last subset decided, so the verdict names the procedure that
+    decided it; the oracle's exhaustive NO when no subset was decided
     (k = 0).
     """
-    if k < 0:
-        raise InvalidQueryError("coalition bound must be >= 0")
+    query = DetectionQuery(instance, rule, actual_winner=y, bound=k, force=force)
     budget = DEFAULT_SUBSET_BUDGET
     count = _coalition_count(instance, k, budget + 1)
-    if count > budget and not force:
+    if count > budget and not query.force:
         raise BudgetExceededError(
             f"search would enumerate at least {count} coalitions, budget is {budget}",
             count,
             budget,
         )
     if decide is None:
-        query = DetectionQuery(instance, rule, actual_winner=y)
-        query.context.force = force
         decide = _default_decider(query)
     verdict = None
     for subset in _canonical_coalitions(instance, k):

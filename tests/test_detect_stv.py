@@ -109,12 +109,10 @@ def test_dispatch_problems_match_oracle(m):
 def test_round_budget_refusal_and_force(monkeypatch):
     monkeypatch.setattr(oracle, "DEFAULT_REPLAY_BUDGET", 10)
     inst = ElectionInstance([f"c{i}" for i in range(5)], [(0, 1, 2, 3, 4)] * 3)
-    query = DetectionQuery(inst, STV, (0, 1), actual_winner=1)
     with pytest.raises(BudgetExceededError) as refused:
-        cpmw_stv(query)
+        cpmw_stv(DetectionQuery(inst, STV, (0, 1), actual_winner=1))
     assert (refused.value.cost, refused.value.budget) == (11, 10)
-    query.context.force = True
-    forced = cpmw_stv(query)
+    forced = cpmw_stv(DetectionQuery(inst, STV, (0, 1), actual_winner=1, force=True))
     assert forced.answer == oracle_cpmw(inst, STV, (0, 1), 1, force=True).answer
     with pytest.raises(BudgetExceededError):
         decide_cpmw(inst, STV, (0, 1), 1)

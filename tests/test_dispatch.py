@@ -293,13 +293,17 @@ def test_no_yes_bypasses_the_shared_replay(monkeypatch, election, rule, suspects
 def test_replay_budget_reaches_every_derived_query(monkeypatch):
     # Suspects 2 and 3 of e5 can elect a under STV and under maximin.  With a
     # budget of 2, the STV search refuses one round past it, in a target's
-    # query (CPM) and in a coalition's (CPMS); the oracle refuses the
-    # C(3 + 1, 2) = 6 multisets of two of the 3!/2 admissible ballots.
+    # query (CPM) and in a coalition's (CPMS, and CPMSW against a); the
+    # oracle refuses the C(3 + 1, 2) = 6 multisets of two of the 3!/2
+    # admissible ballots, and, in a search's coalition query, the 3 ballots
+    # of one voter.
     stv, maximin = VotingRule.stv(), VotingRule.maximin()
     calls = (
         (lambda force: decide_cpm(e5(), stv, (2, 3), force=force), (3, 2)),
         (lambda force: decide_cpms(e5(), stv, 2, force=force), (3, 2)),
         (lambda force: oracle_cpm(e5(), maximin, (2, 3), force=force), (6, 2)),
+        (lambda force: decide_cpmsw(e5(), stv, 0, 2, force=force), (3, 2)),
+        (lambda force: search_coalitions(e5(), maximin, 2, 0, force=force), (3, 2)),
     )
     unbounded = [call(False) for call, _ in calls]
     assert all(verdict.answer for verdict in unbounded)
@@ -317,3 +321,5 @@ def test_replay_budget_reaches_every_derived_query(monkeypatch):
         cpms(False)
     assert (refused.value.cost, refused.value.budget) == (2, 1)
     assert cpms(True) == unbounded[1]
+    query = DetectionQuery(e5(), stv, bound=2, force=True)
+    assert query.for_target(0).for_coalition((2, 3)).force

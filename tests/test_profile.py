@@ -248,9 +248,18 @@ def test_verify_verdict_agrees_with_replay(ballots, tb, data):
 
 
 def test_verify_verdict_rejects_witness_voter_outside_roster():
+    # a voter outside the roster, or a ballot not covering it: short ones
+    # that rank the target below the winner or leave the target out, and a
+    # long one
     inst = ElectionInstance(NAMES, [(0, 1, 2, 3)] * 3)
     rule = RULES[0]
     pref = Preference((0, 1, 2, 3))
-    for voter in (-1, inst.n):
-        with pytest.raises(RosterError):
-            verify_verdict(inst, rule, yes_verdict({voter: pref}, 1, "test"))
+    for witness, y, error in (
+        ({-1: pref}, 1, RosterError),
+        ({inst.n: pref}, 1, RosterError),
+        ({0: Preference((1, 0))}, 1, ValidationError),
+        ({0: Preference((0, 1))}, 2, ValidationError),
+        ({0: Preference((0, 1, 2, 3, 4))}, 1, ValidationError),
+    ):
+        with pytest.raises(error):
+            verify_verdict(inst, rule, yes_verdict(witness, y, "test"))
