@@ -14,11 +14,11 @@ import time
 import traceback
 from fractions import Fraction
 
-from .ballotfile import Report, ballot_string, parse_election, render_election
+from .ballotfile import _NAME_RE, Report, ballot_string, parse_election, render_election
 from .core import ElectionInstance
 from .detection import DetectionVerdict, verify_verdict
 from .dispatch import decide_cpm, decide_cpms, decide_cpmsw, decide_cpmw
-from .errors import BudgetExceededError, ElectionError
+from .errors import BudgetExceededError, ConfigError, ElectionError, RosterError, ValidationError
 from .generators import (
     MarginFunction,
     X3CInstance,
@@ -44,9 +44,7 @@ def rule_from_string(text: str, m: int) -> VotingRule:
     if name == "approval":
         return VotingRule.scoring(ScoringVector.approval(int(arg), m))
     if name == "scoring":
-        alphas = [Fraction(part.strip()) for part in arg.split(",")]
-        alphas = [int(a) if a.denominator == 1 else a for a in alphas]
-        return VotingRule.scoring(ScoringVector(alphas))
+        return VotingRule.scoring(ScoringVector([_score(part.strip()) for part in arg.split(",")]))
     if name == "maximin":
         return VotingRule.maximin()
     if name == "bucklin":
@@ -54,6 +52,17 @@ def rule_from_string(text: str, m: int) -> VotingRule:
     if name == "stv":
         return VotingRule.stv()
     raise ElectionError(f"unknown rule {text!r}")
+
+
+def _score(text: str) -> int | Fraction:
+    """One `scoring:` entry: an integer, a decimal or a fraction like 1/2."""
+    if "e" in text.lower():  # refused before `Fraction` expands it, in unbounded time
+        raise ConfigError(f"score {text!r} has an exponent; write it out")
+    try:
+        score = Fraction(text)
+    except ZeroDivisionError:
+        raise ConfigError(f"score {text!r} has a zero denominator") from None
+    return int(score) if score.denominator == 1 else score
 
 
 def _read_election(path: str) -> ElectionInstance:
@@ -167,10 +176,14 @@ def _run_gen(args) -> int:
         return 0
     if args.kind == "mcgarvey":
         names = [part.strip() for part in args.candidates.split(",")]
+        if not all(map(_NAME_RE.match, names)):  # as in an election file
+            raise ValidationError(f"invalid candidate name in {args.candidates!r}")
         ids = {name: i for i, name in enumerate(names)}
         pairs = {}
         for margin_arg in args.margin or []:
             a, b, v = (part.strip() for part in margin_arg.split(","))
+            if not {a, b} <= ids.keys():
+                raise RosterError(f"unknown candidate in --margin {margin_arg!r}")
             pairs[(ids[a], ids[b])] = int(v)
         ballots = mcgarvey_ballots(MarginFunction.from_pairs(len(names), pairs))
         print(f"# margin-realizing profile: {len(ballots)} ballots")

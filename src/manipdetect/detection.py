@@ -4,8 +4,8 @@ loop over alternative winners, and witness verification.
 A `DetectionQuery` is one question, with its options and checks: the
 suspects or the bound k, the target, and `force`.  It validates them when
 built; `require_target` and `require_bound` check what a procedure needs
-of them.  Its `TargetContext` only caches what the queries about one
-target share.
+of them.  Its `TargetContext`, built on the query's first read of it,
+holds what the queries about one target share.
 
 A coalition of suspects M is a coalition of possible manipulators against a
 candidate y when there is an assignment of one preference per suspect, each
@@ -36,34 +36,23 @@ from .rules import (
 class TargetContext:
     """What the queries about one election, rule and target share.
 
-    The tie-break ranks, the `rules.tally` table of the whole profile and
-    the current winner read from it are each built on first use, at most
-    once.  `admissible` is left to the oracle: the rankings that place the
-    current winner above the target, with the one-ballot table of each.
-    `first_choices` is left to the STV search: the whole profile's
-    first-choice counts per alive-candidate bitmask.  Queries derived by
-    `DetectionQuery.for_coalition` share their parent's context, so a
-    coalition search builds the full table, the admissible ballots and the
-    counts of each alive set once.
+    Built once per query, on its first read of `DetectionQuery.context`: the
+    tie-break ranks, the `rules.tally` table of the whole profile and the
+    current winner read from it.  `admissible` is left to the oracle: the
+    rankings that place the current winner above the target, with the
+    one-ballot table of each.  `first_choices` is left to the STV search:
+    the whole profile's first-choice counts per alive-candidate bitmask.
+    Queries derived by `DetectionQuery.for_coalition` share their parent's
+    context, so a coalition search builds the full table, the admissible
+    ballots and the counts of each alive set once.
     """
 
     def __init__(self, instance: ElectionInstance, rule: VotingRule):
-        self.instance = instance
-        self.rule = rule
+        self.tb_rank = instance.tiebreak.positions()
+        self.full = tally(instance.m, instance.classes, rule)
+        self.winner = winner_from_tally(instance.m, self.full, self.tb_rank, rule)
         self.admissible = None
         self.first_choices: dict[int, list[int]] = {}
-
-    @cached_property
-    def tb_rank(self) -> list[int]:
-        return self.instance.tiebreak.positions()
-
-    @cached_property
-    def full(self):
-        return tally(self.instance.m, self.instance.classes, self.rule)
-
-    @cached_property
-    def winner(self) -> int:
-        return winner_from_tally(self.instance.m, self.full, self.tb_rank, self.rule)
 
 
 @dataclass(frozen=True)
@@ -76,9 +65,9 @@ class DetectionQuery:
     replay and subset budgets (`oracle.DEFAULT_REPLAY_BUDGET`,
     `oracle.DEFAULT_SUBSET_BUDGET`) for every search of this query and of
     the queries derived from it.  `context` holds what every query about
-    the same target shares; `rest` is the `rules.tally` table of every
-    voter but the suspects, built on first use; `confirm` replays a witness
-    on it.
+    the same target shares, and `rest` is the `rules.tally` table of every
+    voter but the suspects; each is built on first read.  `confirm`
+    replays a witness on `rest`.
     """
 
     instance: ElectionInstance
@@ -87,7 +76,6 @@ class DetectionQuery:
     actual_winner: int | None = None
     bound: int | None = None
     force: bool = field(default=False, kw_only=True)
-    context: TargetContext = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.instance.n
@@ -103,11 +91,10 @@ class DetectionQuery:
             raise RosterError(f"actual winner id {self.actual_winner} outside roster")
         if self.bound is not None and self.bound < 0:
             raise InvalidQueryError("coalition bound must be >= 0")
-        object.__setattr__(self, "context", TargetContext(self.instance, self.rule))
 
     def for_coalition(self, suspects: tuple[int, ...]) -> "DetectionQuery":
-        """The same target and `force` with `suspects` as the coalition, sharing
-        this query's context."""
+        """The same target and `force` with `suspects` as the coalition; its
+        context is this query's, so it never builds its own."""
         query = DetectionQuery(
             self.instance, self.rule, suspects, self.actual_winner, force=self.force
         )
@@ -115,10 +102,14 @@ class DetectionQuery:
         return query
 
     def for_target(self, y: int) -> "DetectionQuery":
-        """The same suspects, bound and `force` against target y, with a fresh context."""
+        """The same suspects, bound and `force` against target y, with its own context."""
         return DetectionQuery(
             self.instance, self.rule, self.suspects, y, self.bound, force=self.force
         )
+
+    @cached_property
+    def context(self) -> TargetContext:
+        return TargetContext(self.instance, self.rule)
 
     @cached_property
     def rest(self):

@@ -13,12 +13,12 @@ tie-break order, by `detection._first_yes`, each on the query's
 instance forms of `decide_*` build that query, `force` included.
 
 Bounded searches (CPMSW) are decided greedily for convex vectors and in
-closed form for plurality; every other rule searches one coalition per
-multiset of ballot classes (`search_coalitions`), each decided by CPMW on a
-query derived from the search's own (`for_coalition`), so every coalition
-keeps its `force` and reads the current winner and the full-profile table
-from one shared context.  Every verdict carries the current winner from
-its query's context.
+closed form for plurality; every other rule hands its query to
+`search_coalitions`, which decides one coalition per multiset of ballot
+classes by CPMW on the query's `for_coalition` derivation, so every
+coalition keeps its `force` and reads the current winner and the
+full-profile table from the query's one context.  Every verdict carries
+the current winner from its query's context.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def decide_cpmsw(
     `DetectionQuery(instance, rule, (), y, k, force=force)`."""
     if not isinstance(query, DetectionQuery):
         query = DetectionQuery(query, rule, (), y, k, force=force)
-    bound = require_bound(query)
+    require_bound(query)
     rule = query.rule
     if rule.kind == SCORING and rule.vector.is_convex():
         verdict = cpmsw_scoring_greedy(query)
@@ -110,12 +110,7 @@ def decide_cpmsw(
     else:
         require_target(query)
         verdict = search_coalitions(
-            query.instance,
-            rule,
-            bound,
-            query.actual_winner,
-            decide=lambda subset: _decide_cpmw(query.for_coalition(subset)),
-            force=query.force,
+            query, decide=lambda subset: _decide_cpmw(query.for_coalition(subset))
         )
     verdict.current_winner = query.context.winner
     return verdict

@@ -27,6 +27,7 @@ from .detection import (
     DetectionVerdict,
     _first_yes,
     no_verdict,
+    require_bound,
     require_target,
     yes_verdict,
 )
@@ -131,8 +132,10 @@ def oracle_cpm(
     force: bool = False,
 ) -> DetectionVerdict:
     """Disjunction of oracle_cpmw over every alternative winner, in tie-break order."""
-    query = DetectionQuery(instance, rule, force=force)
-    return _default_decider(query)(tuple(suspects))
+    query = DetectionQuery(instance, rule, tuple(suspects), force=force)
+    return _first_yes(
+        query, lambda y: oracle_cpmw(query.for_target(y)), no_verdict(ORACLE, exhaustive=True)
+    )
 
 
 Decider = Callable[[tuple[int, ...]], DetectionVerdict]
@@ -223,29 +226,18 @@ def _canonical_coalitions(instance: ElectionInstance, k: int) -> Iterator[tuple[
         yield from extend(start, total, size)
 
 
-def _default_decider(query: DetectionQuery) -> Decider:
-    if query.actual_winner is not None:
-        return lambda subset: oracle_cpmw(query.for_coalition(subset))
-    # one query per target, so that every coalition shares each target's
-    # context: its admissible ballots and their tables are built once
-    targets = [query.for_target(t) for t in range(query.instance.m)]
-    return lambda subset: _first_yes(
-        query.for_coalition(subset),
-        lambda t: oracle_cpmw(targets[t].for_coalition(subset)),
-        no_verdict(ORACLE, exhaustive=True),
-    )
-
-
 def search_coalitions(
-    instance: ElectionInstance,
-    rule: VotingRule,
-    k: int,
+    query: DetectionQuery | ElectionInstance,
+    rule: VotingRule | None = None,
+    k: int | None = None,
     y: int | None = None,
     *,
     decide: Decider | None = None,
     force: bool = False,
 ) -> DetectionVerdict:
-    """Is there any coalition of size <= k of possible manipulators (against y, if given)?
+    """Is there any coalition of at most the query's bound k of possible
+    manipulators (against its target, if it has one)?  The instance form
+    searches `DetectionQuery(instance, rule, actual_winner=y, bound=k, force=force)`.
 
     Every rule is anonymous, so a subset's verdict depends only on the
     multiset of its members' ballots.  The search decides one subset per
@@ -254,16 +246,18 @@ def search_coalitions(
     subset's representative is also YES and no later in that order, so the
     first hit is the first YES voter subset in size-then-index order.  The
     subset budget counts these representatives; the count stops at one past
-    the budget, so a refusal reports that as its cost.  The search's own
-    query, `DetectionQuery(instance, rule, actual_winner=y, bound=k,
-    force=force)`, checks k and y.  Each subset is decided by `decide` when
-    supplied (letting callers plug in a polynomial procedure), else by the
-    oracle on a query derived from the search's.  Without a hit, the NO of
+    the budget, so a refusal reports that as its cost.  Each subset is
+    decided by `decide` when supplied (letting callers plug in a polynomial
+    procedure), else by the oracle on the query's `for_coalition`
+    derivation: against its target, or against every alternative winner on
+    one query per target, built once per search.  Without a hit, the NO of
     the last subset decided, so the verdict names the procedure that
     decided it; the oracle's exhaustive NO when no subset was decided
     (k = 0).
     """
-    query = DetectionQuery(instance, rule, actual_winner=y, bound=k, force=force)
+    if not isinstance(query, DetectionQuery):
+        query = DetectionQuery(query, rule, actual_winner=y, bound=k, force=force)
+    instance, k = query.instance, require_bound(query)
     budget = DEFAULT_SUBSET_BUDGET
     count = _coalition_count(instance, k, budget + 1)
     if count > budget and not query.force:
@@ -272,15 +266,19 @@ def search_coalitions(
             count,
             budget,
         )
-    if decide is None:
-        decide = _default_decider(query)
-    verdict = None
+    if decide is None and query.actual_winner is not None:
+        decide = lambda subset: oracle_cpmw(query.for_coalition(subset))
+    elif decide is None:
+        targets = [query.for_target(t) for t in range(instance.m)]
+        decide = lambda subset: _first_yes(
+            query,
+            lambda t: oracle_cpmw(targets[t].for_coalition(subset)),
+            no_verdict(ORACLE, exhaustive=True),
+        )
+    verdict = no_verdict(ORACLE, exhaustive=True)
     for subset in _canonical_coalitions(instance, k):
         verdict = decide(subset)
         if verdict.answer:
             verdict.coalition = subset
             return verdict
-    if verdict is None:
-        return no_verdict(ORACLE, exhaustive=True)
     return verdict
-

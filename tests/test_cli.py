@@ -8,6 +8,7 @@ import pytest
 from manipdetect import cli, oracle
 from manipdetect.core import Preference
 from manipdetect.detection import verify_verdict, yes_verdict
+from manipdetect.errors import ConfigError
 from manipdetect.ballotfile import Report, parse_election
 from manipdetect.cli import main, rule_from_string
 from manipdetect.rules import VotingRule, winner
@@ -31,6 +32,18 @@ def test_rule_from_string_variants():
     assert rule_from_string("maximin", 3).kind == "maximin"
     assert rule_from_string("bucklin", 3).kind == "bucklin"
     assert rule_from_string("stv", 3).kind == "stv"
+
+
+@pytest.mark.parametrize("spec", ["scoring:1/0,0,0", "scoring:1e5,0,0"])
+def test_rule_from_string_refuses_zero_denominators_and_exponents(spec):
+    with pytest.raises(ConfigError):
+        rule_from_string(spec, 3)
+
+
+def test_zero_denominator_score_exit_two_without_internal_error(e1_file, capsys):
+    assert main(["winner", e1_file, "--rule", "scoring:1/0,0,0"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "internal error" not in err
 
 
 def test_winner_command(e1_file, capsys):
@@ -243,6 +256,18 @@ def test_gen_mcgarvey(capsys):
     assert code == 0
     inst = parse_election(capsys.readouterr().out)
     assert inst.n == 4
+
+
+@pytest.mark.parametrize(
+    "candidates, margin, message",
+    [("a,b,c", "a,z,2", "unknown candidate"), ("a#1,b,c", "a#1,b,2", "invalid candidate name")],
+)
+def test_gen_mcgarvey_refuses_bad_names(candidates, margin, message, capsys):
+    code = main(["gen", "mcgarvey", "--candidates", candidates, "--margin", margin])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err and "internal error" not in err
 
 
 def test_gen_x3c_with_witness(capsys):

@@ -8,6 +8,7 @@ from manipdetect.core import ElectionInstance
 from manipdetect.detection import DetectionQuery, verify_verdict
 from manipdetect.dispatch import decide_cpm, decide_cpms, decide_cpmsw, decide_cpmw
 from manipdetect.errors import BudgetExceededError, InvalidQueryError, RosterError
+from manipdetect.generators import random_profile
 from manipdetect.oracle import oracle_cpm, oracle_cpmw, search_coalitions
 from manipdetect.rules import ScoringVector, VotingRule, winner
 
@@ -190,6 +191,44 @@ def test_single_suspect_borda_cpm_no_builds_fixed_number_of_score_tables(
     counts = _count_tables(monkeypatch, 1)
     assert not decide_cpm(inst, rule, (0,)).answer
     assert counts["all"] == 1 + (m - 1) * (m + 1)
+
+
+def _count_contexts(monkeypatch):
+    """Count the `TargetContext`s built from now on."""
+    built = []
+    init = detection.TargetContext.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(detection.TargetContext, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize(
+    "rule", [VotingRule.maximin(), VotingRule.bucklin()], ids=["maximin", "bucklin"]
+)
+def test_a_coalition_search_builds_one_context(monkeypatch, rule):
+    # Every one of the 30 canonical coalitions of at most two voters is
+    # decided on a query derived from the search's, sharing its context.
+    inst = random_profile(4, 9, 3)
+    assert len(list(oracle._canonical_coalitions(inst, 2))) == 30
+    built = _count_contexts(monkeypatch)
+    assert not decide_cpmsw(inst, rule, 1, 2).answer
+    assert len(built) == 1
+
+
+def test_a_no_untargeted_oracle_builds_one_context_per_candidate(monkeypatch):
+    # The query's own, for the current winner, and one per alternative winner.
+    inst = random_profile(4, 9, 3)
+    maximin = VotingRule.maximin()
+    built = _count_contexts(monkeypatch)
+    assert not oracle_cpm(inst, maximin, (0, 1)).answer
+    assert len(built) == inst.m
+    del built[:]
+    assert not search_coalitions(inst, maximin, 1).answer
+    assert len(built) == inst.m
 
 
 def test_each_polynomial_route_builds_one_full_profile_table(monkeypatch):

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from manipdetect.ballotfile import parse_election
 from manipdetect.core import ElectionInstance, Preference
-from manipdetect.detection import no_verdict, verify_verdict
+from manipdetect.detection import DetectionQuery, no_verdict, verify_verdict
 from manipdetect.dispatch import decide_cpm, decide_cpms, decide_cpmsw, decide_cpmw
-from manipdetect.errors import BudgetExceededError
+from manipdetect.errors import BudgetExceededError, InvalidQueryError
 from manipdetect.oracle import (
     DEFAULT_SUBSET_BUDGET,
     _canonical_coalitions,
@@ -150,6 +150,8 @@ def test_search_matches_plain_subset_walk_with_dispatch_deciders(m):
                     got = search_coalitions(inst, rule, k, y, decide=decide)
                     want = reference_search(inst, k, decide)
                     assert got == want, (rule, y, k)
+                    query = DetectionQuery(inst, rule, actual_winner=y, bound=k)
+                    assert search_coalitions(query, decide=decide) == want, (rule, y, k)
 
 
 def test_search_matches_plain_subset_walk_with_oracle_decider():
@@ -161,6 +163,7 @@ def test_search_matches_plain_subset_walk_with_oracle_decider():
             for k in range(0, 3):
                 want = reference_search(inst, k, lambda subset: oracle_cpm(inst, rule, subset))
                 assert search_coalitions(inst, rule, k) == want, (rule, k)
+                assert search_coalitions(DetectionQuery(inst, rule, bound=k)) == want, (rule, k)
                 for y in range(3):
                     if y == x:
                         continue
@@ -168,6 +171,14 @@ def test_search_matches_plain_subset_walk_with_oracle_decider():
                         inst, k, lambda subset: oracle_cpmw(inst, rule, subset, y)
                     )
                     assert search_coalitions(inst, rule, k, y) == want, (rule, y, k)
+
+
+def test_a_search_query_needs_a_bound():
+    inst = ElectionInstance(("a", "b", "c"), [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1)])
+    with pytest.raises(InvalidQueryError):
+        search_coalitions(DetectionQuery(inst, VotingRule.maximin(), actual_winner=1))
+    with pytest.raises(InvalidQueryError):
+        search_coalitions(DetectionQuery(inst, VotingRule.maximin()))
 
 
 def test_bucklin_search_on_large_tallied_profile_fits_default_budget():
