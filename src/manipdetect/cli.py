@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: winner, cpmw, cpm, cpmsw, cpms, oracle (force exhaustive
-decisions), and gen (instance generators).  Exit status: 0 for YES/success,
-1 for NO, 2 for any error (including a refused budget without --force,
-running out of memory and an internal error).
+decisions), and gen (instance generators).  Every detection command takes
+--force, which runs past the search budgets; winner has no budget.  Exit
+status: 0 for YES/success, 1 for NO, 2 for any error (including a refused
+budget without --force, running out of memory and an internal error).
 """
 
 from __future__ import annotations
@@ -72,8 +73,13 @@ def _read_election(path: str) -> ElectionInstance:
         return parse_election(handle.read())
 
 
-def _parse_suspects(raw: str) -> tuple[int, ...]:
+def voter_indices(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(",") if part.strip() != "")
+
+
+def _report(started: float, **fields) -> Report:
+    """The report of one command, timed from `started`."""
+    return Report(**fields, elapsed_ms=(time.perf_counter() - started) * 1000.0)
 
 
 def _verdict_report(
@@ -88,83 +94,65 @@ def _verdict_report(
     started: float,
     forced: bool,
 ) -> Report:
+    """The report of a verdict, once a YES replays as the question asked."""
     if verdict.answer and not verify_verdict(
         instance, rule, verdict, suspects, bound=bound, actual_winner=target
     ):
         raise ElectionError("internal error: witness failed replay verification")
-    names = instance.names
+    names, y = instance.names, verdict.witness_actual_winner
     witness = None
     if verdict.witness is not None:
         witness = [
             {"voter": i, "ballot": ballot_string(names, pref)}
             for i, pref in sorted(verdict.witness.items())
         ]
-    return Report(
+    return _report(
+        started,
         problem=problem,
         rule=rule_spec,
         verdict="YES" if verdict.answer else "NO",
         current_winner=names[verdict.current_winner],
-        witness_actual_winner=(
-            names[verdict.witness_actual_winner]
-            if verdict.witness_actual_winner is not None
-            else None
-        ),
+        witness_actual_winner=None if y is None else names[y],
         witness=witness,
         coalition=list(verdict.coalition) if verdict.coalition is not None else None,
         method=verdict.method,
         exhaustive=verdict.exhaustive,
         budget="forced" if forced else "ok",
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
     )
 
 
 def _emit(report: Report, as_json: bool) -> None:
-    if as_json:
-        print(report.to_json())
-    else:
-        print("\n".join(report.lines()))
+    print(report.to_json() if as_json else "\n".join(report.lines()))
 
 
-def _run_detection(args) -> int:
-    started = time.perf_counter()
+# Each detection command's decider, over the election, rule, suspects, target,
+# bound and force; an input its parser does not declare is None.  A lambda
+# looks its decider up when called, so a test may patch it.
+_DECIDERS = {
+    "cpmw": lambda e, r, s, y, k, f: decide_cpmw(e, r, s, y, force=f),
+    "cpm": lambda e, r, s, y, k, f: decide_cpm(e, r, s, force=f),
+    "cpmsw": lambda e, r, s, y, k, f: decide_cpmsw(e, r, y, k, force=f),
+    "cpms": lambda e, r, s, y, k, f: decide_cpms(e, r, k, force=f),
+    "oracle": lambda e, r, s, y, k, f: (
+        oracle_cpm(e, r, s, force=f) if y is None else oracle_cpmw(e, r, s, y, force=f)
+    ),
+}
+
+
+def _run_detection(args, started: float) -> int:
     instance = _read_election(args.election)
     rule = rule_from_string(args.rule, instance.m)
-    problem = args.command
-    if problem == "winner":
-        w = winner(instance, rule)
-        report = Report(
-            problem="winner",
-            rule=args.rule,
-            verdict="-",
-            winner=instance.names[w],
-            method="winner-determination",
-            elapsed_ms=(time.perf_counter() - started) * 1000.0,
-        )
-        _emit(report, args.json)
+    if args.command == "winner":
+        name = instance.names[winner(instance, rule)]
+        _emit(_report(started, problem="winner", rule=args.rule, verdict="-", winner=name,
+                      method="winner-determination"), args.json)
         return 0
-
-    force = args.force
-    suspects = _parse_suspects(args.suspects) if problem in ("cpmw", "cpm", "oracle") else None
-    bound = args.k if problem in ("cpmsw", "cpms") else None
-    y = None
-    if problem in ("cpmw", "cpmsw", "oracle") and args.actual_winner is not None:
-        y = instance.candidate_id(args.actual_winner)
-    if problem == "cpmw":
-        verdict = decide_cpmw(instance, rule, suspects, y, force=force)
-    elif problem == "cpm":
-        verdict = decide_cpm(instance, rule, suspects, force=force)
-    elif problem == "cpmsw":
-        verdict = decide_cpmsw(instance, rule, y, bound, force=force)
-    elif problem == "cpms":
-        verdict = decide_cpms(instance, rule, bound, force=force)
-    elif y is not None:  # oracle, winner given
-        verdict = oracle_cpmw(instance, rule, suspects, y, force=force)
-    else:
-        verdict = oracle_cpm(instance, rule, suspects, force=force)
-    report = _verdict_report(
-        problem, args.rule, instance, rule, verdict, suspects, bound, y, started, force
-    )
-    _emit(report, args.json)
+    suspects, bound = getattr(args, "suspects", None), getattr(args, "k", None)
+    target = getattr(args, "actual_winner", None)
+    y = None if target is None else instance.candidate_id(target)
+    verdict = _DECIDERS[args.command](instance, rule, suspects, y, bound, args.force)
+    _emit(_verdict_report(args.command, args.rule, instance, rule, verdict, suspects, bound, y,
+                          started, args.force), args.json)
     return 0 if verdict.answer else 1
 
 
@@ -225,20 +213,22 @@ def build_parser() -> argparse.ArgumentParser:
         "maximin | bucklin | stv"
     )
 
-    def add_common(p, suspects=False, target=False, target_required=False, bound=False):
+    def add_common(p, suspects=False, target=False, target_required=False, bound=False, force=True):
         p.add_argument("election", help="election file path, or - for stdin")
         p.add_argument("--rule", required=True, help=rule_help)
         if suspects:
-            p.add_argument("--suspects", required=True, help="comma-separated 0-based voter indices")
+            p.add_argument("--suspects", required=True, type=voter_indices,
+                           help="comma-separated 0-based voter indices")
         if target:
             p.add_argument("--actual-winner", required=target_required, default=None,
                            help="candidate name hypothesized as the truthful winner")
         if bound:
             p.add_argument("-k", type=int, required=True, help="maximum coalition size")
-        p.add_argument("--force", action="store_true", help="run past the search budget")
+        if force:  # winner determination has no budget
+            p.add_argument("--force", action="store_true", help="run past the search budget")
         p.add_argument("--json", action="store_true", help="print a JSON report")
 
-    add_common(sub.add_parser("winner", help="determine the winner"))
+    add_common(sub.add_parser("winner", help="determine the winner"), force=False)
     add_common(sub.add_parser("cpmw", help="coalition of possible manipulators, winner given"),
                suspects=True, target=True, target_required=True)
     add_common(sub.add_parser("cpm", help="coalition of possible manipulators"), suspects=True)
@@ -274,20 +264,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "gen":
             return _run_gen(args)
-        return _run_detection(args)
+        return _run_detection(args, started)
     except BudgetExceededError as exc:
         print(f"error: {exc} (use --force to run anyway)", file=sys.stderr)
         if args.json:
-            report = Report(
-                problem=args.command,
-                rule=args.rule,
-                verdict="-",
-                budget="exceeded",
-                cost=exc.cost,
-                limit=exc.budget,
-                elapsed_ms=(time.perf_counter() - started) * 1000.0,
-            )
-            _emit(report, True)
+            _emit(_report(started, problem=args.command, rule=args.rule, verdict="-",
+                          budget="exceeded", cost=exc.cost, limit=exc.budget), True)
         return 2
     except (ElectionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

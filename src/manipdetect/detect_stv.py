@@ -26,7 +26,8 @@ counts depend only on the alive set; they are memoized per alive bitmask
 in the query's context, so every coalition of a search shares them, and
 the rest of the profile counts that minus each suspect's own top alive
 candidate.  The budget, `oracle.DEFAULT_REPLAY_BUDGET`, counts simulated
-rounds; a query with `force` set runs past it.
+rounds: every round is checked by `DetectionQuery.within`, so the search
+refuses at one round past the budget, unless the query has `force` set.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .detection import (
     no_verdict,
     require_target,
 )
-from .errors import BudgetExceededError, DispatchError
+from .errors import DispatchError
 from .rules import STV, stv_loser
 
 METHOD_STV = "stv-tree"
@@ -85,13 +86,7 @@ def cpmw_stv(query: DetectionQuery) -> DetectionVerdict:
                 counts[seq[-1]] += 1
             drop = stv_loser(counts, [c for c in range(m) if mask >> c & 1], tb_rank)
             rounds += 1
-            if rounds > budget and not query.force:
-                raise BudgetExceededError(
-                    f"STV elimination-tree search needs more than {budget} rounds, "
-                    f"budget is {budget}",
-                    budget + 1,
-                    budget,
-                )
+            query.within(rounds, budget, "STV elimination-tree search", "rounds")
             if drop == y:
                 break
             mask &= ~(1 << drop)

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Callable, Mapping
 
 from .core import ElectionInstance, Preference
-from .errors import InvalidQueryError, RosterError, ValidationError
+from .errors import BudgetExceededError, InvalidQueryError, RosterError, ValidationError
 from .rules import (
     VotingRule,
     tally,
@@ -61,10 +61,9 @@ class DetectionQuery:
 
     `suspects` is the coalition M (used by CPM/CPMW); `actual_winner` is the
     hypothesized truthful winner y (present for CPMW/CPMSW); `bound` is the
-    maximum coalition size k (used by CPMS/CPMSW).  `force` lifts the
-    replay and subset budgets (`oracle.DEFAULT_REPLAY_BUDGET`,
-    `oracle.DEFAULT_SUBSET_BUDGET`) for every search of this query and of
-    the queries derived from it.  `context` holds what every query about
+    maximum coalition size k (used by CPMS/CPMSW).  Every search refuses
+    to run past its budget by `within`, unless `force` is set; the queries
+    derived from this one keep it.  `context` holds what every query about
     the same target shares, and `rest` is the `rules.tally` table of every
     voter but the suspects; each is built on first read.  `confirm`
     replays a witness on `rest`.
@@ -106,6 +105,13 @@ class DetectionQuery:
         return DetectionQuery(
             self.instance, self.rule, self.suspects, y, self.bound, force=self.force
         )
+
+    def within(self, cost: int, budget: int, search: str, unit: str) -> None:
+        """Refuse a search that needs `cost` units of work past its budget,
+        unless the query has `force` set; the error carries both."""
+        if cost > budget and not self.force:
+            message = f"{search} needs at least {cost} {unit}, budget is {budget}"
+            raise BudgetExceededError(message, cost, budget)
 
     @cached_property
     def context(self) -> TargetContext:

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
+from . import ballotfile
 from .core import ElectionInstance, Preference, WeightedMajorityGraph
 from .errors import ValidationError
 
@@ -40,8 +41,13 @@ def mcgarvey_ballots(f: MarginFunction) -> tuple[Preference, ...]:
     the (a, b) margin and cancels everywhere else, so the total ballot count
     is the sum of |margin| over unordered pairs.  An all-zero table yields an
     empty ballot list, which is a valid margin target but not an election.
+    A total past `ballotfile.MAX_BALLOTS` is refused before any ballot is built.
     """
     m = f.m
+    total = sum(abs(v) for row in f.margins for v in row) // 2
+    if total > ballotfile.MAX_BALLOTS:
+        limit = ballotfile.MAX_BALLOTS
+        raise ValidationError(f"margins need {total} ballots; an election holds at most {limit}")
     ballots: list[Preference] = []
     for a in range(m):
         for b in range(a + 1, m):

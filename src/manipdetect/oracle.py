@@ -9,9 +9,10 @@ algorithms and for the STV elimination-tree search (`detect_stv`), and the
 solver of last resort for maximin coalitions and irregular scoring vectors
 with coalitions.  Searches refuse to start past a replay budget
 (`DEFAULT_REPLAY_BUDGET`) or a subset budget (`DEFAULT_SUBSET_BUDGET`)
-rather than run open-endedly, unless their query has `force` set; the
-queries a search derives, one per target or coalition, keep it.  Both
-budgets are read when a search checks them, so a test may patch them.
+rather than run open-endedly: each hands its cost and budget to the one
+check, `DetectionQuery.within`, which refuses unless the query has `force`
+set; the queries a search derives, one per target or coalition, keep it.
+Both budgets are read when a search checks them, so a test may patch them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .detection import (
     require_target,
     yes_verdict,
 )
-from .errors import BudgetExceededError
 from .rules import VotingRule, _add_tables, tally, winner_from_tally
 
 DEFAULT_REPLAY_BUDGET = 10_000_000
@@ -86,13 +86,8 @@ def oracle_cpmw(
     m, context = query.instance.m, query.context
     x, y = require_target(query)
 
-    half = factorial(m) // 2
-    cost = comb(half + len(suspects) - 1, len(suspects))
-    budget = DEFAULT_REPLAY_BUDGET
-    if cost > budget and not query.force:
-        raise BudgetExceededError(
-            f"exhaustive search needs {cost} replays, budget is {budget}", cost, budget
-        )
+    cost = comb(factorial(m) // 2 + len(suspects) - 1, len(suspects))
+    query.within(cost, DEFAULT_REPLAY_BUDGET, "exhaustive search", "replays")
 
     if context.admissible is None:
         slots = admissible_preferences(m, x, y)
@@ -260,12 +255,7 @@ def search_coalitions(
     instance, k = query.instance, require_bound(query)
     budget = DEFAULT_SUBSET_BUDGET
     count = _coalition_count(instance, k, budget + 1)
-    if count > budget and not query.force:
-        raise BudgetExceededError(
-            f"search would enumerate at least {count} coalitions, budget is {budget}",
-            count,
-            budget,
-        )
+    query.within(count, budget, "coalition search", "coalitions")
     if decide is None and query.actual_winner is not None:
         decide = lambda subset: oracle_cpmw(query.for_coalition(subset))
     elif decide is None:

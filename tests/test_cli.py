@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from manipdetect import cli, oracle
+from manipdetect import ballotfile, cli, oracle
 from manipdetect.core import Preference
 from manipdetect.detection import verify_verdict, yes_verdict
 from manipdetect.errors import ConfigError
@@ -242,6 +242,26 @@ def test_stv_round_budget_refusal_json_report(tmp_path, capsys, monkeypatch):
     assert main([*args, "--force"]) in (0, 1)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["cpmw", "--suspects", "0", "--actual-winner", "b"], ["cpm", "--suspects", "0"],
+     ["cpmsw", "--actual-winner", "b", "-k", "1"], ["cpms", "-k", "1"],
+     ["oracle", "--suspects", "0"], ["oracle", "--suspects", "0", "--actual-winner", "b"]],
+    ids=["cpmw", "cpm", "cpmsw", "cpms", "oracle", "oracle-winner-given"],
+)
+def test_every_detection_command_takes_force(e1_file, capsys, args):
+    assert main([args[0], e1_file, "--rule", "borda", *args[1:], "--force", "--json"]) in (0, 1)
+    assert Report.from_json(capsys.readouterr().out).budget == "forced"
+
+
+def test_winner_takes_no_force(e1_file, capsys):
+    # winner determination has no budget to run past
+    with pytest.raises(SystemExit) as exited:
+        main(["winner", e1_file, "--rule", "borda", "--force"])
+    assert exited.value.code == 2
+    assert "--force" in capsys.readouterr().err
+
+
 def test_gen_random_round_trips(capsys):
     assert main(["gen", "random", "--m", "3", "--n", "4", "--seed", "9"]) == 0
     out = capsys.readouterr().out
@@ -268,6 +288,16 @@ def test_gen_mcgarvey_refuses_bad_names(candidates, margin, message, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert message in err and "internal error" not in err
+
+
+def test_gen_mcgarvey_refuses_more_ballots_than_a_file_may_hold(monkeypatch, capsys):
+    # the margin of a over b takes 20 ballots, past a cap lowered to 10
+    monkeypatch.setattr(ballotfile, "MAX_BALLOTS", 10)
+    code = main(["gen", "mcgarvey", "--candidates", "a,b,c", "--margin", "a,b,20"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err and "internal error" not in err
 
 
 def test_gen_x3c_with_witness(capsys):

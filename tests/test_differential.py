@@ -10,13 +10,26 @@ slow variant), and the greedy bounded
 search for convex vectors is compared with a search over every coalition
 decided by the oracle (k up to 4 at m = 4 and 3 at m = 5 in the slow
 variant).
+
+Convex scoring coalitions (`scoring-coalition`) run on planted near-ties,
+since two suspects rarely swing the random elections above (veto gave no
+YES in the first 40 of them at m = 5):
+whole orbits of the cyclic relabelling c -> c + 1 (mod m), under which every
+candidate stands alike, plus a small lead of x over y.  Their tier-1 row is
+m = 5 with two suspects, every alternative winner; the slow variant is
+m = 5 with three suspects and m = 6 with two.  The same near-ties, with
+265-311 distinct rankings at m = 6, put every route on packed instances,
+whose tables are counted from position planes, and on a copy in which
+voters swap and replace ballots.
 """
 
 import random
+from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from manipdetect.core import ElectionInstance
+from manipdetect.core import ElectionInstance, Preference
 from manipdetect.detection import verify_verdict
 from manipdetect.dispatch import decide_cpmsw, decide_cpmw
 from manipdetect.oracle import oracle_cpmw, search_coalitions
@@ -31,14 +44,22 @@ def _election(rng: random.Random, m: int, n: int) -> ElectionInstance:
     return ElectionInstance(names, ballots, tuple(rng.sample(range(m), m)))
 
 
+def _convex_fraction(m: int) -> ScoringVector:
+    # a top gap of 1/3, the smallest, over uneven lower gaps of 1/2 and 1
+    gaps = [Fraction(1, 3)] + [Fraction(1 + i % 2, 2) for i in range(m - 2)]
+    return ScoringVector([sum(gaps[i:], Fraction(0)) for i in range(m)])
+
+
 RULES = {
     "borda": lambda m: VotingRule.scoring(ScoringVector.borda(m)),
     "irregular": lambda m: VotingRule.scoring(ScoringVector([4, 2, 1] + [0] * (m - 3))),
     "plurality": lambda m: VotingRule.scoring(ScoringVector.plurality(m)),
     "2-approval": lambda m: VotingRule.scoring(ScoringVector.approval(2, m)),
     "veto": lambda m: VotingRule.scoring(ScoringVector.veto(m)),
+    "convex-fraction": lambda m: VotingRule.scoring(_convex_fraction(m)),
     "maximin": lambda m: VotingRule.maximin(),
     "bucklin": lambda m: VotingRule.bucklin(),
+    "stv": lambda m: VotingRule.stv(),
 }
 
 
@@ -52,6 +73,19 @@ CASES = [
 ]
 
 
+def _agree(inst, rule, suspects, y, method: str, context) -> bool:
+    """The answer of `decide_cpmw`, checked against the oracle's, its route
+    against `method`, and both verdicts by replay."""
+    fast = decide_cpmw(inst, rule, suspects, y)
+    slow = oracle_cpmw(inst, rule, suspects, y)
+    context = (*context, inst, suspects, y)
+    assert fast.method == method, context
+    assert fast.answer == slow.answer, context
+    assert verify_verdict(inst, rule, fast, suspects), context
+    assert verify_verdict(inst, rule, slow, suspects), context
+    return fast.answer
+
+
 def _differential(seed: int, m: int, rule_name: str, size: int, method: str, trials: int):
     rng = random.Random(f"{seed}-{m}-{rule_name}-{size}")
     rule = RULES[rule_name](m)
@@ -61,16 +95,8 @@ def _differential(seed: int, m: int, rule_name: str, size: int, method: str, tri
         suspects = tuple(sorted(rng.sample(range(inst.n), size)))
         x = winner(inst, rule)
         for y in range(m):
-            if y == x:
-                continue
-            fast = decide_cpmw(inst, rule, suspects, y)
-            slow = oracle_cpmw(inst, rule, suspects, y)
-            context = (seed, rule_name, inst, suspects, y)
-            assert fast.method == method, context
-            assert fast.answer == slow.answer, context
-            assert verify_verdict(inst, rule, fast, suspects), context
-            assert verify_verdict(inst, rule, slow, suspects), context
-            answers.add(fast.answer)
+            if y != x:
+                answers.add(_agree(inst, rule, suspects, y, method, (seed, rule_name)))
     return answers
 
 
@@ -160,4 +186,148 @@ def test_greedy_search_matches_oracle_search(m, k, trials, rule_name):
     answers = set()
     for seed in range(2):
         answers |= _greedy_differential(seed, m, rule_name, k, trials)
+    assert answers == {True, False}
+
+
+def _near_tie(
+    rng: random.Random, m: int, orbits: int, lead_y: int
+) -> tuple[ElectionInstance, int, int]:
+    """A planted near-tie; returns (election, x, y).
+
+    `orbits` whole orbits of the cyclic relabelling c -> c + 1 (mod m) leave
+    every candidate alike under every rule, so all m tie.  On top of them go
+    `lead_y` rankings that start y > x and one more that starts x > y: a
+    lead of one ballot for x over y, both ahead of the rest.  Every ranking is
+    distinct and cast by one voter; the tie-break order is random.
+    """
+    by_orbit: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for r in permutations(range(m)):
+        key = min(tuple((c + k) % m for c in r) for k in range(m))
+        by_orbit.setdefault(key, []).append(r)
+    keys = sorted(by_orbit)
+    picked = set(rng.sample(range(len(keys)), orbits))
+    rankings = [r for i in sorted(picked) for r in by_orbit[keys[i]]]
+    rest = [r for i, key in enumerate(keys) if i not in picked for r in by_orbit[key]]
+    x, y = rng.sample(range(m), 2)
+    rankings += rng.sample([r for r in rest if r[:2] == (x, y)], lead_y + 1)
+    rankings += rng.sample([r for r in rest if r[:2] == (y, x)], lead_y)
+    rng.shuffle(rankings)
+    names = [f"c{i}" for i in range(m)]
+    return ElectionInstance(names, rankings, tuple(rng.sample(range(m), m))), x, y
+
+
+def _suspects_near_the_top(rng: random.Random, inst: ElectionInstance, rule, size: int):
+    """`size` voters among those who rank the current winner highest (first,
+    or within the top two when too few rank it first, and so on): those who
+    can take the most from it."""
+    x = winner(inst, rule)
+    for depth in range(1, inst.m + 1):
+        near = [i for i, pref in enumerate(inst.ballots) if pref.ranking.index(x) < depth]
+        if len(near) >= size:
+            return tuple(sorted(rng.sample(near, size)))
+
+
+CONVEX_RULES = ["borda", "2-approval", "veto", "convex-fraction"]
+
+
+def _convex_differential(seed: int, m: int, rule_name: str, size: int, trials: int):
+    rng = random.Random(f"convex-{seed}-{m}-{rule_name}-{size}")
+    rule = RULES[rule_name](m)
+    answers = set()
+    for _ in range(trials):
+        inst, _, _ = _near_tie(rng, m, rng.randint(1, 2), rng.randint(0, 2))
+        suspects = _suspects_near_the_top(rng, inst, rule, size)
+        x = winner(inst, rule)
+        for y in range(m):
+            if y != x:
+                context = (seed, rule_name)
+                answers.add(_agree(inst, rule, suspects, y, "scoring-coalition", context))
+    return answers
+
+
+@pytest.mark.parametrize("rule_name", CONVEX_RULES)
+def test_convex_coalitions_match_oracle_m5(rule_name):
+    answers = set()
+    for seed in range(2):
+        answers |= _convex_differential(seed, 5, rule_name, 2, 5)
+    assert answers == {True, False}
+
+
+# Three suspects at m = 5 take C(62, 3) = 37,820 oracle leaves per NO
+# target, two at m = 6 C(361, 2) = 64,980.
+@pytest.mark.slow
+@pytest.mark.parametrize("rule_name", CONVEX_RULES)
+@pytest.mark.parametrize("m, size, trials", [(5, 3, 6), (6, 2, 3)], ids=["m5-three", "m6-two"])
+def test_convex_coalitions_match_oracle_long(m, size, trials, rule_name):
+    answers = set()
+    for seed in range(10, 12):
+        answers |= _convex_differential(seed, m, rule_name, size, trials)
+    assert answers == {True, False}
+
+
+# (rule, coalition size, method the dispatcher must pick) on packed instances;
+# the oracle's `Fraction` tables make the convex-fraction coalition row
+# the slowest, so it runs with `-m slow` only (tier-1 covers its route at
+# m = 5 and its packed tables with one suspect)
+PACKED_CASES = [
+    ("borda", 1, "scoring-single"),
+    ("irregular", 1, "scoring-single"),
+    ("plurality", 1, "scoring-single"),
+    ("convex-fraction", 1, "scoring-single"),
+    ("maximin", 1, "maximin-single"),
+    ("bucklin", 1, "bucklin-greedy"),
+    ("stv", 1, "stv-tree"),
+    ("borda", 2, "scoring-coalition"),
+    ("2-approval", 2, "scoring-coalition"),
+    ("veto", 2, "scoring-coalition"),
+    pytest.param("convex-fraction", 2, "scoring-coalition", marks=pytest.mark.slow),
+    ("plurality", 2, "plurality-capacity"),
+    ("bucklin", 2, "bucklin-greedy"),
+]
+
+
+def _packed_differential(seed: int, rule_name: str, size: int, method: str, elections: int):
+    """Each election and its copy, for suspects near the top and for any
+    suspects: against every alternative winner with one suspect, against
+    the planted runner-up with two (an oracle NO then walks 64,980 leaves
+    per target)."""
+    rng = random.Random(f"packed-{seed}-{rule_name}-{size}")
+    rule = RULES[rule_name](6)
+    answers = set()
+    for _ in range(elections):
+        election, x, y = _near_tie(rng, 6, rng.randint(44, 51), rng.randint(0, 2))
+        # two voters swap ballots and a third casts a ranking nobody cast
+        i, j, k = rng.sample(range(election.n), 3)
+        ballots = election.ballots
+        fresh = rng.choice(sorted(set(permutations(range(6))) - {b.ranking for b in ballots}))
+        copy = election.with_ballots_replaced(
+            {i: ballots[j], j: ballots[i], k: Preference(fresh)}
+        )
+        assert not copy.classes.units_are_voters
+        for inst in (election, copy):
+            assert inst.classes.pack  # every table is counted from the planes
+            current = winner(inst, rule)
+            targets = [y if current != y else x]
+            if size == 1:
+                targets = [t for t in range(6) if t != current]
+            near = _suspects_near_the_top(rng, inst, rule, size)
+            anyone = tuple(sorted(rng.sample(range(inst.n), size)))
+            for suspects in (near, anyone):
+                for target in targets:
+                    context = (seed, rule_name)
+                    answers.add(_agree(inst, rule, suspects, target, method, context))
+    return answers
+
+
+@pytest.mark.parametrize("rule_name, size, method", PACKED_CASES)
+def test_detectors_match_oracle_on_packed_instances(rule_name, size, method):
+    assert _packed_differential(0, rule_name, size, method, 2) == {True, False}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("rule_name, size, method", PACKED_CASES)
+def test_detectors_match_oracle_on_packed_instances_long(rule_name, size, method):
+    answers = set()
+    for seed in range(10, 16):
+        answers |= _packed_differential(seed, rule_name, size, method, 2)
     assert answers == {True, False}

@@ -362,3 +362,35 @@ def test_replay_budget_reaches_every_derived_query(monkeypatch):
     assert cpms(True) == unbounded[1]
     query = DetectionQuery(e5(), stv, bound=2, force=True)
     assert query.for_target(0).for_coalition((2, 3)).force
+
+
+def test_every_refusal_is_the_query_check_with_one_message(monkeypatch):
+    # the oracle's replays, the coalition count and the STV rounds all refuse
+    # through `DetectionQuery.within`, which names the search and its unit
+    monkeypatch.setattr(oracle, "DEFAULT_REPLAY_BUDGET", 2)
+    monkeypatch.setattr(oracle, "DEFAULT_SUBSET_BUDGET", 1)
+    stv, maximin = VotingRule.stv(), VotingRule.maximin()
+    refusals = (
+        (lambda: oracle_cpmw(e5(), maximin, (2, 3), 0),
+         "exhaustive search needs at least 6 replays, budget is 2"),
+        (lambda: search_coalitions(e5(), maximin, 2, 0),
+         "coalition search needs at least 2 coalitions, budget is 1"),
+        (lambda: decide_cpmw(e5(), stv, (2, 3), 0),
+         "STV elimination-tree search needs at least 3 rounds, budget is 2"),
+    )
+    checked = []
+    original = DetectionQuery.within
+
+    def within(self, cost, budget, search, unit):
+        checked.append((cost, budget))
+        return original(self, cost, budget, search, unit)
+
+    monkeypatch.setattr(DetectionQuery, "within", within)
+    for call, message in refusals:
+        checked.clear()
+        with pytest.raises(BudgetExceededError) as refused:
+            call()
+        assert str(refused.value) == message
+        assert checked[-1] == (refused.value.cost, refused.value.budget)
+    query = DetectionQuery(e5(), maximin, force=True)
+    assert query.within(10**9, 1, "any search", "steps") is None

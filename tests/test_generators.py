@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from manipdetect import ballotfile
 from manipdetect.core import Preference, margin_matrix
 from manipdetect.errors import ValidationError
 from manipdetect.generators import (
@@ -36,6 +37,14 @@ def test_mcgarvey_condorcet_cycle():
     assert len(ballots) == 6
     d = margin_matrix(3, [(b, 1) for b in ballots])
     assert d[0][1] == 2 and d[1][2] == 2 and d[2][0] == 2
+
+
+def test_mcgarvey_refuses_more_ballots_than_a_file_may_hold(monkeypatch):
+    # a total of sum |margin| = 6 + 4 ballots fits a cap of 10; 20 does not
+    monkeypatch.setattr(ballotfile, "MAX_BALLOTS", 10)
+    assert len(mcgarvey_ballots(MarginFunction.from_pairs(3, {(0, 1): 6, (2, 1): -4}))) == 10
+    with pytest.raises(ValidationError, match="20 ballots"):
+        mcgarvey_ballots(MarginFunction.from_pairs(3, {(0, 1): 20}))
 
 
 def test_margin_function_validation():
