@@ -184,19 +184,18 @@ def _run_gen(args) -> int:
     # x3c
     triples = [tuple(int(part) for part in arg.split(",")) for arg in args.triple]
     x3c = X3CInstance(args.universe, triples)
+    cover = find_exact_cover(x3c) if args.witness else None
     gadget = x3c_to_stv(x3c)
     inst = gadget.instance
     print(f"# STV detection instance from an exact-cover-by-3-sets input")
     print(f"# suspect voter index: {gadget.suspect}")
     print(f"# reported winner: {inst.names[gadget.reported_winner]}")
     print(f"# target: {inst.names[gadget.target]}")
-    if args.witness:
-        cover = find_exact_cover(x3c)
-        if cover is None:
-            print("# no exact cover found")
-        else:
-            ballot = cover_witness_ballot(gadget, cover)
-            print(f"# cover witness ballot: {ballot_string(inst.names, ballot)}")
+    if cover is not None:
+        ballot = cover_witness_ballot(gadget, cover)
+        print(f"# cover witness ballot: {ballot_string(inst.names, ballot)}")
+    elif args.witness:
+        print("# no exact cover found")
     print(render_election(inst), end="")
     return 0
 

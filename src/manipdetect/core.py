@@ -220,13 +220,15 @@ class ElectionInstance:
     The constructor takes one ballot per voter, or, with `counts` (a
     sequence as long as `ballots`), ballot k cast by `counts[k]` consecutive
     voters.  Profiles with zero voters are rejected; the winner would be
-    undefined.  The default tie-break order is the roster listing order.
+    undefined.  The default tie-break order is the roster listing order;
+    `_set` derives its ranks, `tb_rank`, once for every copy too.
     """
 
     names: tuple[str, ...]
     tiebreak: Preference
     classes: tuple[tuple[Preference, int], ...] = field(init=False)
     voter_class: tuple[int, ...] = field(init=False, repr=False)
+    tb_rank: tuple[int, ...] = field(init=False, repr=False)
 
     def __init__(
         self,
@@ -278,6 +280,7 @@ class ElectionInstance:
     def _set(self, names, tiebreak, classes, voter_class) -> None:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "tiebreak", tiebreak)
+        object.__setattr__(self, "tb_rank", tuple(tiebreak.positions()))
         object.__setattr__(self, "classes", _pack(len(names), classes, voter_class))
         object.__setattr__(self, "voter_class", voter_class)
 

@@ -57,7 +57,7 @@ def cpmw_bucklin(query: DetectionQuery) -> DetectionVerdict:
     suspects = query.suspects
     m, c = inst.m, len(suspects)
     majority = (inst.n + 1) // 2
-    tb_rank = query.context.tb_rank
+    tb_rank = inst.tb_rank
     ext = query.rest
     late = {z for z in range(m) if tb_rank[z] > tb_rank[y]}
 

@@ -55,7 +55,7 @@ def cpmw_maximin_single(query: DetectionQuery) -> DetectionVerdict:
 
     margins = query.rest
     scores = maximin_scores_from_margins(margins)
-    tb_rank = query.context.tb_rank
+    tb_rank = query.instance.tb_rank
     for t in (scores[y] + 1, scores[y] - 1):
         ballot = _greedy_ballot(margins, scores, tb_rank, x, y, t)
         if ballot is None:

@@ -1,6 +1,7 @@
 """Polynomial possible-manipulator detection for positional scoring rules.
 
-Four procedures cover the scoring family:
+Four procedures cover the scoring family; `dispatch` picks one by vector
+shape, and each refuses with `DispatchError` a vector it does not cover:
 
 * single suspect, any vector: slide the (current winner, target) pair through
   all adjacent position pairs of one canonical ballot and replay;
@@ -29,7 +30,7 @@ from .detection import (
     require_target,
 )
 from .errors import DispatchError, InvalidQueryError
-from .oracle import ORACLE, oracle_cpmw
+from .oracle import ORACLE
 from .rules import (
     SCORING,
     Score,
@@ -41,7 +42,6 @@ METHOD_SINGLE = "scoring-single"
 METHOD_COALITION = "scoring-coalition"
 METHOD_CAPACITY = "plurality-capacity"
 METHOD_GREEDY = "delta-greedy"
-METHOD_FALLBACK = "oracle-fallback"
 
 
 def _require_scoring(query: DetectionQuery) -> ScoringVector:
@@ -58,22 +58,21 @@ def canonical_manipulated_preference(
     x: int,
     y: int,
     j: int,
-    tiebreak: Preference,
+    tb_rank: Sequence[int],
 ) -> Preference:
     """The canonical ballot with x at position j and y right below it.
 
     Remaining candidates fill the other positions top to bottom in
     nondecreasing order of their score from the rest of the profile, so the
     strongest outsiders take the lowest-scoring slots.  Equal scores are
-    ordered tie-break-latest first: of two equally scored outsiders the one
-    favored by the tie-break order is the more dangerous and goes lower.
+    ordered latest in `tb_rank` first: of two equally scored outsiders the
+    one the tie-break favors is the more dangerous and goes lower.
     """
     m = len(scores)
     if x == y:
         raise InvalidQueryError("x and y must differ")
     if not 1 <= j <= m - 1:
         raise InvalidQueryError(f"position {j} outside 1..{m - 1}")
-    tb_rank = tiebreak.positions()
     rest = sorted(
         (c for c in range(m) if c != x and c != y),
         key=lambda c: (scores[c], -tb_rank[c]),
@@ -97,9 +96,9 @@ def cpmw_scoring_single(query: DetectionQuery) -> DetectionVerdict:
         raise DispatchError("this procedure handles exactly one suspect")
     x, y = require_target(query)
     (i,) = query.suspects
-    rest, tiebreak = query.rest, query.instance.tiebreak
+    rest, tb_rank = query.rest, query.instance.tb_rank
     for j in range(1, query.instance.m):
-        pref = canonical_manipulated_preference(rest, x, y, j, tiebreak)
+        pref = canonical_manipulated_preference(rest, x, y, j, tb_rank)
         verdict = query.confirm({i: pref}, METHOD_SINGLE)
         if verdict:
             return verdict
@@ -112,26 +111,17 @@ def _coalition_test_ballot(reported: Preference, x: int, y: int) -> Preference:
 
 
 def cpmw_scoring_coalition(query: DetectionQuery) -> DetectionVerdict:
-    """Coalition CPMW for scoring rules.
-
-    Convex vectors are decided by one test profile: each suspect ballot gets
-    the current winner first and the target second, everything else keeping
-    its reported relative order.  Plurality goes through the capacity method;
-    any other vector falls back to the exhaustive oracle (verdict annotated).
-    """
-    vector = _require_scoring(query)
-    if vector.is_convex():
-        x, y = require_target(query)
-        reported = query.instance.ballots_of(query.suspects)
-        witness = {
-            i: _coalition_test_ballot(pref, x, y) for i, (pref, _) in zip(query.suspects, reported)
-        }
-        return query.confirm(witness, METHOD_COALITION) or no_verdict(METHOD_COALITION)
-    if vector.is_plurality_like():
-        return cpmw_plurality_coalition(query)
-    verdict = oracle_cpmw(query)
-    verdict.method = METHOD_FALLBACK
-    return verdict
+    """Coalition CPMW for convex scoring vectors, by one test profile: each
+    suspect ballot gets the current winner first and the target second,
+    everything else keeping its reported relative order."""
+    if not _require_scoring(query).is_convex():
+        raise DispatchError("test-profile method needs a convex scoring vector")
+    x, y = require_target(query)
+    reported = query.instance.ballots_of(query.suspects)
+    witness = {
+        i: _coalition_test_ballot(pref, x, y) for i, (pref, _) in zip(query.suspects, reported)
+    }
+    return query.confirm(witness, METHOD_COALITION) or no_verdict(METHOD_COALITION)
 
 
 def cpmw_plurality_coalition(query: DetectionQuery) -> DetectionVerdict:
@@ -150,12 +140,11 @@ def cpmw_plurality_coalition(query: DetectionQuery) -> DetectionVerdict:
         raise DispatchError("capacity method needs a plurality-like vector")
     x, y = require_target(query)
     m, suspects = query.instance.m, query.suspects
-    tb_rank = query.context.tb_rank
     excess = _excess(query, vector, y)[1]
     if any(e > 0 for e in excess.values()) or -sum(excess.values()) < len(suspects):
         return no_verdict(METHOD_CAPACITY)
 
-    assignable = sorted(excess, key=lambda z: tb_rank[z])
+    assignable = sorted(excess, key=query.instance.tb_rank.__getitem__)
     remaining = {z: -e for z, e in excess.items()}
     witness: dict[int, Preference] = {}
     for i in suspects:
@@ -226,7 +215,7 @@ def _excess(
     tops = [(s - low * query.instance.n) // (top - low) for s in query.context.full]
     for pref, _ in query.instance.ballots_of(query.suspects):
         tops[pref.ranking[0]] -= 1
-    tb_rank = query.context.tb_rank
+    tb_rank = query.instance.tb_rank
     excess = {
         z: tops[z] - tops[y] + 1 - (tb_rank[y] < tb_rank[z]) for z in range(len(tops)) if z != y
     }
@@ -319,7 +308,6 @@ def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
     if k == 0:
         return no_verdict(METHOD_GREEDY)
     scores = list(query.context.full)
-    tb_rank = query.context.tb_rank
     alphas = vector.alphas
     order = chain.from_iterable(_shift_groups(inst, alphas, x, y))
 
@@ -332,7 +320,7 @@ def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
         for p, c in enumerate(new.ranking):
             scores[c] += alphas[p]
         witness[idx] = new
-        if winner_from_tally(m, scores, tb_rank, query.rule) == y:
+        if winner_from_tally(m, scores, inst.tb_rank, query.rule) == y:
             verdict = query.for_coalition(tuple(witness)).confirm(witness, METHOD_GREEDY)
             return verdict or no_verdict(METHOD_GREEDY)
     return no_verdict(METHOD_GREEDY)

@@ -55,7 +55,7 @@ def cpmw_stv(query: DetectionQuery) -> DetectionVerdict:
         raise DispatchError(f"STV detector cannot handle a {query.rule.kind} rule")
     inst, suspects, context = query.instance, query.suspects, query.context
     x, y = require_target(query)
-    m, tb_rank, memo = inst.m, context.tb_rank, context.first_choices
+    m, tb_rank, memo = inst.m, inst.tb_rank, context.first_choices
     budget = oracle.DEFAULT_REPLAY_BUDGET
     truthful = [pref.ranking for pref, _ in inst.ballots_of(suspects)]
     # each suspect ballot's support sequence, its current top last; a branch

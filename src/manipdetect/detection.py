@@ -23,34 +23,26 @@ from typing import Callable, Mapping
 
 from .core import ElectionInstance, Preference
 from .errors import BudgetExceededError, InvalidQueryError, RosterError, ValidationError
-from .rules import (
-    VotingRule,
-    tally,
-    tally_without,
-    winner_and_tally,
-    winner_from_ballots,
-    winner_from_tally,
-)
+from .rules import VotingRule, tally_without, winner_and_tally, winner_from_ballots
 
 
 class TargetContext:
     """What the queries about one election, rule and target share.
 
     Built once per query, on its first read of `DetectionQuery.context`: the
-    tie-break ranks, the `rules.tally` table of the whole profile and the
-    current winner read from it.  `admissible` is left to the oracle: the
-    rankings that place the current winner above the target, with the
-    one-ballot table of each.  `first_choices` is left to the STV search:
-    the whole profile's first-choice counts per alive-candidate bitmask.
-    Queries derived by `DetectionQuery.for_coalition` share their parent's
-    context, so a coalition search builds the full table, the admissible
-    ballots and the counts of each alive set once.
+    current winner and the `rules.tally` table of the whole profile it was
+    read from (`rules.winner_and_tally`); the tie-break ranks live on the
+    instance (`ElectionInstance.tb_rank`).  `admissible` is left to the
+    oracle: the rankings that place the current winner above the target,
+    with the one-ballot table of each.  `first_choices` is left to the STV
+    search: the whole profile's first-choice counts per alive-candidate
+    bitmask.  Queries derived by `DetectionQuery.for_coalition` share their
+    parent's context, so a coalition search builds the full table, the
+    admissible ballots and the counts of each alive set once.
     """
 
     def __init__(self, instance: ElectionInstance, rule: VotingRule):
-        self.tb_rank = instance.tiebreak.positions()
-        self.full = tally(instance.m, instance.classes, rule)
-        self.winner = winner_from_tally(instance.m, self.full, self.tb_rank, rule)
+        self.winner, self.full = winner_and_tally(instance, rule)
         self.admissible = None
         self.first_choices: dict[int, list[int]] = {}
 
@@ -200,7 +192,9 @@ def _first_yes(
     decide: Callable[[int], DetectionVerdict],
     no_target: DetectionVerdict,
 ) -> DetectionVerdict:
-    """The first YES of `decide(y)` over every alternative winner y, in tie-break order.
+    """The first YES of `decide(y)` over every alternative winner y, in
+    tie-break order: the package's one loop over alternative winners, behind
+    CPM, CPMS, `oracle_cpm` and the untargeted `oracle.search_coalitions`.
 
     Without a YES, the last NO, so the verdict names the route that decided
     it; `no_target` when the roster leaves no alternative winner, its only
@@ -230,7 +224,7 @@ def _elects(instance: ElectionInstance, rule: VotingRule, rest, witness, y: int)
     voter), elect y?  The one replay behind every YES: it costs the table of
     the witness ballots and one table addition."""
     ballots = [(pref, 1) for pref in witness.values()]
-    return winner_from_ballots(instance.m, ballots, instance.tiebreak, rule, base=rest) == y
+    return winner_from_ballots(instance.m, ballots, instance.tb_rank, rule, base=rest) == y
 
 
 def verify_verdict(

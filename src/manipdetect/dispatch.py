@@ -1,16 +1,17 @@
-"""Routing of detection problems to the cheapest complete procedure.
+"""Routing of detection problems to the cheapest complete procedure: every
+routing decision is made here; each detector refuses what it does not cover.
 
 Polynomial algorithms cover: any scoring rule with one suspect; convex
 scoring vectors (Borda, k-approval for k >= 2, veto) and plurality for any
 coalition; maximin with one suspect; Bucklin for any coalition.  STV, any
 coalition, goes to the elimination-tree search (`detect_stv`) under a round
-budget.  Everything else (maximin coalitions, irregular scoring vectors
-with coalitions) goes to the exhaustive oracle under a replay budget.  The
-verdicts of both exhaustive searches are flagged as exhaustive.  CPM and
-CPMS are CPMW and CPMSW tried against every alternative winner, in
-tie-break order, by `detection._first_yes`, each on the query's
-`for_target` derivation: the same suspects, bound and `force`.  The
-instance forms of `decide_*` build that query, `force` included.
+budget.  Everything else (maximin coalitions; other scoring vectors with
+coalitions, as `oracle-fallback`) goes to the exhaustive oracle under a
+replay budget.  The verdicts of both exhaustive searches are flagged as
+exhaustive.  CPM and CPMS are CPMW and CPMSW tried against every
+alternative winner, in tie-break order, by `detection._first_yes`, each on
+the query's `for_target` derivation: the same suspects, bound and `force`.
+The instance forms of `decide_*` build that query, `force` included.
 
 Bounded searches (CPMSW) are decided greedily for convex vectors and in
 closed form for plurality; every other rule hands its query to
@@ -37,14 +38,12 @@ from .detect_maximin import cpmw_maximin_single
 from .detect_scoring import (
     cpmsw_plurality,
     cpmsw_scoring_greedy,
+    cpmw_plurality_coalition,
     cpmw_scoring_coalition,
     cpmw_scoring_single,
 )
 from .detect_stv import cpmw_stv
-from .oracle import (
-    oracle_cpmw,
-    search_coalitions,
-)
+from .oracle import oracle_cpmw, search_coalitions
 from .rules import BUCKLIN, MAXIMIN, SCORING, STV, VotingRule
 
 
@@ -65,11 +64,15 @@ def decide_cpmw(
 
 def _decide_cpmw(query: DetectionQuery) -> DetectionVerdict:
     rule = query.rule
-    if rule.kind == SCORING:
-        if len(query.suspects) == 1:
-            verdict = cpmw_scoring_single(query)
-        else:
-            verdict = cpmw_scoring_coalition(query)
+    if rule.kind == SCORING and len(query.suspects) == 1:
+        verdict = cpmw_scoring_single(query)
+    elif rule.kind == SCORING and rule.vector.is_convex():
+        verdict = cpmw_scoring_coalition(query)
+    elif rule.kind == SCORING and rule.vector.is_plurality_like():
+        verdict = cpmw_plurality_coalition(query)
+    elif rule.kind == SCORING:
+        verdict = oracle_cpmw(query)
+        verdict.method = "oracle-fallback"
     elif rule.kind == MAXIMIN and len(query.suspects) == 1:
         verdict = cpmw_maximin_single(query)
     elif rule.kind == BUCKLIN:

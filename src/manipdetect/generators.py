@@ -7,9 +7,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from . import ballotfile
+from . import ballotfile, oracle
 from .core import ElectionInstance, Preference, WeightedMajorityGraph
 from .errors import ValidationError
 
@@ -63,9 +64,13 @@ def mcgarvey_ballots(f: MarginFunction) -> tuple[Preference, ...]:
 
 
 def random_profile(m: int, n: int, seed: int, names: Sequence[str] | None = None) -> ElectionInstance:
-    """n ballots drawn independently and uniformly, reproducible from the seed."""
+    """n ballots drawn independently and uniformly, reproducible from the
+    seed; n past `ballotfile.MAX_BALLOTS` (read at call time) is refused."""
     if m < 1 or n < 1:
         raise ValidationError("random profile needs m >= 1 and n >= 1")
+    limit = ballotfile.MAX_BALLOTS
+    if n > limit:
+        raise ValidationError(f"{n} ballots asked; an election holds at most {limit}")
     rng = random.Random(seed)
     ballots = []
     base = list(range(m))
@@ -103,9 +108,14 @@ class X3CInstance:
 
 
 def find_exact_cover(inst: X3CInstance) -> tuple[int, ...] | None:
-    """Brute-force search for an exact cover; returns 0-based triple indices."""
+    """Brute-force search for an exact cover; returns 0-based triple indices.
+    Past `oracle.DEFAULT_SUBSET_BUDGET` (read at call time) choices of
+    universe/3 triples, it refuses before it starts."""
     want = set(range(1, inst.universe + 1))
     size = inst.universe // 3
+    cost, budget = comb(len(inst.triples), size), oracle.DEFAULT_SUBSET_BUDGET
+    if cost > budget:
+        raise ValidationError(f"exact-cover search needs {cost} subsets, budget is {budget}")
     for idxs in combinations(range(len(inst.triples)), size):
         covered: set[int] = set()
         for i in idxs:

@@ -6,13 +6,14 @@ every multiset of them across the coalition.  Every rule is anonymous, so a
 multiset decides as any ordering of it would: C(h + |M| - 1, |M|) replays
 instead of h^|M|.  They are the reference oracle for the polynomial
 algorithms and for the STV elimination-tree search (`detect_stv`), and the
-solver of last resort for maximin coalitions and irregular scoring vectors
-with coalitions.  Searches refuse to start past a replay budget
+solver of last resort that `dispatch` sends maximin coalitions and irregular
+scoring vectors with coalitions to.  Searches refuse to start past a replay budget
 (`DEFAULT_REPLAY_BUDGET`) or a subset budget (`DEFAULT_SUBSET_BUDGET`)
 rather than run open-endedly: each hands its cost and budget to the one
 check, `DetectionQuery.within`, which refuses unless the query has `force`
 set; the queries a search derives, one per target or coalition, keep it.
 Both budgets are read when a search checks them, so a test may patch them.
+Untargeted searches loop over targets by `detection._first_yes`, as CPM does.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def oracle_cpmw(
         slots = admissible_preferences(m, x, y)
         context.admissible = slots, [tally(m, [(pref, 1)], rule) for pref in slots]
     slots, tables = context.admissible
-    tb_rank = context.tb_rank
+    tb_rank = query.instance.tb_rank
     # chosen[d]: the ballot index of level d, nondecreasing in d; sums[d]:
     # the table of the rest of the profile plus the ballots of levels < d
     size, last = len(suspects), len(slots) - 1
@@ -244,31 +245,32 @@ def search_coalitions(
     the budget, so a refusal reports that as its cost.  Each subset is
     decided by `decide` when supplied (letting callers plug in a polynomial
     procedure), else by the oracle on the query's `for_coalition`
-    derivation: against its target, or against every alternative winner on
-    one query per target, built once per search.  Without a hit, the NO of
-    the last subset decided, so the verdict names the procedure that
-    decided it; the oracle's exhaustive NO when no subset was decided
-    (k = 0).
+    derivation.  Without a target, once its budget is checked, the search
+    runs against every alternative winner by `detection._first_yes`, as
+    CPMS does.  Without a hit, the NO of the last subset decided, so the
+    verdict names the procedure that decided it; the oracle's exhaustive NO
+    when no subset was decided (k = 0).  Verdicts carry the current winner.
     """
     if not isinstance(query, DetectionQuery):
         query = DetectionQuery(query, rule, actual_winner=y, bound=k, force=force)
     instance, k = query.instance, require_bound(query)
+    x = None if query.actual_winner is None else require_target(query)[0]
     budget = DEFAULT_SUBSET_BUDGET
     count = _coalition_count(instance, k, budget + 1)
     query.within(count, budget, "coalition search", "coalitions")
-    if decide is None and query.actual_winner is not None:
-        decide = lambda subset: oracle_cpmw(query.for_coalition(subset))
-    elif decide is None:
-        targets = [query.for_target(t) for t in range(instance.m)]
-        decide = lambda subset: _first_yes(
+    if x is None:
+        return _first_yes(
             query,
-            lambda t: oracle_cpmw(targets[t].for_coalition(subset)),
+            lambda y: search_coalitions(query.for_target(y), decide=decide),
             no_verdict(ORACLE, exhaustive=True),
         )
+    if decide is None:
+        decide = lambda subset: oracle_cpmw(query.for_coalition(subset))
     verdict = no_verdict(ORACLE, exhaustive=True)
     for subset in _canonical_coalitions(instance, k):
         verdict = decide(subset)
         if verdict.answer:
             verdict.coalition = subset
-            return verdict
+            break
+    verdict.current_winner = x
     return verdict

@@ -13,7 +13,7 @@ from functools import reduce
 from operator import add, or_, sub
 from typing import Iterable, Sequence
 
-from .core import ElectionInstance, Preference, Profile, column_masks, margin_matrix
+from .core import ElectionInstance, Profile, column_masks, margin_matrix
 from .errors import ConfigError, DegenerateRosterError
 
 Score = int | Fraction
@@ -339,14 +339,14 @@ def winner_from_tally(m: int, table, tb_rank: Sequence[int], rule: VotingRule) -
 
 
 def winner_from_ballots(
-    m: int, profile: Profile, tiebreak: Preference, rule: VotingRule, base=None
+    m: int, profile: Profile, tb_rank: Sequence[int], rule: VotingRule, base=None
 ) -> int:
     """The winner of `profile`, or, given `base = tally(m, rest, rule)`, of
     `rest + profile`: a replay then costs the table of `profile` only."""
     table = tally(m, profile, rule)
     if base is not None:
         table = _add_tables(rule, base, table)
-    return winner_from_tally(m, table, tiebreak.positions(), rule)
+    return winner_from_tally(m, table, tb_rank, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +371,13 @@ def bucklin_score(instance: ElectionInstance, candidate: int) -> int:
 
 def stv_elimination_order(instance: ElectionInstance) -> tuple[int, ...]:
     """m-1 eliminated candidates in order, then the surviving winner."""
-    return tuple(stv_order(instance.m, instance.classes, instance.tiebreak.positions()))
+    return tuple(stv_order(instance.m, instance.classes, instance.tb_rank))
 
 
 def co_winners(instance: ElectionInstance, rule: VotingRule) -> tuple[int, ...]:
     """The rule's co-winner set before tie-breaking (singleton for STV)."""
     return tuple(
-        co_winners_from_ballots(instance.m, instance.classes, instance.tiebreak.positions(), rule)
+        co_winners_from_ballots(instance.m, instance.classes, instance.tb_rank, rule)
     )
 
 
@@ -389,7 +389,7 @@ def winner(instance: ElectionInstance, rule: VotingRule) -> int:
 def winner_and_tally(instance: ElectionInstance, rule: VotingRule):
     """The winner together with the `tally` table of the whole profile it was read from."""
     table = tally(instance.m, instance.classes, rule)
-    return winner_from_tally(instance.m, table, instance.tiebreak.positions(), rule), table
+    return winner_from_tally(instance.m, table, instance.tb_rank, rule), table
 
 
 def tally_without(instance: ElectionInstance, rule: VotingRule, full, voters: Iterable[int]):

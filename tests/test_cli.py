@@ -300,6 +300,26 @@ def test_gen_mcgarvey_refuses_more_ballots_than_a_file_may_hold(monkeypatch, cap
     assert "error:" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize(
+    "args, cap",
+    [
+        (["gen", "random", "--m", "3", "--n", "11"], (ballotfile, "MAX_BALLOTS", 10)),
+        (
+            ["gen", "x3c", "--universe", "6", "--witness"]
+            + [arg for t in ("1,2,3", "2,3,4", "3,4,5", "4,5,6") for arg in ("--triple", t)],
+            (oracle, "DEFAULT_SUBSET_BUDGET", 5),
+        ),
+    ],
+)
+def test_gen_refuses_oversized_elections_before_printing(monkeypatch, capsys, args, cap):
+    # 11 ballots past a cap of 10; C(4, 2) = 6 exact-cover candidates past a budget of 5
+    monkeypatch.setattr(*cap)
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err and "internal error" not in err
+
+
 def test_gen_x3c_with_witness(capsys):
     code = main(
         [

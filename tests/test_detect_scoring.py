@@ -3,7 +3,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from manipdetect import detection, rules
+from manipdetect import rules
 from manipdetect.core import ElectionInstance, Preference
 from manipdetect.detection import DetectionQuery, no_verdict, verify_verdict
 from manipdetect.detect_scoring import (
@@ -14,7 +14,7 @@ from manipdetect.detect_scoring import (
     cpmw_scoring_coalition,
     cpmw_scoring_single,
 )
-from manipdetect.dispatch import decide_cpm, decide_cpms, decide_cpmsw
+from manipdetect.dispatch import decide_cpm, decide_cpms, decide_cpmsw, decide_cpmw
 from manipdetect.errors import DispatchError, InvalidQueryError
 from manipdetect.oracle import oracle_cpmw, search_coalitions
 from manipdetect.rules import ScoringVector, VotingRule, positional_scores, winner
@@ -32,22 +32,21 @@ def test_canonical_ballot_e1_minus_v0():
     inst = e1()
     external = positional_scores(3, inst.ballots_excluding([0]), ScoringVector.borda(3))
     assert external == [2, 4, 0]
-    tb = inst.tiebreak
-    assert canonical_manipulated_preference(external, A, B, 2, tb).ranking == (C, A, B)
-    assert canonical_manipulated_preference(external, A, B, 1, tb).ranking == (A, B, C)
+    tb_rank = inst.tb_rank
+    assert canonical_manipulated_preference(external, A, B, 2, tb_rank).ranking == (C, A, B)
+    assert canonical_manipulated_preference(external, A, B, 1, tb_rank).ranking == (A, B, C)
 
 
 def test_canonical_ballot_four_candidates():
     # roster w,x,y,z = 0,1,2,3; external scores w=5, z=0; x=1 first, y=2 second
-    tb = Preference((0, 1, 2, 3))
-    pref = canonical_manipulated_preference([5, 0, 0, 0], 1, 2, 1, tb)
+    tb_rank = Preference((0, 1, 2, 3)).positions()
+    pref = canonical_manipulated_preference([5, 0, 0, 0], 1, 2, 1, tb_rank)
     assert pref.ranking == (1, 2, 3, 0)  # x>y>z>w
 
 
 def test_canonical_ballot_rejects_bad_position():
-    tb = Preference((0, 1, 2))
     with pytest.raises(InvalidQueryError):
-        canonical_manipulated_preference([0, 0, 0], 0, 1, 3, tb)
+        canonical_manipulated_preference([0, 0, 0], 0, 1, 3, (0, 1, 2))
 
 
 # --- single suspect ---------------------------------------------------------
@@ -96,8 +95,9 @@ def test_coalition_e2_target_c_no():
 
 
 def test_coalition_routes_plurality_to_capacity():
+    # the coalition search refuses plurality; dispatch sends it to capacities
     inst = ElectionInstance(("a", "b", "c"), [(A, B, C)] * 3 + [(B, A, C)] * 2)
-    verdict = cpmw_scoring_coalition(DetectionQuery(inst, PLURALITY3, (0, 1), actual_winner=B))
+    verdict = decide_cpmw(inst, PLURALITY3, (0, 1), B)
     assert verdict.method == "plurality-capacity"
 
 
@@ -106,9 +106,19 @@ def test_coalition_non_convex_falls_back_to_oracle():
     rule = VotingRule.scoring(ScoringVector((3, 1, 0)))
     inst = e1()
     y = 1 if winner(inst, rule) != 1 else 2
-    verdict = cpmw_scoring_coalition(DetectionQuery(inst, rule, (0, 1), actual_winner=y))
+    verdict = decide_cpmw(inst, rule, (0, 1), y)
     assert verdict.method == "oracle-fallback"
     assert verdict.exhaustive
+
+
+def test_coalition_refuses_vectors_that_are_not_convex():
+    # plurality (the capacity method's) and (3,1,0) (top gap 2 > 1, the
+    # oracle's) are routed by dispatch; the test profile refuses them
+    inst = ElectionInstance(("a", "b", "c"), [(A, B, C)] * 3 + [(B, A, C)] * 2)
+    for rule in (PLURALITY3, VotingRule.scoring(ScoringVector((3, 1, 0)))):
+        y = B if winner(inst, rule) != B else C
+        with pytest.raises(DispatchError, match="convex"):
+            cpmw_scoring_coalition(DetectionQuery(inst, rule, (0, 1), actual_winner=y))
 
 
 # --- plurality capacities ----------------------------------------------------
@@ -249,7 +259,6 @@ def test_search_without_bound_is_refused_before_any_table(monkeypatch, search, r
     tally = rules.tally
     y = next(c for c in (A, B, C) if c != winner(e1(), rule))
     monkeypatch.setattr(rules, "tally", counted)
-    monkeypatch.setattr(detection, "tally", counted)
     with pytest.raises(InvalidQueryError, match="coalition bound"):
         search(DetectionQuery(e1(), rule, actual_winner=y))
     assert tables == []
@@ -354,7 +363,10 @@ def test_coalition_matches_oracle_on_random_instances():
                     if y == x:
                         continue
                     q = DetectionQuery(inst, rule, pair, actual_winner=y)
-                    got = cpmw_scoring_coalition(q)
+                    if vec.is_convex():
+                        got = cpmw_scoring_coalition(q)
+                    else:
+                        got = cpmw_plurality_coalition(q)
                     want = oracle_cpmw(inst, rule, pair, y)
                     assert got.answer == want.answer, (inst, vec, pair, y)
                     assert verify_verdict(inst, rule, got, suspects=pair)

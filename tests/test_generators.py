@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from manipdetect import ballotfile
+from manipdetect import ballotfile, oracle
 from manipdetect.core import Preference, margin_matrix
 from manipdetect.errors import ValidationError
 from manipdetect.generators import (
@@ -45,6 +45,23 @@ def test_mcgarvey_refuses_more_ballots_than_a_file_may_hold(monkeypatch):
     assert len(mcgarvey_ballots(MarginFunction.from_pairs(3, {(0, 1): 6, (2, 1): -4}))) == 10
     with pytest.raises(ValidationError, match="20 ballots"):
         mcgarvey_ballots(MarginFunction.from_pairs(3, {(0, 1): 20}))
+
+
+def test_random_profile_refuses_more_ballots_than_a_file_may_hold(monkeypatch):
+    monkeypatch.setattr(ballotfile, "MAX_BALLOTS", 10)
+    assert random_profile(3, 10, seed=1).n == 10
+    with pytest.raises(ValidationError, match="11 ballots"):
+        random_profile(3, 11, seed=1)
+
+
+def test_exact_cover_search_past_the_subset_budget_is_refused(monkeypatch):
+    # C(4, 2) = 6 pairs of triples cover a universe of 6
+    x3c = X3CInstance(6, [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6)])
+    monkeypatch.setattr(oracle, "DEFAULT_SUBSET_BUDGET", 6)
+    assert find_exact_cover(x3c) == (0, 3)
+    monkeypatch.setattr(oracle, "DEFAULT_SUBSET_BUDGET", 5)
+    with pytest.raises(ValidationError, match="needs 6 subsets, budget is 5"):
+        find_exact_cover(x3c)
 
 
 def test_margin_function_validation():

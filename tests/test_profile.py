@@ -56,7 +56,7 @@ def test_winner_over_classes_matches_per_voter_profile(ballots, tb):
     assert [(p.ranking, w) for p, w in inst.classes] == list(counts.items())
     assert [inst.classes[k][0] for k in inst.voter_class] == list(inst.ballots)
     for rule in RULES:
-        assert winner(inst, rule) == winner_from_ballots(M, unit_profile(inst), inst.tiebreak, rule)
+        assert winner(inst, rule) == winner_from_ballots(M, unit_profile(inst), inst.tb_rank, rule)
 
 
 @given(profiles, tiebreaks, st.data())
@@ -79,7 +79,7 @@ def test_replay_over_external_classes_matches_replaced_instance(ballots, tb, dat
     assert [replaced.classes[k][0] for k in replaced.voter_class] == per_voter
     profile = inst.ballots_excluding(suspects) + [(pref, 1) for pref in witness.values()]
     for rule in RULES:
-        assert winner_from_ballots(M, profile, inst.tiebreak, rule) == winner(replaced, rule)
+        assert winner_from_ballots(M, profile, inst.tb_rank, rule) == winner(replaced, rule)
 
 
 ALL_RULES = RULES + [
@@ -106,8 +106,8 @@ def test_replay_on_external_table_matches_full_recount(ballots, tb, data):
     for rule in ALL_RULES:
         base = tally(M, ext, rule)
         kept = deepcopy(base)
-        assert winner_from_ballots(M, replay, inst.tiebreak, rule, base=base) == (
-            winner_from_ballots(M, ext + replay, inst.tiebreak, rule)
+        assert winner_from_ballots(M, replay, inst.tb_rank, rule, base=base) == (
+            winner_from_ballots(M, ext + replay, inst.tb_rank, rule)
         )
         assert base == kept
 
@@ -207,7 +207,7 @@ def test_table_without_voters_is_full_table_minus_theirs(ballots, tb, data):
     voters = data.draw(st.sets(st.integers(0, inst.n - 1), max_size=4))
     for rule in ALL_RULES:
         x, full = winner_and_tally(inst, rule)
-        assert x == winner_from_ballots(M, unit_profile(inst), inst.tiebreak, rule)
+        assert x == winner_from_ballots(M, unit_profile(inst), inst.tb_rank, rule)
         kept = deepcopy(full)
         assert tally_without(inst, rule, full, voters) == tally(
             M, inst.ballots_excluding(voters), rule

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from manipdetect import oracle, rules
 from manipdetect.ballotfile import parse_election
 from manipdetect.core import ElectionInstance, Preference
 from manipdetect.detection import DetectionQuery, no_verdict, verify_verdict
@@ -24,7 +25,6 @@ from manipdetect.oracle import (
     DEFAULT_SUBSET_BUDGET,
     _canonical_coalitions,
     _coalition_count,
-    oracle_cpm,
     oracle_cpmw,
     search_coalitions,
 )
@@ -154,6 +154,18 @@ def test_search_matches_plain_subset_walk_with_dispatch_deciders(m):
                     assert search_coalitions(query, decide=decide) == want, (rule, y, k)
 
 
+def reference_target_loop(inst, rule, k):
+    """The untargeted reference: the plain search against each alternative
+    winner in tie-break order, by the oracle; the first YES, else the last NO."""
+    x = winner(inst, rule)
+    for y in inst.tiebreak.ranking:
+        if y != x:
+            verdict = reference_search(inst, k, lambda subset: oracle_cpmw(inst, rule, subset, y))
+            if verdict.answer:
+                break
+    return verdict
+
+
 def test_search_matches_plain_subset_walk_with_oracle_decider():
     rng = random.Random(605)
     for _ in range(25):
@@ -161,7 +173,7 @@ def test_search_matches_plain_subset_walk_with_oracle_decider():
         for rule in rules_for(3):
             x = winner(inst, rule)
             for k in range(0, 3):
-                want = reference_search(inst, k, lambda subset: oracle_cpm(inst, rule, subset))
+                want = reference_target_loop(inst, rule, k)
                 assert search_coalitions(inst, rule, k) == want, (rule, k)
                 assert search_coalitions(DetectionQuery(inst, rule, bound=k)) == want, (rule, k)
                 for y in range(3):
@@ -171,6 +183,84 @@ def test_search_matches_plain_subset_walk_with_oracle_decider():
                         inst, k, lambda subset: oracle_cpmw(inst, rule, subset, y)
                     )
                     assert search_coalitions(inst, rule, k, y) == want, (rule, y, k)
+
+
+def cpms_rules(m):
+    pad = (0,) * (m - 3)
+    return [
+        VotingRule.maximin(),
+        VotingRule.bucklin(),
+        VotingRule.stv(),
+        VotingRule.scoring(ScoringVector.plurality(m)),
+        VotingRule.scoring(ScoringVector.borda(m)),
+        VotingRule.scoring(ScoringVector.veto(m)),
+        VotingRule.scoring(ScoringVector((3, 1, 0) + pad)),
+    ]
+
+
+def assert_one_cpms(inst, rule, k):
+    """`decide_cpms` and the untargeted oracle search name the same target
+    and coalition; the greedy picks its own members, so on convex vectors
+    only the coalition's size must agree."""
+    got = decide_cpms(inst, rule, k)
+    want = search_coalitions(inst, rule, k)
+    assert (got.answer, got.witness_actual_winner) == (want.answer, want.witness_actual_winner)
+    if rule.kind == "scoring" and rule.vector.is_convex() and got.answer:
+        assert len(got.coalition) == len(want.coalition)
+    else:
+        assert got.coalition == want.coalition
+    assert got.current_winner == want.current_winner == winner(inst, rule)
+    return want
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_decide_cpms_and_the_untargeted_search_are_one_definition(m):
+    rng = random.Random(f"one-cpms/{m}")
+    yes = 0
+    for _ in range(20 if m == 3 else 8):
+        inst = random_instance(rng, m, rng.randint(3, 8), rng.randint(2, 5))
+        for rule in cpms_rules(m):
+            for k in range(3):
+                yes += assert_one_cpms(inst, rule, k).answer
+    assert yes
+
+
+def test_untargeted_search_tries_targets_in_tie_break_order():
+    # current winner c; coalition by coalition, voter 0 elects a first, but
+    # the tie-break order b, c, a asks about b first, and voter 2 elects b
+    inst = ElectionInstance(
+        ("a", "b", "c"), [(2, 1, 0), (0, 1, 2), (2, 0, 1), (0, 1, 2)], tiebreak=(1, 2, 0)
+    )
+    rule = VotingRule.maximin()
+    assert winner(inst, rule) == 2
+    verdict = assert_one_cpms(inst, rule, 1)
+    assert (verdict.answer, verdict.witness_actual_winner, verdict.coalition) == (True, 1, (2,))
+
+
+def test_a_refused_untargeted_search_builds_no_table(monkeypatch):
+    tables = []
+    tally = rules.tally
+    monkeypatch.setattr(rules, "tally", lambda *args: tables.append(args) or tally(*args))
+    monkeypatch.setattr(oracle, "DEFAULT_SUBSET_BUDGET", 1)
+    inst = ElectionInstance(("a", "b", "c"), [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1)])
+    with pytest.raises(BudgetExceededError):
+        search_coalitions(inst, VotingRule.maximin(), 2)
+    assert tables == []
+
+
+def test_a_target_is_checked_and_the_current_winner_reported_at_every_k():
+    inst = ElectionInstance(("a", "b", "c"), [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1)])
+    maximin = VotingRule.maximin()
+    x = winner(inst, maximin)
+    for k in (0, 1):
+        with pytest.raises(InvalidQueryError, match="already the current winner"):
+            search_coalitions(inst, maximin, k, x)
+        y = next(c for c in range(3) if c != x)
+        assert search_coalitions(inst, maximin, k, y).current_winner == x
+        assert search_coalitions(inst, maximin, k).current_winner == x
+    # a CPMSW query needs its target, though the search it hands over does not
+    with pytest.raises(InvalidQueryError, match="actual-winner"):
+        decide_cpmsw(inst, maximin, None, 1)
 
 
 def test_a_search_query_needs_a_bound():
