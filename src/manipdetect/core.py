@@ -105,9 +105,10 @@ class _Classes(tuple):
     `planes[c][j]` is bit j of the position (0 = top) at which the v-th of
     the `units` one-voter classes ranks candidate c, and `rest` holds the
     other pairs.  `units_are_voters` says whether unit v is voter v.  The
-    table kernels read each candidate's planes (`column_masks` splits them
-    by position) and count `rest` by the loops; a profile without `pack`
-    takes the loops only.
+    planes are read by `rules.positional_scores`, `rules.topk_counts`,
+    `margin_matrix`, `rules.stv_order`, the STV search's first choices and
+    the greedy CPMSW search (`column_masks` splits them by position); each
+    loops over `rest`, and a profile without `pack` takes the loops only.
     """
 
 

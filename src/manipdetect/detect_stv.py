@@ -25,9 +25,11 @@ complete, and exponential: one suspect gives at most about 1.62^m nodes
 counts depend only on the alive set; they are memoized per alive bitmask
 in the query's context, so every coalition of a search shares them, and
 the rest of the profile counts that minus each suspect's own top alive
-candidate.  The budget, `oracle.DEFAULT_REPLAY_BUDGET`, counts simulated
-rounds: every round is checked by `DetectionQuery.within`, so the search
-refuses at one round past the budget, unless the query has `force` set.
+candidate.  A packed instance's units are counted from its position
+planes, as `rules.stv_order` moves them.  The budget,
+`oracle.DEFAULT_REPLAY_BUDGET`, counts simulated rounds: every round is
+checked by `DetectionQuery.within`, so the search refuses at one round
+past the budget, unless the query has `force` set.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from . import oracle
-from .core import Preference
+from .core import Preference, column_masks
 from .detection import (
     DetectionQuery,
     DetectionVerdict,
@@ -43,7 +45,7 @@ from .detection import (
     require_target,
 )
 from .errors import DispatchError
-from .rules import STV, stv_loser
+from .rules import STV, _hand_over, stv_loser
 
 METHOD_STV = "stv-tree"
 
@@ -107,8 +109,16 @@ def cpmw_stv(query: DetectionQuery) -> DetectionVerdict:
 
 
 def _first_choices(classes, m: int, mask: int) -> list[int]:
-    """How many voters of the weighted profile top each candidate of `mask`."""
+    """How many voters of the weighted profile top each candidate of `mask`.
+    Packed units go to their first alive candidate by `rules._hand_over`,
+    which lies at most as deep as the number of dead candidates."""
+    planes, units, classes = getattr(classes, "pack", (None, 0, classes))
     counts = [0] * m
+    if planes is not None:
+        alive = [mask >> c & 1 for c in range(m)]
+        depth, ones = m + 1 - sum(alive), (1 << units) - 1
+        at = [column_masks(depth, own, ones) if live else () for own, live in zip(planes, alive)]
+        _hand_over(ones, 0, at, alive, [0] * m, counts)
     for pref, w in classes:
         counts[next(c for c in pref.ranking if mask >> c & 1)] += w
     return counts

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import insort
 from itertools import permutations
-from math import comb, factorial, inf
+from math import comb, factorial, inf, lcm
 from typing import Callable, Iterator, Sequence
 
 from .core import ElectionInstance, Preference
@@ -33,7 +33,7 @@ from .detection import (
     require_target,
     yes_verdict,
 )
-from .rules import VotingRule, _add_tables, tally, winner_from_tally
+from .rules import SCORING, VotingRule, _add_tables, tally, winner_from_tally
 
 DEFAULT_REPLAY_BUDGET = 10_000_000
 DEFAULT_SUBSET_BUDGET = 1_000_000
@@ -90,16 +90,20 @@ def oracle_cpmw(
     cost = comb(factorial(m) // 2 + len(suspects) - 1, len(suspects))
     query.within(cost, DEFAULT_REPLAY_BUDGET, "exhaustive search", "replays")
 
+    # scoring tables times the lcm of the vector's denominators: ints, same maxima and ties
+    scale = lcm(*(a.denominator for a in rule.vector.alphas)) if rule.kind == SCORING else 1
+    integral = (lambda table: [int(s * scale) for s in table]) if scale > 1 else None
     if context.admissible is None:
         slots = admissible_preferences(m, x, y)
-        context.admissible = slots, [tally(m, [(pref, 1)], rule) for pref in slots]
+        tables = [tally(m, [(pref, 1)], rule) for pref in slots]
+        context.admissible = slots, list(map(integral, tables)) if integral else tables
     slots, tables = context.admissible
     tb_rank = query.instance.tb_rank
     # chosen[d]: the ballot index of level d, nondecreasing in d; sums[d]:
     # the table of the rest of the profile plus the ballots of levels < d
     size, last = len(suspects), len(slots) - 1
     chosen = [0] * size
-    sums = [query.rest]
+    sums = [integral(query.rest) if integral else query.rest]
     for _ in range(size):
         sums.append(_add_tables(rule, sums[-1], tables[0]))
     while winner_from_tally(m, sums[-1], tb_rank, rule) != y:

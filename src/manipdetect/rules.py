@@ -258,11 +258,18 @@ def stv_order(m: int, profile: Profile, tb_rank: Sequence[int]) -> list[int]:
 
     Each round drops the `stv_loser` of the counts of voters whose ballot
     currently tops each candidate.  Only the ballots that topped the dropped
-    candidate move on, each to its next candidate still alive.
+    candidate move on, each to its next candidate still alive.  An
+    instance's packed classes (`core._Classes`) keep each pile of units as a
+    mask, and `_hand_over` moves them; the other pairs move as ballots.
     """
+    planes, units, profile = getattr(profile, "pack", (None, 0, profile))
     alive = [True] * m
     counts = [0] * m
     piles: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in range(m)]
+    if planes is not None:
+        at = [column_masks(m, own, (1 << units) - 1) for own in planes]
+        held = [row[0] for row in at]
+        counts = [mask.bit_count() for mask in held]
     for ballot, w in profile:
         r = ballot.ranking
         counts[r[0]] += w
@@ -272,6 +279,8 @@ def stv_order(m: int, profile: Profile, tb_rank: Sequence[int]) -> list[int]:
         drop = stv_loser(counts, [c for c in range(m) if alive[c]], tb_rank)
         alive[drop] = False
         order.append(drop)
+        if planes is not None:
+            _hand_over(held[drop], 1, at, alive, held, counts)
         for r, p, w in piles[drop]:
             p += 1
             while not alive[r[p]]:
@@ -280,6 +289,20 @@ def stv_order(m: int, profile: Profile, tb_rank: Sequence[int]) -> list[int]:
             piles[r[p]].append((r, p, w))
     order.append(alive.index(True))
     return order
+
+
+def _hand_over(units: int, p: int, at, alive, held: list[int], counts: list[int]) -> None:
+    """Give each of the `units` (a mask), which rank no alive candidate above
+    position p, to the first alive one it ranks there or below: into `held[c]`
+    and `counts[c]`, read from `at[c][q]`, the units ranking c at q."""
+    while units:
+        for c, row in enumerate(at):
+            got = alive[c] and units & row[p]
+            if got:
+                units ^= got
+                held[c] |= got
+                counts[c] += got.bit_count()
+        p += 1
 
 
 def tally(m: int, profile: Profile, rule: VotingRule):
@@ -327,12 +350,6 @@ def co_winners_from_tally(m: int, table, tb_rank: Sequence[int], rule: VotingRul
     return [c for c in range(m) if scores[c] == best]
 
 
-def co_winners_from_ballots(
-    m: int, profile: Profile, tb_rank: Sequence[int], rule: VotingRule
-) -> list[int]:
-    return co_winners_from_tally(m, tally(m, profile, rule), tb_rank, rule)
-
-
 def winner_from_tally(m: int, table, tb_rank: Sequence[int], rule: VotingRule) -> int:
     """The winner read from a `tally` table: the tie-break-earliest co-winner."""
     return min(co_winners_from_tally(m, table, tb_rank, rule), key=tb_rank.__getitem__)
@@ -376,9 +393,8 @@ def stv_elimination_order(instance: ElectionInstance) -> tuple[int, ...]:
 
 def co_winners(instance: ElectionInstance, rule: VotingRule) -> tuple[int, ...]:
     """The rule's co-winner set before tie-breaking (singleton for STV)."""
-    return tuple(
-        co_winners_from_ballots(instance.m, instance.classes, instance.tb_rank, rule)
-    )
+    table = tally(instance.m, instance.classes, rule)
+    return tuple(co_winners_from_tally(instance.m, table, instance.tb_rank, rule))
 
 
 def winner(instance: ElectionInstance, rule: VotingRule) -> int:

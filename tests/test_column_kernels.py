@@ -4,10 +4,12 @@ An instance built with at least `core.COLUMN_CUTOVER` one-voter classes
 stores, once (`core._pack`), each candidate's position planes: bit v of
 plane j of candidate c is bit j of the position at which unit v ranks c.
 `positional_scores`, `topk_counts` and `margin_matrix` count its classes
-from those planes.  Every table must equal the one the loops build for the
-same instance built with the cut-over raised past its size: the cut-over
-is read when an instance is built, so each side is built under its own
-cut-over.  `core.column_masks`, which splits planes into one mask per
+from those planes, and `stv_order` and the STV search's first choices move
+masks of units split from them.  Every table must equal the one the loops
+build for the same instance built with the cut-over raised past its size:
+the cut-over is read when an instance is built, so each side is built
+under its own cut-over.  A packed STV order and first choices must read
+no unit's ranking.  `core.column_masks`, which splits planes into one mask per
 value, is checked against each value's entries, and the stored planes
 against `core.bit_planes` of each candidate's positions.  The greedy CPMSW
 search reads a packed instance's voters from the same planes; its verdicts,
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manipdetect import core, detect_scoring, rules
+from manipdetect import core, detect_scoring, detect_stv, rules
 from manipdetect.core import ElectionInstance, Preference, margin_matrix
 from manipdetect.detect_scoring import _shift_groups, cpmsw_scoring_greedy
 from manipdetect.detection import DetectionQuery
@@ -66,6 +68,9 @@ def _tables(m, profile):
         margin_matrix(m, profile),
         topk_counts(m, profile),
         *(positional_scores(m, profile, v) for v in _vectors(m)),
+        # the STV order under the default tie-break and the reversed one
+        rules.stv_order(m, profile, range(m)),
+        rules.stv_order(m, profile, range(m - 1, -1, -1)),
     ]
 
 
@@ -539,3 +544,54 @@ def test_greedy_reads_voters_from_mask_bits_when_units_are_voters():
                 if unit_voters:
                     mp.setattr(detect_scoring, "compress", scan)
                 assert searches(columns) == expected
+
+
+# --- STV from the planes -------------------------------------------------------
+
+
+@pytest.mark.parametrize("m, units, cutover", [(4, 6, 1), (7, 300, 256), (20, 300, 256)])
+def test_stv_first_choices_from_columns_match_loop(m, units, cutover):
+    # random alive sets, with weighted and count-0 classes beside the units
+    rng = random.Random(f"first-choices-{m}-{units}")
+    draws = (tuple(rng.sample(range(m), m)) for _ in range(50 * units))
+    rankings = list(dict.fromkeys(draws))[:units + 7]
+    ballots, counts = rankings[:units + 4], [1] * units + [2, 3, 5, 2]
+    replacements = {i: Preference(r) for i, r in zip((0, 2, units + 1), rankings[units + 4:])}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "COLUMN_CUTOVER", LOOPS)
+        loops = _build(m, ballots, counts, replacements)
+        mp.setattr(core, "COLUMN_CUTOVER", cutover)
+        columns = _build(m, ballots, counts, replacements)
+    assert columns.classes == loops.classes and not hasattr(loops.classes, "pack")
+    assert hasattr(columns.classes, "pack") and columns.classes.pack[2]
+    assert any(w == 0 for _, w in columns.classes) and any(w > 1 for _, w in columns.classes)
+    masks = [(1 << m) - 1, 1 << rng.randrange(m)] + [rng.randrange(1, 1 << m) for _ in range(40)]
+    for mask in masks:
+        expected = detect_stv._first_choices(loops.classes, m, mask)
+        assert detect_stv._first_choices(columns.classes, m, mask) == expected
+        assert sum(expected) == loops.n
+        assert all(mask >> c & 1 for c in range(m) if expected[c])
+
+
+class _Unreadable:
+    @property
+    def ranking(self):
+        raise AssertionError("a unit class's ranking was read")
+
+
+def test_packed_stv_reads_no_unit_ranking():
+    # the unit pairs swapped for ballots that raise when read: the packed
+    # order and first choices still come out, from the planes and `rest`
+    m, rng = 9, random.Random(11)
+    inst = _greedy_instance(rng, m, 400, 4, 3)
+    planes, units, rest = inst.classes.pack
+    assert rest and units >= core.COLUMN_CUTOVER
+    blind = core._Classes((_Unreadable(), 1) if w == 1 else (pref, w) for pref, w in inst.classes)
+    blind.pack = inst.classes.pack
+    for tb_rank in (inst.tb_rank, range(m)):
+        assert rules.stv_order(m, blind, tb_rank) == rules.stv_order(m, inst.classes, tb_rank)
+    for mask in [(1 << m) - 1] + [rng.randrange(1, 1 << m) for _ in range(20)]:
+        expected = detect_stv._first_choices(inst.classes, m, mask)
+        assert detect_stv._first_choices(blind, m, mask) == expected
+    with pytest.raises(AssertionError, match="ranking was read"):
+        rules.stv_order(m, tuple(blind), inst.tb_rank)

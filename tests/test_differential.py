@@ -265,10 +265,7 @@ def test_convex_coalitions_match_oracle_long(m, size, trials, rule_name):
     assert answers == {True, False}
 
 
-# (rule, coalition size, method the dispatcher must pick) on packed instances;
-# the oracle's `Fraction` tables make the convex-fraction coalition row
-# the slowest, so it runs with `-m slow` only (tier-1 covers its route at
-# m = 5 and its packed tables with one suspect)
+# (rule, coalition size, method the dispatcher must pick) on packed instances
 PACKED_CASES = [
     ("borda", 1, "scoring-single"),
     ("irregular", 1, "scoring-single"),
@@ -280,7 +277,7 @@ PACKED_CASES = [
     ("borda", 2, "scoring-coalition"),
     ("2-approval", 2, "scoring-coalition"),
     ("veto", 2, "scoring-coalition"),
-    pytest.param("convex-fraction", 2, "scoring-coalition", marks=pytest.mark.slow),
+    ("convex-fraction", 2, "scoring-coalition"),
     ("plurality", 2, "plurality-capacity"),
     ("bucklin", 2, "bucklin-greedy"),
 ]

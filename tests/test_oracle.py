@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
@@ -6,7 +7,7 @@ import pytest
 
 from manipdetect import oracle
 from manipdetect.core import ElectionInstance, Preference
-from manipdetect.detection import verify_verdict
+from manipdetect.detection import DetectionQuery, verify_verdict
 from manipdetect.errors import BudgetExceededError, InvalidQueryError
 from manipdetect.oracle import (
     oracle_cpm,
@@ -169,6 +170,7 @@ def reference_rules(m):
         VotingRule.scoring(ScoringVector.plurality(m)),
         VotingRule.scoring(ScoringVector.borda(m)),
         VotingRule.scoring(ScoringVector((3, 1) + (0,) * (m - 2))),
+        VotingRule.scoring(ScoringVector((Fraction(5, 2), Fraction(2, 3)) + (0,) * (m - 2))),
         VotingRule.maximin(),
         VotingRule.bucklin(),
         VotingRule.stv(),
@@ -242,3 +244,25 @@ def test_untargeted_search_builds_each_targets_admissible_ballots_once(monkeypat
     monkeypatch.setattr(oracle, "admissible_preferences", counted)
     assert not search_coalitions(e2(), BORDA3, 2).answer
     assert sorted(calls) == [B, C]
+
+
+def test_fraction_vector_is_walked_in_ints(monkeypatch):
+    # a Fraction vector's tables are scaled to ints before the walk: every
+    # leaf reads int scores, and the query's cached rest keeps its Fractions
+    rule = VotingRule.scoring(ScoringVector([Fraction(3, 2), Fraction(1, 3), 0]))
+    inst = e2()
+    y = next(c for c in range(inst.m) if c != winner(inst, rule))
+    query = DetectionQuery(inst, rule, (0, 1), y)
+    rest = list(query.rest)
+    assert Fraction in map(type, rest)
+    tables = []
+    original = oracle.winner_from_tally
+
+    def read(m, table, *args):
+        tables.append(table)
+        return original(m, table, *args)
+
+    monkeypatch.setattr(oracle, "winner_from_tally", read)
+    oracle_cpmw(query)
+    assert tables and {type(s) for table in tables for s in table} == {int}
+    assert query.rest == rest and list(map(type, query.rest)) == list(map(type, rest))
