@@ -1,48 +1,20 @@
 """Election winner determination and possible-manipulator coalition detection."""
 
-from .core import (
-    Candidate,
-    ElectionInstance,
-    Preference,
-    TieBreakOrder,
-    WeightedMajorityGraph,
-    majority_graph,
-    pairwise_margin,
-)
+from .core import ElectionInstance, Preference, TieBreakOrder
 from .detection import DetectionQuery, DetectionVerdict, replay, verify_verdict
-from .rules import (
-    ScoreTable,
-    ScoringVector,
-    VotingRule,
-    bucklin_score,
-    co_winners,
-    evaluate_scores,
-    maximin_score,
-    stv_elimination_order,
-    winner,
-)
+from .rules import ScoringVector, VotingRule, winner
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Candidate",
     "DetectionQuery",
     "DetectionVerdict",
     "ElectionInstance",
     "Preference",
-    "ScoreTable",
     "ScoringVector",
     "TieBreakOrder",
     "VotingRule",
-    "WeightedMajorityGraph",
-    "bucklin_score",
-    "co_winners",
-    "evaluate_scores",
-    "majority_graph",
-    "maximin_score",
-    "pairwise_margin",
     "replay",
-    "stv_elimination_order",
     "verify_verdict",
     "winner",
     "__version__",

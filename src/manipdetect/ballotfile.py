@@ -7,10 +7,11 @@ File format (one statement per line, `#` starts a comment):
     2x b>a>c                 a ballot with a repeat count
     a>c>b                    a single ballot
 
-A `Nx` line is N voters casting one ballot; it is parsed once and kept as one
-ballot with a count, not expanded.  Voter indices are 0-based positions in
-the voter order the file spells out, which may hold at most MAX_BALLOTS
-voters.
+A candidate name holds no whitespace, `,`, `>` or `#`, and does not begin
+with `candidates:` or `tiebreak:`.  A `Nx` line is N voters casting one
+ballot; it is parsed once and kept as one ballot with a count, not
+expanded.  Voter indices are 0-based positions in the voter order the file
+spells out, which may hold at most MAX_BALLOTS voters.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import groupby
 from typing import Sequence
 
 from .core import ElectionInstance, Preference
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 # Each voter costs 8 bytes, its slot in `ElectionInstance.voter_class`
 # (tracemalloc, 64-bit CPython 3.11; distinct ballots are stored once), so the
@@ -30,7 +31,8 @@ from .errors import ParseError
 MAX_BALLOTS = 10_000_000
 
 _COUNT_RE = re.compile(r"^(\d+)x\s+(.*)$")
-_NAME_RE = re.compile(r"^[^\s,>#]+$")
+# a candidate name: no separator or comment character, no statement keyword in front
+_NAME_RE = re.compile(r"^(?!candidates:|tiebreak:)[^\s,>#]+$")
 
 
 def _split_names(raw: str, line_no: int) -> list[str]:
@@ -137,8 +139,12 @@ def render_election(instance: ElectionInstance) -> str:
 
     Each run of consecutive voters casting one ballot is one line, `Nx` when
     the run is longer than one voter, so voter indices keep their meaning.
+    A name the parser would refuse raises `ValidationError`.
     """
     names = instance.names
+    for name in names:
+        if not _NAME_RE.match(name):
+            raise ValidationError(f"candidate name {name!r} cannot be written to an election file")
     lines = ["candidates: " + ",".join(names)]
     lines.append("tiebreak: " + ",".join(names[c] for c in instance.tiebreak))
     for k, run in groupby(instance.voter_class):

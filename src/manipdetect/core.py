@@ -11,14 +11,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import RosterError, ValidationError
-
-
-class Candidate(NamedTuple):
-    id: int
-    name: str
 
 
 @dataclass(frozen=True)
@@ -49,11 +44,6 @@ class Preference:
     @property
     def m(self) -> int:
         return len(self.ranking)
-
-    def position_of(self, candidate: int) -> int:
-        """1-based rank of `candidate`; 1 is most preferred."""
-        self._check_id(candidate)
-        return self.ranking.index(candidate) + 1
 
     def prefers(self, a: int, b: int) -> bool:
         """True when `a` is ranked strictly above `b`."""
@@ -220,9 +210,10 @@ class ElectionInstance:
 
     The constructor takes one ballot per voter, or, with `counts` (a
     sequence as long as `ballots`), ballot k cast by `counts[k]` consecutive
-    voters.  Profiles with zero voters are rejected; the winner would be
-    undefined.  The default tie-break order is the roster listing order;
-    `_set` derives its ranks, `tb_rank`, once for every copy too.
+    voters, at most `ballotfile.MAX_BALLOTS` in all.  Profiles with zero
+    voters are rejected; the winner would be undefined.  The default
+    tie-break order is the roster listing order; `_set` derives its ranks,
+    `tb_rank`, once for every copy too.
     """
 
     names: tuple[str, ...]
@@ -251,6 +242,11 @@ class ElectionInstance:
                 raise ValidationError(f"{len(ballots)} ballots but {len(counts)} counts")
             if counts and min(counts) < 1:
                 raise ValidationError("ballot counts must be >= 1")
+            from . import ballotfile  # the cap, read at call time; ballotfile imports this module
+
+            n, limit = sum(counts), ballotfile.MAX_BALLOTS
+            if n > limit:
+                raise ValidationError(f"ballot counts total {n}; an election holds at most {limit}")
         index: dict[tuple[int, ...], int] = {}
         prefs: list[Preference] = []
         weights: list[int] = []
@@ -274,7 +270,7 @@ class ElectionInstance:
             tb = tiebreak if isinstance(tiebreak, Preference) else Preference(tiebreak)
             if tb.m != m:
                 raise ValidationError("tie-break order must cover the whole roster")
-        if counts is not None and len(run_class) != sum(counts):
+        if counts is not None and len(run_class) != n:
             run_class = chain.from_iterable(map(repeat, run_class, counts))
         self._set(names, tb, tuple(zip(prefs, weights)), tuple(run_class))
 
@@ -310,10 +306,6 @@ class ElectionInstance:
     @property
     def n(self) -> int:
         return len(self.voter_class)
-
-    @property
-    def roster(self) -> tuple[Candidate, ...]:
-        return tuple(Candidate(i, n) for i, n in enumerate(self.names))
 
     def candidate_id(self, name: str) -> int:
         try:
@@ -367,32 +359,6 @@ class ElectionInstance:
         return list(compress(profile, map(itemgetter(1), profile)))
 
 
-@dataclass(frozen=True)
-class WeightedMajorityGraph:
-    """Pairwise margin matrix D with D[a][b] = (#a above b) - (#b above a)."""
-
-    margins: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        d = self.margins
-        m = len(d)
-        for a in range(m):
-            if len(d[a]) != m:
-                raise ValidationError("margin matrix must be square")
-            if d[a][a] != 0:
-                raise ValidationError("margin matrix must have a zero diagonal")
-            for b in range(m):
-                if d[a][b] != -d[b][a]:
-                    raise ValidationError("margin matrix must be antisymmetric")
-
-    @property
-    def m(self) -> int:
-        return len(self.margins)
-
-    def margin(self, a: int, b: int) -> int:
-        return self.margins[a][b]
-
-
 def margin_matrix(m: int, profile: Profile) -> list[list[int]]:
     """Pairwise margins of a weighted profile (may be empty).
 
@@ -428,20 +394,3 @@ def margin_matrix(m: int, profile: Profile) -> list[list[int]]:
             row[b] = v
             d[b][a] = -v
     return d
-
-
-def pairwise_margin(instance: ElectionInstance, a: int, b: int) -> int:
-    """How many voters rank `a` above `b`, minus how many rank `b` above `a`."""
-    if not 0 <= a < instance.m:
-        raise RosterError(f"candidate id {a} outside roster")
-    if not 0 <= b < instance.m:
-        raise RosterError(f"candidate id {b} outside roster")
-    if a == b:
-        return 0
-    return sum(w if pref.prefers(a, b) else -w for pref, w in instance.classes)
-
-
-def majority_graph(instance: ElectionInstance) -> WeightedMajorityGraph:
-    """The weighted majority graph of the full profile."""
-    d = margin_matrix(instance.m, instance.classes)
-    return WeightedMajorityGraph(tuple(tuple(row) for row in d))

@@ -11,24 +11,39 @@ from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from . import ballotfile, oracle
-from .core import ElectionInstance, Preference, WeightedMajorityGraph
+from .core import ElectionInstance, Preference
 from .errors import ValidationError
 
 
-class MarginFunction(WeightedMajorityGraph):
-    """A target pairwise-margin table: a margin matrix whose entries are all even."""
+@dataclass(frozen=True)
+class MarginFunction:
+    """A target pairwise-margin table: square, zero on the diagonal,
+    antisymmetric (`margins[a][b] == -margins[b][a]`) and even throughout."""
+
+    margins: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        super().__post_init__()
-        if any(v % 2 for row in self.margins for v in row):
+        d = self.margins
+        m = len(d)
+        if any(len(row) != m for row in d):
+            raise ValidationError("margin matrix must be square")
+        if any(d[a][a] for a in range(m)):
+            raise ValidationError("margin matrix must have a zero diagonal")
+        if any(d[a][b] != -d[b][a] for a in range(m) for b in range(a)):
+            raise ValidationError("margin matrix must be antisymmetric")
+        if any(v % 2 for row in d for v in row):
             raise ValidationError("margins must all be even")
 
     @classmethod
     def from_pairs(cls, m: int, pairs: Mapping[tuple[int, int], int]) -> "MarginFunction":
+        """The table of `pairs`, each (a, b) -> v setting v_ab = v and v_ba = -v;
+        a pair given in both orientations must agree."""
         table = [[0] * m for _ in range(m)]
         for (a, b), v in pairs.items():
             if not (0 <= a < m and 0 <= b < m):
                 raise ValidationError(f"pair ({a},{b}) outside roster 0..{m - 1}")
+            if a != b and pairs.get((b, a), -v) != -v:
+                raise ValidationError(f"margins of ({a},{b}) and ({b},{a}) disagree")
             table[a][b] = v
             table[b][a] = -v
         return cls(tuple(tuple(row) for row in table))
@@ -44,7 +59,7 @@ def mcgarvey_ballots(f: MarginFunction) -> tuple[Preference, ...]:
     empty ballot list, which is a valid margin target but not an election.
     A total past `ballotfile.MAX_BALLOTS` is refused before any ballot is built.
     """
-    m = f.m
+    m = len(f.margins)
     total = sum(abs(v) for row in f.margins for v in row) // 2
     if total > ballotfile.MAX_BALLOTS:
         limit = ballotfile.MAX_BALLOTS

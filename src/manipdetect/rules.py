@@ -126,13 +126,6 @@ class VotingRule:
         return cls(STV)
 
 
-@dataclass(frozen=True)
-class ScoreTable:
-    """Per-candidate positional scores."""
-
-    scores: tuple[Score, ...]
-
-
 # ---------------------------------------------------------------------------
 # Weighted-profile internals.  These take (ballot, count) pairs and skip
 # instance re-validation, so that search loops can replay candidate ballots
@@ -220,11 +213,6 @@ def topk_counts(m: int, profile: Profile) -> list[list[int]]:
         for l in range(1, m + 1):
             row[l] += row[l - 1]
     return first
-
-
-def bucklin_levels(m: int, profile: Profile) -> list[int]:
-    """Least level l at which each candidate is in the top l of at least half the voters."""
-    return bucklin_levels_from_counts(topk_counts(m, profile))
 
 
 def bucklin_levels_from_counts(counts: Sequence[Sequence[int]]) -> list[int]:
@@ -369,32 +357,6 @@ def winner_from_ballots(
 # ---------------------------------------------------------------------------
 # Instance-level operations.
 # ---------------------------------------------------------------------------
-
-
-def evaluate_scores(instance: ElectionInstance, vector: ScoringVector) -> ScoreTable:
-    """Positional score of every candidate under the given vector."""
-    return ScoreTable(tuple(positional_scores(instance.m, instance.classes, vector)))
-
-
-def maximin_score(instance: ElectionInstance, candidate: int) -> int:
-    """Worst pairwise margin of `candidate` against any opponent."""
-    return maximin_scores_from_margins(margin_matrix(instance.m, instance.classes))[candidate]
-
-
-def bucklin_score(instance: ElectionInstance, candidate: int) -> int:
-    """Bucklin level of `candidate` (always in 1..m)."""
-    return bucklin_levels(instance.m, instance.classes)[candidate]
-
-
-def stv_elimination_order(instance: ElectionInstance) -> tuple[int, ...]:
-    """m-1 eliminated candidates in order, then the surviving winner."""
-    return tuple(stv_order(instance.m, instance.classes, instance.tb_rank))
-
-
-def co_winners(instance: ElectionInstance, rule: VotingRule) -> tuple[int, ...]:
-    """The rule's co-winner set before tie-breaking (singleton for STV)."""
-    table = tally(instance.m, instance.classes, rule)
-    return tuple(co_winners_from_tally(instance.m, table, instance.tb_rank, rule))
 
 
 def winner(instance: ElectionInstance, rule: VotingRule) -> int:

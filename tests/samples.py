@@ -8,6 +8,15 @@ from manipdetect.core import ElectionInstance
 A, B, C = 0, 1, 2
 
 
+def reference_margin(instance: ElectionInstance, a: int, b: int) -> int:
+    """How many voters rank `a` above `b`, minus how many rank `b` above `a`,
+    counted class by class with `Preference.prefers`: a reference for
+    `core.margin_matrix` that shares none of its code."""
+    if a == b:
+        return 0
+    return sum(w if pref.prefers(a, b) else -w for pref, w in instance.classes)
+
+
 def e1() -> ElectionInstance:
     # v0: a>c>b, v1: b>a>c, v2: b>a>c; tie-break a>b>c
     return ElectionInstance(("a", "b", "c"), [(A, C, B), (B, A, C), (B, A, C)])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from manipdetect import ballotfile
 from manipdetect.ballotfile import Report, parse_election, render_election
 from manipdetect.core import ElectionInstance
-from manipdetect.errors import ParseError
+from manipdetect.errors import ParseError, ValidationError
 
 from samples import e1
 
@@ -153,6 +153,20 @@ def test_parsed_voter_costs_one_tuple_slot():
         tracemalloc.stop()
     assert inst.n == n and len(inst.classes) == 120
     assert retained <= 9 * n
+
+
+@pytest.mark.parametrize("keyword", ["candidates:", "tiebreak:"])
+def test_names_starting_with_a_statement_keyword_do_not_round_trip(keyword):
+    # such a name would turn its ballot lines into statements: the renderer
+    # refuses it, and a file naming it does not parse
+    inst = ElectionInstance([keyword + "a", "b"], [[0, 1], [1, 0], [0, 1]])
+    with pytest.raises(ValidationError, match="cannot be written"):
+        render_election(inst)
+    with pytest.raises(ParseError, match="line 1: invalid candidate name"):
+        parse_election(f"candidates: {keyword}a,b\n{keyword}a>b\n")
+    # the keyword anywhere else in a name is an ordinary name
+    near = ElectionInstance(["x" + keyword + "a", keyword[:-1]], [[0, 1], [1, 0], [0, 1]])
+    assert parse_election(render_election(near)) == near
 
 
 def test_report_round_trip():

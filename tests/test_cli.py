@@ -280,10 +280,27 @@ def test_gen_mcgarvey(capsys):
 
 @pytest.mark.parametrize(
     "candidates, margin, message",
-    [("a,b,c", "a,z,2", "unknown candidate"), ("a#1,b,c", "a#1,b,2", "invalid candidate name")],
+    [
+        ("a,b,c", "a,z,2", "unknown candidate"),
+        ("a#1,b,c", "a#1,b,2", "invalid candidate name"),
+        ("tiebreak:a,b", "tiebreak:a,b,2", "invalid candidate name"),
+        ("a,candidates:b", "a,candidates:b,2", "invalid candidate name"),
+    ],
 )
 def test_gen_mcgarvey_refuses_bad_names(candidates, margin, message, capsys):
     code = main(["gen", "mcgarvey", "--candidates", candidates, "--margin", margin])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "margins, message", [(["a,b,2", "b,a,2"], "disagree"), (["a,a,2"], "zero diagonal")]
+)
+def test_gen_mcgarvey_refuses_contradicting_margins(margins, message, capsys):
+    args = [arg for margin in margins for arg in ("--margin", margin)]
+    code = main(["gen", "mcgarvey", "--candidates", "a,b", *args])
     assert code == 2
     out, err = capsys.readouterr()
     assert out == ""

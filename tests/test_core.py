@@ -1,62 +1,60 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
-from manipdetect.core import (
-    ElectionInstance,
-    Preference,
-    majority_graph,
-    margin_matrix,
-    pairwise_margin,
-)
+import manipdetect
+from manipdetect import ballotfile
+from manipdetect.core import ElectionInstance, Preference, margin_matrix
 from manipdetect.errors import RosterError, ValidationError
 
-from samples import A, B, C, e1
+from samples import A, B, C, e1, reference_margin
 
 
 def test_pairwise_margin_e1():
     inst = e1()
-    assert pairwise_margin(inst, A, B) == -1
-    assert pairwise_margin(inst, A, C) == 3
-    assert pairwise_margin(inst, B, C) == 1
+    assert reference_margin(inst, A, B) == -1
+    assert reference_margin(inst, A, C) == 3
+    assert reference_margin(inst, B, C) == 1
 
 
 def test_pairwise_margin_self_is_zero():
     inst = e1()
     for c in range(3):
-        assert pairwise_margin(inst, c, c) == 0
-
-
-def test_pairwise_margin_rejects_bad_id():
-    with pytest.raises(RosterError):
-        pairwise_margin(e1(), 0, 3)
+        assert reference_margin(inst, c, c) == 0
 
 
 def test_majority_graph_e1():
-    g = majority_graph(e1())
-    assert g.margin(A, B) == -1
-    assert g.margin(A, C) == 3
-    assert g.margin(B, C) == 1
+    d = margin_matrix(3, e1().classes)
+    assert d[A][B] == -1
+    assert d[A][C] == 3
+    assert d[B][C] == 1
 
 
 def test_majority_graph_single_ballot():
     inst = ElectionInstance(("a", "b", "c"), [(A, B, C)])
-    g = majority_graph(inst)
-    assert g.margin(A, B) == g.margin(A, C) == g.margin(B, C) == 1
+    d = margin_matrix(inst.m, inst.classes)
+    assert d[A][B] == d[A][C] == d[B][C] == 1
 
 
 def test_majority_graph_opposite_ballots_cancel():
     inst = ElectionInstance(("a", "b", "c"), [(A, B, C), (C, B, A)])
-    g = majority_graph(inst)
-    assert all(g.margin(a, b) == 0 for a in range(3) for b in range(3))
+    d = margin_matrix(inst.m, inst.classes)
+    assert all(d[a][b] == 0 for a in range(3) for b in range(3))
 
 
 def test_position_of():
     p = Preference((A, C, B))  # a>c>b
-    assert p.position_of(A) == 1
-    assert p.position_of(B) == 3
-    assert p.position_of(C) == 2
+    assert p.ranking.index(A) + 1 == 1
+    assert p.ranking.index(B) + 1 == 3
+    assert p.ranking.index(C) + 1 == 2
     with pytest.raises(RosterError):
-        p.position_of(5)
+        p.prefers(5, A)
+    with pytest.raises(RosterError):
+        p.prefers(A, 5)
 
 
 def test_preference_rejects_non_permutations():
@@ -132,15 +130,16 @@ profiles = st.integers(1, 4).flatmap(
 def test_majority_graph_is_antisymmetric_with_zero_diagonal(ballots):
     m = len(ballots[0])
     inst = ElectionInstance([f"c{i}" for i in range(m)], ballots)
-    g = majority_graph(inst)
+    d = margin_matrix(m, inst.classes)
     n = inst.n
     for a in range(m):
-        assert g.margin(a, a) == 0
+        assert d[a][a] == 0
         for b in range(m):
-            assert g.margin(a, b) == -g.margin(b, a)
-            assert abs(g.margin(a, b)) <= n
+            assert d[a][b] == reference_margin(inst, a, b)
+            assert d[a][b] == -d[b][a]
+            assert abs(d[a][b]) <= n
             if a != b:
-                assert (g.margin(a, b) - n) % 2 == 0
+                assert (d[a][b] - n) % 2 == 0
 
 
 @given(profiles, st.randoms(use_true_random=False))
@@ -163,3 +162,37 @@ def test_corrupted_ballots_are_rejected(ballots, rng):
 
 def test_margin_matrix_accepts_empty_profile():
     assert margin_matrix(3, []) == [[0] * 3 for _ in range(3)]
+
+
+def test_instance_refuses_counts_past_the_ballot_cap(monkeypatch):
+    monkeypatch.setattr(ballotfile, "MAX_BALLOTS", 10)
+    assert ElectionInstance(("a", "b"), [(0, 1), (1, 0)], counts=[4, 6]).n == 10
+    with pytest.raises(ValidationError, match="total 11"):
+        ElectionInstance(("a", "b"), [(0, 1), (1, 0)], counts=[5, 6])
+
+
+def test_huge_counts_are_refused_before_any_voter_is_expanded():
+    # a billion voters would take 8 GB of voter slots: under a 1 GB
+    # address-space cap, set in a child process only, the constructor must
+    # refuse the total instead of running out of memory
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from manipdetect.core import ElectionInstance\n"
+        "from manipdetect.errors import ValidationError\n"
+        "try:\n"
+        "    ElectionInstance(['a', 'b'], [[0, 1]], counts=[10**9])\n"
+        "except ValidationError as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    src = str(Path(manipdetect.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("refused:"), done.stdout
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in manipdetect.__all__ if not hasattr(manipdetect, name)] == []

@@ -11,7 +11,7 @@ from manipdetect.detect_bucklin import cpmw_bucklin
 from manipdetect.dispatch import decide_cpm
 from manipdetect.errors import InvalidQueryError
 from manipdetect.oracle import oracle_cpm, oracle_cpmw
-from manipdetect.rules import VotingRule, bucklin_score, winner
+from manipdetect.rules import VotingRule, bucklin_levels_from_counts, topk_counts, winner
 
 from samples import e3, e4
 
@@ -33,7 +33,7 @@ def test_e4_yes_with_expected_witness():
     assert verify_verdict(inst, BUCKLIN, verdict, suspects=(0,))
     # replay: level-1 counts a=1, b=2, c=1 -> b alone holds a majority
     replayed = inst.with_ballots_replaced(verdict.witness)
-    assert bucklin_score(replayed, 1) == 1
+    assert bucklin_levels_from_counts(topk_counts(3, replayed.classes))[1] == 1
     assert winner(replayed, BUCKLIN) == 1
 
 
@@ -82,16 +82,18 @@ def test_witness_realizes_an_enumerated_level():
             found += 1
             replayed = inst.with_ballots_replaced(verdict.witness)
             assert winner(replayed, BUCKLIN) == y
-            beta = bucklin_score(replayed, y)
+            beta = bucklin_levels_from_counts(topk_counts(m, replayed.classes))[y]
             for w in verdict.witness.values():
                 assert w.prefers(x, y)
-                if w.position_of(y) <= beta:
+                # 1-based positions, as Bucklin levels count
+                py, px = w.ranking.index(y) + 1, w.ranking.index(x) + 1
+                if py <= beta:
                     helping += 1
                     assert w.ranking[:2] == (x, y)
                 else:
-                    assert w.position_of(y) in {beta + 1, beta + 2}
-                    if w.position_of(y) == beta + 2:
-                        assert w.position_of(x) == beta + 1
+                    assert py in {beta + 1, beta + 2}
+                    if py == beta + 2:
+                        assert px == beta + 1
     assert found > 0 and helping > 0
 
 

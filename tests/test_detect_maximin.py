@@ -4,14 +4,14 @@ from itertools import permutations
 
 import pytest
 
-from manipdetect.core import ElectionInstance
+from manipdetect.core import ElectionInstance, margin_matrix
 from manipdetect.detection import DetectionQuery, verify_verdict
 from manipdetect.detect_maximin import cpmw_maximin_single
 from manipdetect.dispatch import decide_cpm
 from manipdetect.errors import DispatchError, InvalidQueryError
 from manipdetect.generators import random_profile
 from manipdetect.oracle import oracle_cpm, oracle_cpmw
-from manipdetect.rules import VotingRule, maximin_score, winner
+from manipdetect.rules import VotingRule, maximin_scores_from_margins, winner
 
 from samples import e1, e6
 
@@ -21,7 +21,7 @@ MAXIMIN = VotingRule.maximin()
 def test_e6_setup_matches_expectations():
     inst = e6()
     assert winner(inst, MAXIMIN) == 0  # a
-    assert [maximin_score(inst, c) for c in range(3)] == [0, -2, -2]
+    assert maximin_scores_from_margins(margin_matrix(3, inst.classes)) == [0, -2, -2]
 
 
 def test_e6_yes_with_canonical_witness():
@@ -76,7 +76,7 @@ def test_witness_has_target_right_below_current_winner():
                 verdict = cpmw_maximin_single(DetectionQuery(inst, MAXIMIN, (i,), actual_winner=y))
                 if verdict.answer:
                     w = verdict.witness[i]
-                    assert w.position_of(y) == w.position_of(x) + 1
+                    assert w.ranking.index(y) == w.ranking.index(x) + 1
                     found += 1
     assert found > 0
 

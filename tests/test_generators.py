@@ -71,6 +71,30 @@ def test_margin_function_validation():
         MarginFunction(((0, 2), (2, 0)))  # not antisymmetric
 
 
+@pytest.mark.parametrize(
+    "margins, message",
+    [
+        (((0, 2), (-2,)), "square"),
+        (((0, 2, 0), (-2, 0, 0)), "square"),
+        (((0, 0, 0), (0, 0, 0), ()), "square"),
+        (((2, 0), (0, 0)), "zero diagonal"),
+        (((0, 2, 0), (-2, 0, 2), (0, 2, 0)), "antisymmetric"),
+    ],
+)
+def test_margin_function_rejects_malformed_tables(margins, message):
+    with pytest.raises(ValidationError, match=message):
+        MarginFunction(margins)
+
+
+def test_margin_function_from_pairs_rejects_contradicting_orientations():
+    with pytest.raises(ValidationError, match="disagree"):
+        MarginFunction.from_pairs(2, {(0, 1): 2, (1, 0): 2})
+    with pytest.raises(ValidationError, match="zero diagonal"):
+        MarginFunction.from_pairs(2, {(0, 0): 2})
+    agreeing = MarginFunction.from_pairs(3, {(0, 1): 2, (1, 0): -2, (2, 1): 4})
+    assert agreeing.margins == ((0, 2, 0), (-2, 0, -4), (0, 4, 0))
+
+
 @given(
     st.integers(2, 5).flatmap(
         lambda m: st.tuples(

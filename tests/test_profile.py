@@ -19,11 +19,11 @@ from manipdetect.oracle import oracle_cpmw
 from manipdetect.rules import (
     ScoringVector,
     VotingRule,
-    bucklin_levels,
-    bucklin_score,
+    bucklin_levels_from_counts,
     positional_scores,
     tally,
     tally_without,
+    topk_counts,
     winner,
     winner_and_tally,
     winner_from_ballots,
@@ -136,8 +136,7 @@ def test_bucklin_majority_counts_voters_not_classes():
     # class (n = 2) a would reach it at level 1 too and win the tie-break.
     inst = ElectionInstance(("a", "b", "c"), [(0, 1, 2), (2, 0, 1)], counts=[2, 3])
     assert len(inst.classes) == 2 and inst.n == 5
-    assert bucklin_levels(3, inst.classes) == [2, 3, 1]
-    assert bucklin_score(inst, 2) == 1
+    assert bucklin_levels_from_counts(topk_counts(3, inst.classes)) == [2, 3, 1]
     assert winner(inst, VotingRule.bucklin()) == 2
 
 

@@ -1,17 +1,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from manipdetect.core import ElectionInstance
+from manipdetect.core import ElectionInstance, margin_matrix
 from manipdetect.errors import ConfigError, DegenerateRosterError
 from manipdetect.rules import (
     ScoringVector,
     VotingRule,
-    bucklin_levels,
-    bucklin_score,
-    co_winners,
-    evaluate_scores,
-    maximin_score,
-    stv_elimination_order,
+    bucklin_levels_from_counts,
+    co_winners_from_tally,
+    maximin_scores_from_margins,
+    positional_scores,
+    stv_order,
+    tally,
     topk_counts,
     winner,
 )
@@ -20,13 +20,11 @@ from samples import A, B, C, e1, e3
 
 
 def test_borda_scores_e1():
-    table = evaluate_scores(e1(), ScoringVector.borda(3))
-    assert table.scores == (4, 4, 1)
+    assert positional_scores(3, e1().classes, ScoringVector.borda(3)) == [4, 4, 1]
 
 
 def test_plurality_scores_e1():
-    table = evaluate_scores(e1(), ScoringVector.plurality(3))
-    assert table.scores == (1, 2, 0)
+    assert positional_scores(3, e1().classes, ScoringVector.plurality(3)) == [1, 2, 0]
 
 
 def test_all_equal_vector_rejected():
@@ -41,7 +39,7 @@ def test_vector_must_be_non_increasing():
 
 def test_vector_length_must_match_roster():
     with pytest.raises(ConfigError):
-        evaluate_scores(e1(), ScoringVector.borda(4))
+        positional_scores(3, e1().classes, ScoringVector.borda(4))
 
 
 def test_named_vectors():
@@ -54,53 +52,53 @@ def test_named_vectors():
 
 
 def test_maximin_scores_e1():
-    inst = e1()
-    assert maximin_score(inst, A) == -1
-    assert maximin_score(inst, B) == 1
-    assert maximin_score(inst, C) == -3
+    scores = maximin_scores_from_margins(margin_matrix(3, e1().classes))
+    assert scores[A] == -1
+    assert scores[B] == 1
+    assert scores[C] == -3
 
 
 def test_maximin_unanimous_top_scores_n():
     inst = ElectionInstance(("a", "b", "c"), [(A, B, C)] * 4)
-    assert maximin_score(inst, A) == 4
+    assert maximin_scores_from_margins(margin_matrix(inst.m, inst.classes))[A] == 4
 
 
 def test_maximin_opposite_ballots_score_zero():
     inst = ElectionInstance(("a", "b", "c"), [(A, B, C), (C, B, A)])
-    for c in range(3):
-        assert maximin_score(inst, c) == 0
+    assert maximin_scores_from_margins(margin_matrix(inst.m, inst.classes)) == [0, 0, 0]
 
 
 def test_maximin_rejects_single_candidate():
     inst = ElectionInstance(("a",), [(0,)])
     with pytest.raises(DegenerateRosterError):
-        maximin_score(inst, 0)
+        maximin_scores_from_margins(margin_matrix(inst.m, inst.classes))
 
 
 def test_bucklin_scores_e3():
-    inst = e3()
-    assert bucklin_score(inst, A) == 2
-    assert bucklin_score(inst, C) == 3
+    levels = bucklin_levels_from_counts(topk_counts(3, e3().classes))
+    assert levels[A] == 2
+    assert levels[C] == 3
 
 
 def test_bucklin_unanimous_top_is_level_one():
     inst = ElectionInstance(("a", "b"), [(A, B)] * 3)
-    assert bucklin_score(inst, A) == 1
+    assert bucklin_levels_from_counts(topk_counts(inst.m, inst.classes))[A] == 1
 
 
 def test_stv_elimination_e1():
     # round 1 tops: a=1, b=2, c=0 -> drop c; round 2: a=1, b=2 -> drop a
-    assert stv_elimination_order(e1()) == (C, A, B)
+    inst = e1()
+    assert stv_order(inst.m, inst.classes, inst.tb_rank) == [C, A, B]
 
 
 def test_stv_unanimous_winner_is_common_top():
     inst = ElectionInstance(("a", "b", "c"), [(B, A, C)] * 3)
-    assert stv_elimination_order(inst)[-1] == B
+    assert stv_order(inst.m, inst.classes, inst.tb_rank)[-1] == B
 
 
 def test_stv_single_candidate():
     inst = ElectionInstance(("a",), [(0,)])
-    assert stv_elimination_order(inst) == (0,)
+    assert stv_order(inst.m, inst.classes, inst.tb_rank) == [0]
 
 
 def test_winner_examples_e1():
@@ -133,7 +131,7 @@ def test_singleton_co_winner_ignores_tiebreak(ballots, rng):
     rng.shuffle(tb)
     for rule in _rules_for(m):
         base = ElectionInstance(names, ballots)
-        cw = co_winners(base, rule)
+        cw = co_winners_from_tally(m, tally(m, base.classes, rule), base.tb_rank, rule)
         if len(cw) == 1:
             permuted = ElectionInstance(names, ballots, tiebreak=tb)
             assert winner(permuted, rule) == cw[0]
@@ -158,7 +156,7 @@ def test_bucklin_levels_bounded_and_full_at_level_m(ballots):
     m = len(ballots[0])
     inst = ElectionInstance([f"c{i}" for i in range(m)], ballots)
     profile = [(b, 1) for b in inst.ballots]
-    levels = bucklin_levels(m, profile)
+    levels = bucklin_levels_from_counts(topk_counts(m, profile))
     assert all(1 <= l <= m for l in levels)
     counts = topk_counts(m, profile)
     assert all(counts[c][m] == inst.n for c in range(m))
