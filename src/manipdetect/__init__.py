@@ -1,7 +1,7 @@
 """Election winner determination and possible-manipulator coalition detection."""
 
 from .core import ElectionInstance, Preference, TieBreakOrder
-from .detection import DetectionQuery, DetectionVerdict, replay, verify_verdict
+from .detection import DetectionQuery, DetectionVerdict, verify_verdict
 from .rules import ScoringVector, VotingRule, winner
 
 __version__ = "0.1.0"
@@ -14,7 +14,6 @@ __all__ = [
     "ScoringVector",
     "TieBreakOrder",
     "VotingRule",
-    "replay",
     "verify_verdict",
     "winner",
     "__version__",

@@ -172,7 +172,8 @@ def _run_gen(args) -> int:
             a, b, v = (part.strip() for part in margin_arg.split(","))
             if not {a, b} <= ids.keys():
                 raise RosterError(f"unknown candidate in --margin {margin_arg!r}")
-            pairs[(ids[a], ids[b])] = int(v)
+            if pairs.setdefault((ids[a], ids[b]), int(v)) != int(v):
+                raise ValidationError(f"margins given for ({a},{b}) disagree")
         ballots = mcgarvey_ballots(MarginFunction.from_pairs(len(names), pairs))
         print(f"# margin-realizing profile: {len(ballots)} ballots")
         if not ballots:

@@ -12,8 +12,8 @@ shape, and each refuses with `DispatchError` a vector it does not cover:
   and bounded search (CPMSW) by the same count in closed form;
 * bounded search (CPMSW/CPMS) under convex vectors: rank voters by how much
   replacing their ballot closes the gap between target and winner, then grow
-  the coalition greedily; a packed instance's voters are read from its
-  stored bit planes.
+  the coalition greedily; when a packed instance's units are its voters,
+  they are read from its stored bit planes.
 """
 
 from __future__ import annotations
@@ -240,50 +240,33 @@ def _shift_groups(inst: ElectionInstance, alphas: Sequence[Score], x: int, y: in
     """For each shift value, from the highest down, the voters whose shift
     is that value, in ascending order.
 
-    Unpacked classes take the loop, one `_shift` each, and a scan of
-    `voter_class` finds each group's voters.  With x at position p and y at
-    q, a shift is alphas[1] - alphas[0] + alphas[p] - alphas[q], so the
-    packed units of shift d are the OR of x-at-p & y-at-q over the pairs
-    (p, q) with that shift; x's and y's position planes split into x-at-p
-    and y-at-q (`core.column_masks`).  When unit v is voter v
-    (`units_are_voters`), the group's voters are its mask's set bits.
-    Otherwise each group flags its classes: the class of each unit the
-    mask sets, and each class of the pack's `rest` whose shift is the
-    group's; the scan finds the voters.
+    When unit v of a packed profile is voter v (`units_are_voters`), the
+    units are all its voters.  With x at position p and y at q, a shift is
+    alphas[1] - alphas[0] + alphas[p] - alphas[q], so the group of shift d
+    is the set bits of the OR of x-at-p & y-at-q over the pairs (p, q) with
+    that shift; x's and y's position planes split into x-at-p and y-at-q
+    (`core.column_masks`).  Any other profile takes the class loop, one
+    `_shift` per class, and a scan of `voter_class` finds each group's
+    voters.
     """
-    classes, n = inst.classes, inst.n
-    planes, units, rest = getattr(classes, "pack", (None, 0, classes))
-    shifts = [_shift(ballot.ranking, alphas, x, y) for ballot, _ in rest]
-
-    def scan(flags) -> Iterator[int]:
-        return compress(range(n), map(flags.__getitem__, inst.voter_class))
-
-    if planes is None:
+    classes, m = inst.classes, inst.m
+    if not getattr(classes, "units_are_voters", False):
+        shifts = [_shift(ballot.ranking, alphas, x, y) for ballot, _ in classes]
         for d in sorted(set(shifts), reverse=True):
-            yield scan([s == d for s in shifts])
+            flags = [s == d for s in shifts]
+            yield compress(range(inst.n), map(flags.__getitem__, inst.voter_class))
         return
-    m, rest_shifts = inst.m, set(shifts)
-    pairs: dict[Score, list[tuple[int, int]]] = {d: [] for d in rest_shifts}
+    planes, units, _ = classes.pack
+    pairs: dict[Score, list[tuple[int, int]]] = {}
     for p, q in permutations(range(m), 2):
         pairs.setdefault(alphas[1] - alphas[0] + alphas[p] - alphas[q], []).append((p, q))
     ones = (1 << units) - 1
     x_at, y_at = column_masks(m, planes[x], ones), column_masks(m, planes[y], ones)
-    if not classes.units_are_voters:
-        unit_at = [k for k, (_, w) in enumerate(classes) if w == 1]
-        rest_at = [k for k, (_, w) in enumerate(classes) if w != 1]
     for d in sorted(pairs, reverse=True):
         mask = 0
         for p, q in pairs[d]:
             mask |= x_at[p] & y_at[q]
-        if classes.units_are_voters:
-            yield _set_bits(mask)
-        elif mask or d in rest_shifts:
-            flags = [False] * len(classes)
-            for v in _set_bits(mask):
-                flags[unit_at[v]] = True
-            for k, s in zip(rest_at, shifts):
-                flags[k] = s == d
-            yield scan(flags)
+        yield _set_bits(mask)
 
 
 def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:

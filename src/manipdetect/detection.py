@@ -11,8 +11,8 @@ A coalition of suspects M is a coalition of possible manipulators against a
 candidate y when there is an assignment of one preference per suspect, each
 ranking the current winner x above y, whose substitution into the profile
 makes y the winner.  A YES verdict always carries such a witness, and one
-replay checks every witness: `DetectionQuery.confirm` before a detector
-reports it, and `verify_verdict` after.
+replay checks every witness, `DetectionQuery.confirm`: a detector's own
+query before it reports the witness, and `verify_verdict`'s after.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 
 from .core import ElectionInstance, Preference
 from .errors import BudgetExceededError, InvalidQueryError, RosterError, ValidationError
-from .rules import VotingRule, tally_without, winner_and_tally, winner_from_ballots
+from .rules import VotingRule, tally, tally_without, winner_from_ballots, winner_from_tally
 
 
 class TargetContext:
@@ -31,18 +31,19 @@ class TargetContext:
 
     Built once per query, on its first read of `DetectionQuery.context`: the
     current winner and the `rules.tally` table of the whole profile it was
-    read from (`rules.winner_and_tally`); the tie-break ranks live on the
-    instance (`ElectionInstance.tb_rank`).  `admissible` is left to the
-    oracle: the rankings that place the current winner above the target,
-    with the one-ballot table of each.  `first_choices` is left to the STV
-    search: the whole profile's first-choice counts per alive-candidate
-    bitmask.  Queries derived by `DetectionQuery.for_coalition` share their
-    parent's context, so a coalition search builds the full table, the
-    admissible ballots and the counts of each alive set once.
+    read from; the tie-break ranks live on the instance
+    (`ElectionInstance.tb_rank`).  `admissible` is left to the oracle: the
+    rankings that place the current winner above the target, with the
+    one-ballot table of each.  `first_choices` is left to the STV search:
+    the whole profile's first-choice counts per alive-candidate bitmask.
+    Queries derived by `DetectionQuery.for_coalition` share their parent's
+    context, so a coalition search builds the full table, the admissible
+    ballots and the counts of each alive set once.
     """
 
     def __init__(self, instance: ElectionInstance, rule: VotingRule):
-        self.winner, self.full = winner_and_tally(instance, rule)
+        self.full = tally(instance.m, instance.classes, rule)
+        self.winner = winner_from_tally(instance.m, self.full, instance.tb_rank, rule)
         self.admissible = None
         self.first_choices: dict[int, list[int]] = {}
 
@@ -115,9 +116,11 @@ class DetectionQuery:
 
     def confirm(self, witness: Mapping[int, Preference], method: str, exhaustive=False):
         """The YES verdict of `witness` if casting its ballots for the
-        suspects elects the target, else None."""
-        y = self.actual_winner
-        if _elects(self.instance, self.rule, self.rest, witness, y):
+        suspects elects the target, else None.  The one replay behind every
+        YES: the witness ballots' table added to `rest`."""
+        inst, y = self.instance, self.actual_winner
+        ballots = [(pref, 1) for pref in witness.values()]
+        if winner_from_ballots(inst.m, ballots, inst.tb_rank, self.rule, base=self.rest) == y:
             return yes_verdict(witness, y, method, exhaustive)
         return None
 
@@ -214,19 +217,6 @@ def _first_yes(
     return verdict
 
 
-def replay(instance: ElectionInstance, witness: Mapping[int, Preference]) -> ElectionInstance:
-    """The election as it would have been with the witness ballots cast."""
-    return instance.with_ballots_replaced(witness)
-
-
-def _elects(instance: ElectionInstance, rule: VotingRule, rest, witness, y: int) -> bool:
-    """Does the witness, cast on top of `rest` (the table of every other
-    voter), elect y?  The one replay behind every YES: it costs the table of
-    the witness ballots and one table addition."""
-    ballots = [(pref, 1) for pref in witness.values()]
-    return winner_from_ballots(instance.m, ballots, instance.tb_rank, rule, base=rest) == y
-
-
 def verify_verdict(
     instance: ElectionInstance,
     rule: VotingRule,
@@ -246,10 +236,10 @@ def verify_verdict(
     winner.  NO verdicts verify trivially.  A witness ballot that does not
     rank exactly the roster raises `ValidationError`.
 
-    The full-profile table is built once: the current winner is read from it,
-    and the witness is replayed, by the detectors' own `_elects`, on top of
-    it minus the table of the witness voters' old ballots.  No query or
-    context is built.
+    The witness is replayed as a detector replays it: by `confirm` on a
+    query whose suspects are the witness voters, so the full-profile table
+    is built once, by the query's context, and the current winner is read
+    from it.
     """
     if not verdict.answer:
         return True
@@ -263,15 +253,14 @@ def verify_verdict(
         return False
     if actual_winner is not None and verdict.witness_actual_winner != actual_winner:
         return False
-    x, full = winner_and_tally(instance, rule)
-    y = verdict.witness_actual_winner
+    witness, y, m = verdict.witness, verdict.witness_actual_winner, instance.m
+    query = DetectionQuery(instance, rule, tuple(witness), y)
+    x = query.context.winner
     if y == x:
         return False
-    witness, m = verdict.witness, instance.m
     for pref in witness.values():
         if pref.m != m:
             raise ValidationError(f"ballot {pref.ranking!r} does not cover the {m}-candidate roster")
         if not pref.prefers(x, y):
             return False
-    rest = tally_without(instance, rule, full, witness)
-    return _elects(instance, rule, rest, witness, y)
+    return query.confirm(witness, verdict.method) is not None

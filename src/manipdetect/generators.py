@@ -78,7 +78,7 @@ def mcgarvey_ballots(f: MarginFunction) -> tuple[Preference, ...]:
     return tuple(ballots)
 
 
-def random_profile(m: int, n: int, seed: int, names: Sequence[str] | None = None) -> ElectionInstance:
+def random_profile(m: int, n: int, seed: int) -> ElectionInstance:
     """n ballots drawn independently and uniformly, reproducible from the
     seed; n past `ballotfile.MAX_BALLOTS` (read at call time) is refused."""
     if m < 1 or n < 1:
@@ -93,9 +93,7 @@ def random_profile(m: int, n: int, seed: int, names: Sequence[str] | None = None
         ballot = base[:]
         rng.shuffle(ballot)
         ballots.append(ballot)
-    if names is None:
-        names = [f"c{i}" for i in range(m)]
-    return ElectionInstance(names, ballots)
+    return ElectionInstance([f"c{i}" for i in range(m)], ballots)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from numbers import Rational
 from operator import add, or_, sub
 from typing import Iterable, Sequence
 
@@ -34,6 +35,8 @@ class ScoringVector:
         alphas = tuple(alphas)
         if len(alphas) < 1:
             raise ConfigError("scoring vector must be non-empty")
+        if not all(isinstance(a, Rational) for a in alphas):
+            raise ConfigError("scoring vector entries must be exact: ints or fractions, no floats")
         for i in range(len(alphas) - 1):
             if alphas[i] < alphas[i + 1]:
                 raise ConfigError("scoring vector must be non-increasing")
@@ -361,21 +364,16 @@ def winner_from_ballots(
 
 def winner(instance: ElectionInstance, rule: VotingRule) -> int:
     """The unique winner: tie-break-earliest member of the co-winner set."""
-    return winner_and_tally(instance, rule)[0]
-
-
-def winner_and_tally(instance: ElectionInstance, rule: VotingRule):
-    """The winner together with the `tally` table of the whole profile it was read from."""
     table = tally(instance.m, instance.classes, rule)
-    return winner_from_tally(instance.m, table, instance.tb_rank, rule), table
+    return winner_from_tally(instance.m, table, instance.tb_rank, rule)
 
 
 def tally_without(instance: ElectionInstance, rule: VotingRule, full, voters: Iterable[int]):
     """The `tally` table of every voter but `voters` (distinct indices).
 
-    `full` is the table of the whole profile, from `winner_and_tally`; the
-    table of the listed voters' ballots is subtracted from it, so the rest
-    of the profile is never recounted.  For STV, whose table is the profile
+    `full` is the `tally` table of the whole profile; the table of the
+    listed voters' ballots is subtracted from it, so the rest of the
+    profile is never recounted.  For STV, whose table is the profile
     itself, this is `ballots_excluding(voters)`.
     """
     if rule.kind == STV:

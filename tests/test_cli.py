@@ -296,7 +296,12 @@ def test_gen_mcgarvey_refuses_bad_names(candidates, margin, message, capsys):
 
 
 @pytest.mark.parametrize(
-    "margins, message", [(["a,b,2", "b,a,2"], "disagree"), (["a,a,2"], "zero diagonal")]
+    "margins, message",
+    [
+        (["a,b,2", "b,a,2"], "disagree"),
+        (["a,a,2"], "zero diagonal"),
+        (["a,b,2", "a,b,4"], "disagree"),
+    ],
 )
 def test_gen_mcgarvey_refuses_contradicting_margins(margins, message, capsys):
     args = [arg for margin in margins for arg in ("--margin", margin)]

@@ -12,9 +12,10 @@ under its own cut-over.  A packed STV order and first choices must read
 no unit's ranking.  `core.column_masks`, which splits planes into one mask per
 value, is checked against each value's entries, and the stored planes
 against `core.bit_planes` of each candidate's positions.  The greedy CPMSW
-search reads a packed instance's voters from the same planes; its verdicts,
-witnesses and voter order must equal the per-class loop's, built the same
-way.  Once an instance is built, nothing transposes a column again.
+search reads a packed instance's voters from the same planes when its units
+are its voters; its verdicts, witnesses and voter order must equal the
+per-class loop's, built the same way.  Once an instance is built, nothing
+transposes a column again.
 """
 
 import math
@@ -342,11 +343,15 @@ def test_built_instances_transpose_no_column(monkeypatch):
     # every table and the greedy search read the planes stored at build
     # time: an affine or plurality score table and the margins split none
     # of them, the other tables split each candidate's planes once, and the
-    # greedy x's and y's
+    # greedy x's and y's where the units are the voters (distinct rankings
+    # only); beside weighted classes it takes the class loop and splits none
     m, rng = 20, random.Random(5)
     rankings = list(dict.fromkeys(tuple(rng.sample(range(m), m)) for _ in range(1_100)))
     inst = _build(m, rankings[:1_000] + rankings[1_000:1_003], [1] * 1_000 + [2, 3, 4])
     copy = inst.with_ballots_replaced({7: Preference(rankings[-1])})
+    distinct = _build(m, rankings[:1_000])
+    assert distinct.classes.units_are_voters
+    assert not (inst.classes.units_are_voters or copy.classes.units_are_voters)
     rules_ = [VotingRule.scoring(v) for v in _greedy_vectors(m)]
 
     def transpose(*args):
@@ -359,7 +364,7 @@ def test_built_instances_transpose_no_column(monkeypatch):
         monkeypatch.setattr(
             module, "column_masks", lambda *args, split=split: splits.append(args[1]) or split(*args)
         )
-    for built in (inst, copy):
+    for built in (inst, copy, distinct):
         planes = built.classes.pack[0]
         assert hasattr(built.classes, "pack")
         _tables(m, built.classes)
@@ -377,7 +382,8 @@ def test_built_instances_transpose_no_column(monkeypatch):
         x = winner(built, borda)
         splits.clear()
         cpmsw_scoring_greedy(DetectionQuery(built, borda, actual_winner=(x + 1) % m, bound=5))
-        assert splits == [planes[x], planes[(x + 1) % m]]
+        greedy = [planes[x], planes[(x + 1) % m]] if built is distinct else []
+        assert splits == greedy
         for rule in rules_:
             _greedy_verdicts(built, rule)
 
@@ -459,8 +465,10 @@ def test_greedy_from_columns_matches_loop(m, units, cutover, weighted, replaced)
             mp.setattr(detect_scoring, "_shift", lambda *args: shifts.append(args) or shift(*args))
             got = _greedy_verdicts(columns, rule)
         assert got == expected
-        # only the classes beside the units get a per-class shift
-        assert {args[0] for args in shifts} <= {pref.ranking for pref, _ in rest}
+        # when the units are the voters, only the classes beside them get a
+        # per-class shift; any other profile takes the class loop
+        if columns.classes.units_are_voters:
+            assert {args[0] for args in shifts} <= {pref.ranking for pref, _ in rest}
     assert answers == {True, False}
 
 

@@ -323,7 +323,8 @@ def test_no_yes_bypasses_the_shared_replay(monkeypatch, election, rule, suspects
     for decide in decisions:
         verdict = decide()
         assert (verdict.answer, verdict.method) == (True, method)
-    monkeypatch.setattr(detection, "_elects", lambda *args: False)
+    # the replay inside `DetectionQuery.confirm` elects no candidate
+    monkeypatch.setattr(detection, "winner_from_ballots", lambda *args, **kwargs: -1)
     for decide in decisions:
         verdict = decide()
         assert (verdict.answer, verdict.method) == (False, method)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from manipdetect.ballotfile import parse_election
 from manipdetect.core import ElectionInstance, Preference
-from manipdetect.detection import replay, verify_verdict, yes_verdict
+from manipdetect.detection import DetectionQuery, verify_verdict, yes_verdict
 from manipdetect.dispatch import decide_cpmsw
 from manipdetect.errors import RosterError, ValidationError
 from manipdetect.oracle import oracle_cpmw
@@ -25,7 +25,6 @@ from manipdetect.rules import (
     tally_without,
     topk_counts,
     winner,
-    winner_and_tally,
     winner_from_ballots,
 )
 
@@ -205,7 +204,7 @@ def test_table_without_voters_is_full_table_minus_theirs(ballots, tb, data):
     )
     voters = data.draw(st.sets(st.integers(0, inst.n - 1), max_size=4))
     for rule in ALL_RULES:
-        x, full = winner_and_tally(inst, rule)
+        x, full = winner(inst, rule), tally(M, inst.classes, rule)
         assert x == winner_from_ballots(M, unit_profile(inst), inst.tb_rank, rule)
         kept = deepcopy(full)
         assert tally_without(inst, rule, full, voters) == tally(
@@ -241,9 +240,22 @@ def test_verify_verdict_agrees_with_replay(ballots, tb, data):
         expected = (
             y != x
             and all(pref.prefers(x, y) for pref in witness.values())
-            and winner(replay(inst, witness), rule) == y
+            and winner(inst.with_ballots_replaced(witness), rule) == y
         )
         assert verify_verdict(inst, rule, yes_verdict(witness, y, "test")) == expected
+
+
+def test_verify_verdict_decides_through_the_shared_replay(monkeypatch):
+    # Borda a:4, b:4, c:1, won by a on the tie-break; voter 0 casting a>b>c
+    # instead of a>c>b elects b.  The YES verifies only while
+    # `DetectionQuery.confirm`, the replay every detector uses, accepts it.
+    inst = ElectionInstance(("a", "b", "c"), [(0, 2, 1), (1, 0, 2), (1, 0, 2)])
+    rule = VotingRule.scoring(ScoringVector.borda(3))
+    verdict = yes_verdict({0: Preference((0, 1, 2))}, 1, "test")
+    assert winner(inst.with_ballots_replaced(verdict.witness), rule) == 1
+    assert verify_verdict(inst, rule, verdict)
+    monkeypatch.setattr(DetectionQuery, "confirm", lambda *args: None)
+    assert not verify_verdict(inst, rule, verdict)
 
 
 def test_verify_verdict_rejects_witness_voter_outside_roster():

@@ -37,6 +37,14 @@ def test_vector_must_be_non_increasing():
         ScoringVector((1, 2, 0))
 
 
+@pytest.mark.parametrize("alphas", [(1.0, 0.5, 0.0), (2, 0.5, 0), (1, 0, float("-inf"))])
+def test_vector_entries_must_be_exact(alphas):
+    # a float entry would reach the oracle, which walks each vector as ints
+    # scaled by its entries' denominators
+    with pytest.raises(ConfigError, match="no floats"):
+        ScoringVector(alphas)
+
+
 def test_vector_length_must_match_roster():
     with pytest.raises(ConfigError):
         positional_scores(3, e1().classes, ScoringVector.borda(4))
