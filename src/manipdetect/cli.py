@@ -43,7 +43,11 @@ def rule_from_string(text: str, m: int) -> VotingRule:
     if name == "veto":
         return VotingRule.scoring(ScoringVector.veto(m))
     if name == "approval":
-        return VotingRule.scoring(ScoringVector.approval(int(arg), m))
+        try:
+            k = int(arg)
+        except ValueError:
+            raise ConfigError(f"rule {text!r} needs a whole number k, as in approval:2") from None
+        return VotingRule.scoring(ScoringVector.approval(k, m))
     if name == "scoring":
         return VotingRule.scoring(ScoringVector([_score(part.strip()) for part in arg.split(",")]))
     if name == "maximin":
@@ -63,6 +67,8 @@ def _score(text: str) -> int | Fraction:
         score = Fraction(text)
     except ZeroDivisionError:
         raise ConfigError(f"score {text!r} has a zero denominator") from None
+    except ValueError:
+        raise ConfigError(f"score {text!r} is not a number") from None
     return int(score) if score.denominator == 1 else score
 
 

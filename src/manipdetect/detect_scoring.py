@@ -7,13 +7,13 @@ shape, and each refuses with `DispatchError` a vector it does not cover:
   all adjacent position pairs of one canonical ballot and replay;
 * coalitions under convex vectors (top gap no larger than any other gap,
   e.g. Borda, k-approval for k >= 2, veto): a single canonical test profile
-  decides the question;
+  decides the question, unless the score gap alone puts the target out of reach;
 * coalitions under plurality: a capacity count over top-vote reassignments,
   and bounded search (CPMSW) by the same count in closed form;
 * bounded search (CPMSW/CPMS) under convex vectors: rank voters by how much
   replacing their ballot closes the gap between target and winner, then grow
   the coalition greedily; when a packed instance's units are its voters,
-  they are read from its stored bit planes.
+  they are read from its stored bit planes, once the same gap check passes.
 """
 
 from __future__ import annotations
@@ -106,17 +106,29 @@ def cpmw_scoring_single(query: DetectionQuery) -> DetectionVerdict:
 
 
 def _coalition_test_ballot(reported: Preference, x: int, y: int) -> Preference:
-    rest = [c for c in reported.ranking if c != x and c != y]
-    return Preference([x, y] + rest)
+    rest = tuple(c for c in reported.ranking if c != x and c != y)
+    return Preference._from_checked((x, y) + rest)
+
+
+def _out_of_reach(query: DetectionQuery, x: int, y: int, count: int) -> bool:
+    """True when `count` test ballots cannot elect y: each puts x first and
+    y second, so it narrows y's deficit to x by at most alphas[1] - alphas[-1],
+    and an exact tie goes to whichever of x and y the tie-break puts first."""
+    alphas, full, tb_rank = query.rule.vector.alphas, query.context.full, query.instance.tb_rank
+    reach = count * (alphas[1] - alphas[-1])
+    return (reach, tb_rank[x]) < (full[x] - full[y], tb_rank[y])
 
 
 def cpmw_scoring_coalition(query: DetectionQuery) -> DetectionVerdict:
     """Coalition CPMW for convex scoring vectors, by one test profile: each
     suspect ballot gets the current winner first and the target second,
-    everything else keeping its reported relative order."""
+    everything else keeping its reported relative order.  A target that |M|
+    such ballots cannot reach (`_out_of_reach`) gets NO before any is built."""
     if not _require_scoring(query).is_convex():
         raise DispatchError("test-profile method needs a convex scoring vector")
     x, y = require_target(query)
+    if _out_of_reach(query, x, y, len(query.suspects)):
+        return no_verdict(METHOD_COALITION)
     reported = query.instance.ballots_of(query.suspects)
     witness = {
         i: _coalition_test_ballot(pref, x, y) for i, (pref, _) in zip(query.suspects, reported)
@@ -280,22 +292,24 @@ def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
     bound reads only the first groups.  Each prefix is tried on an
     incrementally kept copy of the context's score table, and the first
     that elects the target is replayed (`query.confirm`) before a YES is
-    reported.
+    reported; the winner is read only once the target's score has reached
+    the current winner's.  A target that min(k, n) test ballots cannot reach
+    (`_out_of_reach`) gets NO before any voter is ranked.
     """
     vector = _require_scoring(query)
     if not vector.is_convex():
         raise DispatchError("greedy search needs a convex scoring vector")
     inst = query.instance
-    m, k = inst.m, require_bound(query)
+    m, count = inst.m, min(require_bound(query), inst.n)
     x, y = require_target(query)
-    if k == 0:
+    if _out_of_reach(query, x, y, count):
         return no_verdict(METHOD_GREEDY)
     scores = list(query.context.full)
     alphas = vector.alphas
     order = chain.from_iterable(_shift_groups(inst, alphas, x, y))
 
     witness: dict[int, Preference] = {}
-    for idx in islice(order, k):
+    for idx in islice(order, count):
         old = inst.classes[inst.voter_class[idx]][0]
         new = _coalition_test_ballot(old, x, y)
         for p, c in enumerate(old.ranking):
@@ -303,7 +317,7 @@ def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
         for p, c in enumerate(new.ranking):
             scores[c] += alphas[p]
         witness[idx] = new
-        if winner_from_tally(m, scores, inst.tb_rank, query.rule) == y:
+        if scores[y] >= scores[x] and winner_from_tally(m, scores, inst.tb_rank, query.rule) == y:
             verdict = query.for_coalition(tuple(witness)).confirm(witness, METHOD_GREEDY)
             return verdict or no_verdict(METHOD_GREEDY)
     return no_verdict(METHOD_GREEDY)

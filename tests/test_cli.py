@@ -34,7 +34,9 @@ def test_rule_from_string_variants():
     assert rule_from_string("stv", 3).kind == "stv"
 
 
-@pytest.mark.parametrize("spec", ["scoring:1/0,0,0", "scoring:1e5,0,0"])
+@pytest.mark.parametrize(
+    "spec", ["scoring:1/0,0,0", "scoring:1e5,0,0", "scoring:1,,0,0", "approval:abc", "approval:"]
+)
 def test_rule_from_string_refuses_zero_denominators_and_exponents(spec):
     with pytest.raises(ConfigError):
         rule_from_string(spec, 3)

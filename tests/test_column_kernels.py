@@ -344,7 +344,9 @@ def test_built_instances_transpose_no_column(monkeypatch):
     # time: an affine or plurality score table and the margins split none
     # of them, the other tables split each candidate's planes once, and the
     # greedy x's and y's where the units are the voters (distinct rankings
-    # only); beside weighted classes it takes the class loop and splits none
+    # only); beside weighted classes it takes the class loop and splits none.
+    # A target out of the bound's reach is answered from the full scores,
+    # so its greedy splits nothing on any instance.
     m, rng = 20, random.Random(5)
     rankings = list(dict.fromkeys(tuple(rng.sample(range(m), m)) for _ in range(1_100)))
     inst = _build(m, rankings[:1_000] + rankings[1_000:1_003], [1] * 1_000 + [2, 3, 4])
@@ -380,9 +382,18 @@ def test_built_instances_transpose_no_column(monkeypatch):
         assert splits == list(planes)
         borda = VotingRule.scoring(ScoringVector.borda(m))
         x = winner(built, borda)
+        scores = positional_scores(m, built.classes, borda.vector)
+        rivals = sorted((c for c in range(m) if c != x), key=scores.__getitem__)
+        far, near = rivals[0], rivals[-1]
         splits.clear()
-        cpmsw_scoring_greedy(DetectionQuery(built, borda, actual_winner=(x + 1) % m, bound=5))
-        greedy = [planes[x], planes[(x + 1) % m]] if built is distinct else []
+        query = DetectionQuery(built, borda, actual_winner=far, bound=5)
+        assert detect_scoring._out_of_reach(query, x, far, 5)
+        assert not cpmsw_scoring_greedy(query)
+        assert splits == []
+        query = DetectionQuery(built, borda, actual_winner=near, bound=built.n)
+        assert not detect_scoring._out_of_reach(query, x, near, built.n)
+        cpmsw_scoring_greedy(query)
+        greedy = [planes[x], planes[near]] if built is distinct else []
         assert splits == greedy
         for rule in rules_:
             _greedy_verdicts(built, rule)

@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
 
-from manipdetect import rules
+from manipdetect import detect_scoring, rules
 from manipdetect.core import ElectionInstance, Preference
 from manipdetect.detection import DetectionQuery, no_verdict, verify_verdict
 from manipdetect.detect_scoring import (
@@ -286,6 +287,74 @@ def test_greedy_monotone_in_k():
             for k in range(len(answers) - 1):
                 if answers[k]:
                     assert answers[k + 1]
+
+
+# --- the score-gap bound of the convex coalition routes ----------------------
+
+
+# Voters 0 and 1 rank a > c > b, so each test ballot a > b > c lifts b by
+# alpha_2 - alpha_3, the most a test ballot can.  a leads b by 1 under Borda
+# and by 1/2 under the Fraction vector: exactly what one test ballot closes.
+TIGHT = [(A, C, B), (A, C, B), (B, A, C), (B, C, A)]
+TIGHT_VECTORS = [ScoringVector.borda(3), ScoringVector([Fraction(5, 6), Fraction(1, 2), 0])]
+
+
+@pytest.mark.parametrize("vector", TIGHT_VECTORS, ids=["borda", "fraction"])
+@pytest.mark.parametrize("tiebreak", [(A, B, C), (B, A, C)], ids=["x-first", "y-first"])
+def test_a_bound_equal_to_the_deficit_decides_only_a_tie_won_by_x(vector, tiebreak):
+    # one test ballot ties a and b, which b wins only first in the tie-break
+    # order; two pass a by less than 1 in the Fraction case, which the bound
+    # must not refuse either
+    rule, x_first = VotingRule.scoring(vector), tiebreak[0] == A
+    inst = ElectionInstance(("a", "b", "c"), TIGHT, tiebreak)
+    assert winner(inst, rule) == A
+    for suspects in [(0,), (0, 1)]:
+        count = len(suspects)
+        greedy_query = DetectionQuery(inst, rule, (), B, count)
+        assert detect_scoring._out_of_reach(greedy_query, A, B, count) == (count == 1 and x_first)
+        coalition = cpmw_scoring_coalition(DetectionQuery(inst, rule, suspects, B))
+        greedy = cpmsw_scoring_greedy(greedy_query)
+        assert coalition.answer == greedy.answer == (count == 2 or not x_first)
+        assert (coalition.method, greedy.method) == ("scoring-coalition", "delta-greedy")
+        assert coalition.answer == oracle_cpmw(inst, rule, suspects, B).answer
+        assert greedy.answer == search_coalitions(inst, rule, count, B).answer
+        if coalition.answer:
+            assert coalition.coalition == suspects
+            assert greedy.coalition == (suspects if x_first else (0,))
+            assert verify_verdict(inst, rule, coalition, suspects)
+            assert verify_verdict(inst, rule, greedy, bound=count)
+
+
+@pytest.mark.parametrize("vector", TIGHT_VECTORS, ids=["borda", "fraction"])
+def test_a_bound_no_builds_no_test_ballot(monkeypatch, vector):
+    # one test ballot only ties a, first in the tie-break order, so neither
+    # route ranks a voter, builds a test ballot or replays one
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bound NO built a test ballot")
+
+    rule, inst = VotingRule.scoring(vector), ElectionInstance(("a", "b", "c"), TIGHT)
+    monkeypatch.setattr(detect_scoring, "_coalition_test_ballot", refuse)
+    monkeypatch.setattr(detect_scoring, "_shift_groups", refuse)
+    monkeypatch.setattr(DetectionQuery, "confirm", refuse)
+    coalition = cpmw_scoring_coalition(DetectionQuery(inst, rule, (0,), B))
+    assert coalition == no_verdict("scoring-coalition")
+    for k in (0, 1):
+        greedy = cpmsw_scoring_greedy(DetectionQuery(inst, rule, (), B, k))
+        assert greedy == no_verdict("delta-greedy")
+
+
+@pytest.mark.parametrize("vector", [ScoringVector.borda(4), ScoringVector.veto(4)])
+def test_a_bound_past_sys_maxsize_answers_as_the_voter_count(vector):
+    rule = VotingRule.scoring(vector)
+    inst = ElectionInstance(
+        ("a", "b", "c", "d"), [(0, 1, 2, 3), (2, 0, 3, 1), (3, 2, 0, 1), (0, 3, 1, 2), (1, 2, 3, 0)]
+    )
+    x = winner(inst, rule)
+    for huge in (2**63, 10**20):  # past sys.maxsize, which islice refuses
+        assert decide_cpms(inst, rule, huge) == decide_cpms(inst, rule, inst.n)
+        for y in range(4):
+            if y != x:
+                assert decide_cpmsw(inst, rule, y, huge) == decide_cpmsw(inst, rule, y, inst.n)
 
 
 # --- CPM and CPMS through dispatch ------------------------------------------

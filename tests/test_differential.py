@@ -25,13 +25,14 @@ voters swap and replace ballots.
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from manipdetect.core import ElectionInstance, Preference
-from manipdetect.detection import verify_verdict
-from manipdetect.dispatch import decide_cpmsw, decide_cpmw
+from manipdetect.detect_scoring import cpmsw_scoring_greedy
+from manipdetect.detection import DetectionQuery, verify_verdict
+from manipdetect.dispatch import _decide_cpmw, decide_cpmsw, decide_cpmw
 from manipdetect.oracle import oracle_cpmw, search_coalitions
 from manipdetect.rules import ScoringVector, VotingRule, winner
 
@@ -262,6 +263,50 @@ def test_convex_coalitions_match_oracle_long(m, size, trials, rule_name):
     answers = set()
     for seed in range(10, 12):
         answers |= _convex_differential(seed, m, rule_name, size, trials)
+    assert answers == {True, False}
+
+
+def _greedy_against_coalition_search(seed: int, m: int, rule_name: str, trials: int):
+    """The greedy against a search over every coalition decided by the
+    polynomial CPMW routes, which reach past the oracle's m: the same
+    answer at k = 0-3 and n + 1 for every alternative winner, every YES
+    replay-verified.  Returns the answers seen."""
+    rng = random.Random(f"two-routes-{seed}-{m}-{rule_name}")
+    rule = RULES[rule_name](m)
+    answers = set()
+    for _ in range(trials):
+        inst = _election(rng, m, rng.randint(3, 12))
+        x = winner(inst, rule)
+        for y, k in product(range(m), (0, 1, 2, 3, inst.n + 1)):
+            if y != x:
+                fast = cpmsw_scoring_greedy(DetectionQuery(inst, rule, (), y, k))
+                query = DetectionQuery(inst, rule, (), y, k)
+                slow = search_coalitions(
+                    query, decide=lambda subset: _decide_cpmw(query.for_coalition(subset))
+                )
+                context = (seed, rule_name, k, inst, y)
+                assert fast.answer == slow.answer, context
+                assert verify_verdict(inst, rule, fast, bound=k, actual_winner=y), context
+                assert verify_verdict(inst, rule, slow, bound=k, actual_winner=y), context
+                answers.add(fast.answer)
+    return answers
+
+
+@pytest.mark.parametrize("rule_name", CONVEX_RULES)
+def test_greedy_search_matches_a_search_over_polynomial_routes(rule_name):
+    answers = set()
+    for m in range(3, 9):
+        answers |= _greedy_against_coalition_search(0, m, rule_name, 4)
+    assert answers == {True, False}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("rule_name", CONVEX_RULES)
+@pytest.mark.parametrize("m", range(3, 9))
+def test_greedy_search_matches_a_search_over_polynomial_routes_long(m, rule_name):
+    answers = set()
+    for seed in range(10, 14):
+        answers |= _greedy_against_coalition_search(seed, m, rule_name, 25)
     assert answers == {True, False}
 
 
