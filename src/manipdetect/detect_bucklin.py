@@ -42,16 +42,12 @@ from .detection import (
     no_verdict,
     require_target,
 )
-from .errors import DispatchError
-from .rules import BUCKLIN
 
 METHOD_BUCKLIN = "bucklin-greedy"
 
 
 def cpmw_bucklin(query: DetectionQuery) -> DetectionVerdict:
     """Coalition CPMW for Bucklin."""
-    if query.rule.kind != BUCKLIN:
-        raise DispatchError(f"bucklin detector cannot handle a {query.rule.kind} rule")
     inst = query.instance
     x, y = require_target(query)
     suspects = query.suspects

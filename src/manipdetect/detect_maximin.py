@@ -33,23 +33,13 @@ from .detection import (
     no_verdict,
     require_target,
 )
-from .errors import DegenerateRosterError, DispatchError
-from .rules import (
-    MAXIMIN,
-    maximin_scores_from_margins,
-)
+from .rules import maximin_scores_from_margins
 
 METHOD_MAXIMIN = "maximin-single"
 
 
 def cpmw_maximin_single(query: DetectionQuery) -> DetectionVerdict:
     """Single-suspect CPMW for maximin."""
-    if query.rule.kind != MAXIMIN:
-        raise DispatchError(f"maximin detector cannot handle a {query.rule.kind} rule")
-    if len(query.suspects) != 1:
-        raise DispatchError("this procedure handles exactly one suspect")
-    if query.instance.m < 2:
-        raise DegenerateRosterError("maximin detection needs at least two candidates")
     x, y = require_target(query)
     (i,) = query.suspects
 

@@ -1,7 +1,8 @@
 """Polynomial possible-manipulator detection for positional scoring rules.
 
-Four procedures cover the scoring family; `dispatch` picks one by vector
-shape, and each refuses with `DispatchError` a vector it does not cover:
+Four procedures cover the scoring family.  `dispatch` picks one by
+suspect count and vector shape; each assumes the coverage its docstring
+states and checks none of it again:
 
 * single suspect, any vector: slide the (current winner, target) pair through
   all adjacent position pairs of one canonical ballot and replay;
@@ -29,28 +30,14 @@ from .detection import (
     require_bound,
     require_target,
 )
-from .errors import DispatchError, InvalidQueryError
+from .errors import InvalidQueryError
 from .oracle import ORACLE
-from .rules import (
-    SCORING,
-    Score,
-    ScoringVector,
-    winner_from_tally,
-)
+from .rules import Score, winner_from_tally
 
 METHOD_SINGLE = "scoring-single"
 METHOD_COALITION = "scoring-coalition"
 METHOD_CAPACITY = "plurality-capacity"
 METHOD_GREEDY = "delta-greedy"
-
-
-def _require_scoring(query: DetectionQuery) -> ScoringVector:
-    if query.rule.kind != SCORING:
-        raise DispatchError(f"scoring detector cannot handle a {query.rule.kind} rule")
-    vector = query.rule.vector
-    if len(vector) != query.instance.m:
-        raise DispatchError("scoring vector length does not match the roster")
-    return vector
 
 
 def canonical_manipulated_preference(
@@ -91,9 +78,6 @@ def canonical_manipulated_preference(
 
 def cpmw_scoring_single(query: DetectionQuery) -> DetectionVerdict:
     """Single-suspect CPMW for any scoring vector."""
-    vector = _require_scoring(query)
-    if len(query.suspects) != 1:
-        raise DispatchError("this procedure handles exactly one suspect")
     x, y = require_target(query)
     (i,) = query.suspects
     rest, tb_rank = query.rest, query.instance.tb_rank
@@ -124,8 +108,6 @@ def cpmw_scoring_coalition(query: DetectionQuery) -> DetectionVerdict:
     suspect ballot gets the current winner first and the target second,
     everything else keeping its reported relative order.  A target that |M|
     such ballots cannot reach (`_out_of_reach`) gets NO before any is built."""
-    if not _require_scoring(query).is_convex():
-        raise DispatchError("test-profile method needs a convex scoring vector")
     x, y = require_target(query)
     if _out_of_reach(query, x, y, len(query.suspects)):
         return no_verdict(METHOD_COALITION)
@@ -137,7 +119,7 @@ def cpmw_scoring_coalition(query: DetectionQuery) -> DetectionVerdict:
 
 
 def cpmw_plurality_coalition(query: DetectionQuery) -> DetectionVerdict:
-    """Coalition CPMW for plurality via top-vote capacities.
+    """Coalition CPMW for plurality-like vectors via top-vote capacities.
 
     Suspects can never top the target y (the current winner must stay above
     it), so y keeps exactly its non-suspect score and each suspect hands one
@@ -147,12 +129,9 @@ def cpmw_plurality_coalition(query: DetectionQuery) -> DetectionVerdict:
     current winner has a capacity, so every suspect vote goes to it.  The
     witness is replayed (`query.confirm`) before YES.
     """
-    vector = _require_scoring(query)
-    if not vector.is_plurality_like():
-        raise DispatchError("capacity method needs a plurality-like vector")
     x, y = require_target(query)
     m, suspects = query.instance.m, query.suspects
-    excess = _excess(query, vector, y)[1]
+    excess = _excess(query, y)[1]
     if any(e > 0 for e in excess.values()) or -sum(excess.values()) < len(suspects):
         return no_verdict(METHOD_CAPACITY)
 
@@ -169,7 +148,7 @@ def cpmw_plurality_coalition(query: DetectionQuery) -> DetectionVerdict:
 
 
 def cpmsw_plurality(query: DetectionQuery) -> DetectionVerdict:
-    """Bounded coalition search (CPMSW) for plurality in closed form.
+    """Bounded coalition search (CPMSW) for plurality-like vectors in closed form.
 
     The capacity count of `cpmw_plurality_coalition` reads only the
     coalition's top choices.  No member tops y (dropping such a member
@@ -186,13 +165,10 @@ def cpmsw_plurality(query: DetectionQuery) -> DetectionVerdict:
     every voter tops y) the NO is the oracle's exhaustive one, as from a
     search that decided no subset.
     """
-    vector = _require_scoring(query)
-    if not vector.is_plurality_like():
-        raise DispatchError("capacity method needs a plurality-like vector")
     inst = query.instance
     k, n = require_bound(query), inst.n
     y = require_target(query)[1]
-    tops, excess = _excess(query, vector, y)
+    tops, excess = _excess(query, y)
     if k == 0 or tops[y] == n:
         return no_verdict(ORACLE, exhaustive=True)
     over = {z: e for z, e in excess.items() if e > 0}
@@ -216,14 +192,12 @@ def cpmsw_plurality(query: DetectionQuery) -> DetectionVerdict:
     return cpmw_plurality_coalition(query.for_coalition(tuple(coalition)))
 
 
-def _excess(
-    query: DetectionQuery, vector: ScoringVector, y: int
-) -> tuple[list[int], dict[int, int]]:
+def _excess(query: DetectionQuery, y: int) -> tuple[list[int], dict[int, int]]:
     """Top votes per candidate of every voter but the suspects, read off the
     full scores (each voter scores `low` but `top` for their first choice),
     and each z != y's excess over allowed_z = tops_y - 1 + [y before z in
     the tie-break order], the most that still loses to y."""
-    top, low = vector.alphas[0], vector.alphas[-1]
+    top, low = query.rule.vector.alphas[0], query.rule.vector.alphas[-1]
     tops = [(s - low * query.instance.n) // (top - low) for s in query.context.full]
     for pref, _ in query.instance.ballots_of(query.suspects):
         tops[pref.ranking[0]] -= 1
@@ -296,16 +270,13 @@ def cpmsw_scoring_greedy(query: DetectionQuery) -> DetectionVerdict:
     the current winner's.  A target that min(k, n) test ballots cannot reach
     (`_out_of_reach`) gets NO before any voter is ranked.
     """
-    vector = _require_scoring(query)
-    if not vector.is_convex():
-        raise DispatchError("greedy search needs a convex scoring vector")
     inst = query.instance
     m, count = inst.m, min(require_bound(query), inst.n)
     x, y = require_target(query)
     if _out_of_reach(query, x, y, count):
         return no_verdict(METHOD_GREEDY)
     scores = list(query.context.full)
-    alphas = vector.alphas
+    alphas = query.rule.vector.alphas
     order = chain.from_iterable(_shift_groups(inst, alphas, x, y))
 
     witness: dict[int, Preference] = {}

@@ -44,8 +44,7 @@ from .detection import (
     no_verdict,
     require_target,
 )
-from .errors import DispatchError
-from .rules import STV, _hand_over, stv_loser
+from .rules import _hand_over, stv_loser
 
 METHOD_STV = "stv-tree"
 
@@ -53,8 +52,6 @@ METHOD_STV = "stv-tree"
 def cpmw_stv(query: DetectionQuery) -> DetectionVerdict:
     """Coalition CPMW for STV; past the round budget, refuse unless the
     query has `force` set."""
-    if query.rule.kind != STV:
-        raise DispatchError(f"STV detector cannot handle a {query.rule.kind} rule")
     inst, suspects, context = query.instance, query.suspects, query.context
     x, y = require_target(query)
     m, tb_rank, memo = inst.m, inst.tb_rank, context.first_choices

@@ -201,13 +201,12 @@ def _first_yes(
 
     Without a YES, the last NO, so the verdict names the route that decided
     it; `no_target` when the roster leaves no alternative winner, its only
-    candidate being the current winner.  Each `decide(y)` asks about its own
+    candidate being the current winner, which is read first, so that every
+    rule is checked against the roster.  Each `decide(y)` asks about its own
     target, on its own query and context (`DetectionQuery.for_target`).
     """
-    if query.instance.m == 1:
-        no_target.current_winner = 0
-        return no_target
-    x = query.context.winner
+    x = no_target.current_winner = query.context.winner
+    verdict = no_target
     for y in query.instance.tiebreak.ranking:
         if y == x:
             continue

@@ -1,5 +1,8 @@
 """Routing of detection problems to the cheapest complete procedure: every
-routing decision is made here; each detector refuses what it does not cover.
+routing decision is made here, and each detector assumes the coverage its
+docstring states.  A scoring vector whose length is not m raises
+`ConfigError` on every route (`rules.positional_scores`), when the query's
+context is first read, before any route-specific work.
 
 Polynomial algorithms cover: any scoring rule with one suspect; convex
 scoring vectors (Borda, k-approval for k >= 2, veto) and plurality for any

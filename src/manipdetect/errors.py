@@ -25,10 +25,6 @@ class InvalidQueryError(ElectionError):
     """A detection query is self-contradictory (e.g. target equals the current winner)."""
 
 
-class DispatchError(ElectionError):
-    """An operation was handed a rule or coalition size it does not cover."""
-
-
 class BudgetExceededError(ElectionError):
     """An exhaustive search would exceed its configured budget."""
 

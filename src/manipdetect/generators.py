@@ -78,14 +78,20 @@ def mcgarvey_ballots(f: MarginFunction) -> tuple[Preference, ...]:
     return tuple(ballots)
 
 
+def _refuse_oversized(lines: int, m: int) -> None:
+    """Refuse, before it is built, an election whose `lines` ballot lines of
+    m candidates pass `ballotfile.MAX_BALLOTS` entries (read at call time)."""
+    entries, limit = lines * m, ballotfile.MAX_BALLOTS
+    if entries > limit:
+        raise ValidationError(f"{lines} ballots of {m} candidates: {entries} entries, past {limit}")
+
+
 def random_profile(m: int, n: int, seed: int) -> ElectionInstance:
     """n ballots drawn independently and uniformly, reproducible from the
-    seed; n past `ballotfile.MAX_BALLOTS` (read at call time) is refused."""
+    seed; n × m entries past `ballotfile.MAX_BALLOTS` are refused."""
     if m < 1 or n < 1:
         raise ValidationError("random profile needs m >= 1 and n >= 1")
-    limit = ballotfile.MAX_BALLOTS
-    if n > limit:
-        raise ValidationError(f"{n} ballots asked; an election holds at most {limit}")
+    _refuse_oversized(n, m)
     rng = random.Random(seed)
     ballots = []
     base = list(range(m))
@@ -177,10 +183,13 @@ def x3c_to_stv(inst: X3CInstance) -> StvGadget:
     Vote counts follow a fixed table over the roster x, y, a_i, abar_i, b_i,
     bbar_i, d_0..d_n, g_i; unspecified ballot tails are filled in roster
     order.  The tie-break order protects y and the d-block, resolves each
-    (a_i, abar_i) elimination tie by dropping a_i, and puts x last.
+    (a_i, abar_i) elimination tie by dropping a_i, and puts x last.  A
+    gadget past `ballotfile.MAX_BALLOTS` entries is refused unbuilt.
     """
     n = inst.universe
     mm = len(inst.triples)
+    # the table's n + 4 + 13·mm ballot lines over n + 3 + 5·mm candidates
+    _refuse_oversized(n + 4 + 13 * mm, n + 3 + 5 * mm)
     names = _gadget_names(mm, n)
     ids = {name: i for i, name in enumerate(names)}
     m = len(names)

@@ -8,7 +8,7 @@ from manipdetect.core import ElectionInstance, margin_matrix
 from manipdetect.detection import DetectionQuery, verify_verdict
 from manipdetect.detect_maximin import cpmw_maximin_single
 from manipdetect.dispatch import decide_cpm
-from manipdetect.errors import DispatchError, InvalidQueryError
+from manipdetect.errors import DegenerateRosterError, InvalidQueryError
 from manipdetect.generators import random_profile
 from manipdetect.oracle import oracle_cpm, oracle_cpmw
 from manipdetect.rules import VotingRule, maximin_scores_from_margins, winner
@@ -44,20 +44,12 @@ def test_rejects_current_winner_target():
         cpmw_maximin_single(DetectionQuery(e1(), MAXIMIN, (0,), actual_winner=1))
 
 
-def test_rejects_non_maximin_rule():
-    from manipdetect.rules import ScoringVector
-
-    with pytest.raises(DispatchError):
-        cpmw_maximin_single(
-            DetectionQuery(e1(), VotingRule.scoring(ScoringVector.borda(3)), (0,), actual_winner=0)
-        )
-
-
 def test_cpm_examples():
     assert decide_cpm(e6(), MAXIMIN, (0,)).answer
     assert not decide_cpm(e1(), MAXIMIN, (0,)).answer
     single = ElectionInstance(("a",), [(0,)])
-    assert not decide_cpm(single, MAXIMIN, (0,)).answer
+    with pytest.raises(DegenerateRosterError):
+        decide_cpm(single, MAXIMIN, (0,))
 
 
 def test_witness_has_target_right_below_current_winner():

@@ -16,7 +16,7 @@ from manipdetect.detect_scoring import (
     cpmw_scoring_single,
 )
 from manipdetect.dispatch import decide_cpm, decide_cpms, decide_cpmsw, decide_cpmw
-from manipdetect.errors import DispatchError, InvalidQueryError
+from manipdetect.errors import ConfigError, InvalidQueryError
 from manipdetect.oracle import oracle_cpmw, search_coalitions
 from manipdetect.rules import ScoringVector, VotingRule, positional_scores, winner
 
@@ -69,11 +69,6 @@ def test_single_rejects_current_winner_target():
         cpmw_scoring_single(DetectionQuery(e1(), BORDA3, (0,), actual_winner=A))
 
 
-def test_single_rejects_non_scoring_rule():
-    with pytest.raises(DispatchError):
-        cpmw_scoring_single(DetectionQuery(e1(), VotingRule.maximin(), (0,), actual_winner=B))
-
-
 # --- coalitions (convex vectors) -------------------------------------------
 
 
@@ -96,7 +91,7 @@ def test_coalition_e2_target_c_no():
 
 
 def test_coalition_routes_plurality_to_capacity():
-    # the coalition search refuses plurality; dispatch sends it to capacities
+    # dispatch sends plurality coalitions to the capacity count, not the test profile
     inst = ElectionInstance(("a", "b", "c"), [(A, B, C)] * 3 + [(B, A, C)] * 2)
     verdict = decide_cpmw(inst, PLURALITY3, (0, 1), B)
     assert verdict.method == "plurality-capacity"
@@ -110,16 +105,6 @@ def test_coalition_non_convex_falls_back_to_oracle():
     verdict = decide_cpmw(inst, rule, (0, 1), y)
     assert verdict.method == "oracle-fallback"
     assert verdict.exhaustive
-
-
-def test_coalition_refuses_vectors_that_are_not_convex():
-    # plurality (the capacity method's) and (3,1,0) (top gap 2 > 1, the
-    # oracle's) are routed by dispatch; the test profile refuses them
-    inst = ElectionInstance(("a", "b", "c"), [(A, B, C)] * 3 + [(B, A, C)] * 2)
-    for rule in (PLURALITY3, VotingRule.scoring(ScoringVector((3, 1, 0)))):
-        y = B if winner(inst, rule) != B else C
-        with pytest.raises(DispatchError, match="convex"):
-            cpmw_scoring_coalition(DetectionQuery(inst, rule, (0, 1), actual_winner=y))
 
 
 # --- plurality capacities ----------------------------------------------------
@@ -371,8 +356,11 @@ def test_cpm_e2_no():
 
 
 def test_cpm_single_candidate_roster_no():
+    # no scoring vector fits one candidate: a 3-entry one is refused, as on
+    # any roster, before the roster is found to leave no alternative winner
     inst = ElectionInstance(("a",), [(0,)])
-    assert not decide_cpm(inst, BORDA3, (0,)).answer
+    with pytest.raises(ConfigError, match="does not match roster size 1"):
+        decide_cpm(inst, BORDA3, (0,))
 
 
 def test_cpms_matches_oracle_search_on_e1():

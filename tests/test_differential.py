@@ -21,6 +21,11 @@ m = 5 with three suspects and m = 6 with two.  The same near-ties, with
 265-311 distinct rankings at m = 6, put every route on packed instances,
 whose tables are counted from position planes, and on a copy in which
 voters swap and replace ballots.
+
+Past the oracle's m, a search over every coalition decided by the
+polynomial CPMW routes is the reference for the bounded searches: the
+greedy under convex vectors and the closed form under plurality-like ones,
+at m = 3-8.
 """
 
 import random
@@ -30,7 +35,7 @@ from itertools import permutations, product
 import pytest
 
 from manipdetect.core import ElectionInstance, Preference
-from manipdetect.detect_scoring import cpmsw_scoring_greedy
+from manipdetect.detect_scoring import cpmsw_plurality, cpmsw_scoring_greedy
 from manipdetect.detection import DetectionQuery, verify_verdict
 from manipdetect.dispatch import _decide_cpmw, decide_cpmsw, decide_cpmw
 from manipdetect.oracle import oracle_cpmw, search_coalitions
@@ -55,6 +60,7 @@ RULES = {
     "borda": lambda m: VotingRule.scoring(ScoringVector.borda(m)),
     "irregular": lambda m: VotingRule.scoring(ScoringVector([4, 2, 1] + [0] * (m - 3))),
     "plurality": lambda m: VotingRule.scoring(ScoringVector.plurality(m)),
+    "3-1-plurality": lambda m: VotingRule.scoring(ScoringVector((3,) + (1,) * (m - 1))),
     "2-approval": lambda m: VotingRule.scoring(ScoringVector.approval(2, m)),
     "veto": lambda m: VotingRule.scoring(ScoringVector.veto(m)),
     "convex-fraction": lambda m: VotingRule.scoring(_convex_fraction(m)),
@@ -266,11 +272,14 @@ def test_convex_coalitions_match_oracle_long(m, size, trials, rule_name):
     assert answers == {True, False}
 
 
-def _greedy_against_coalition_search(seed: int, m: int, rule_name: str, trials: int):
-    """The greedy against a search over every coalition decided by the
-    polynomial CPMW routes, which reach past the oracle's m: the same
-    answer at k = 0-3 and n + 1 for every alternative winner, every YES
-    replay-verified.  Returns the answers seen."""
+def _bounded_against_coalition_search(
+    bounded, seed: int, m: int, rule_name: str, trials: int
+):
+    """A bounded search (the greedy or the plurality closed form) against a
+    search over every coalition decided by the polynomial CPMW routes, which
+    reach past the oracle's m: the same answer at k = 0-3 and n + 1 for
+    every alternative winner, every YES replay-verified.  Returns the
+    answers seen."""
     rng = random.Random(f"two-routes-{seed}-{m}-{rule_name}")
     rule = RULES[rule_name](m)
     answers = set()
@@ -279,7 +288,7 @@ def _greedy_against_coalition_search(seed: int, m: int, rule_name: str, trials: 
         x = winner(inst, rule)
         for y, k in product(range(m), (0, 1, 2, 3, inst.n + 1)):
             if y != x:
-                fast = cpmsw_scoring_greedy(DetectionQuery(inst, rule, (), y, k))
+                fast = bounded(DetectionQuery(inst, rule, (), y, k))
                 query = DetectionQuery(inst, rule, (), y, k)
                 slow = search_coalitions(
                     query, decide=lambda subset: _decide_cpmw(query.for_coalition(subset))
@@ -296,7 +305,7 @@ def _greedy_against_coalition_search(seed: int, m: int, rule_name: str, trials: 
 def test_greedy_search_matches_a_search_over_polynomial_routes(rule_name):
     answers = set()
     for m in range(3, 9):
-        answers |= _greedy_against_coalition_search(0, m, rule_name, 4)
+        answers |= _bounded_against_coalition_search(cpmsw_scoring_greedy, 0, m, rule_name, 4)
     assert answers == {True, False}
 
 
@@ -306,7 +315,29 @@ def test_greedy_search_matches_a_search_over_polynomial_routes(rule_name):
 def test_greedy_search_matches_a_search_over_polynomial_routes_long(m, rule_name):
     answers = set()
     for seed in range(10, 14):
-        answers |= _greedy_against_coalition_search(seed, m, rule_name, 25)
+        answers |= _bounded_against_coalition_search(cpmsw_scoring_greedy, seed, m, rule_name, 25)
+    assert answers == {True, False}
+
+
+# called directly: at m = 2 plurality is convex, and dispatch takes the greedy
+PLURALITY_RULES = ["plurality", "3-1-plurality"]
+
+
+@pytest.mark.parametrize("rule_name", PLURALITY_RULES)
+def test_plurality_closed_form_matches_a_search_over_polynomial_routes(rule_name):
+    answers = set()
+    for m in range(3, 9):
+        answers |= _bounded_against_coalition_search(cpmsw_plurality, 0, m, rule_name, 4)
+    assert answers == {True, False}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("rule_name", PLURALITY_RULES)
+@pytest.mark.parametrize("m", range(3, 9))
+def test_plurality_closed_form_matches_a_search_over_polynomial_routes_long(m, rule_name):
+    answers = set()
+    for seed in range(10, 14):
+        answers |= _bounded_against_coalition_search(cpmsw_plurality, seed, m, rule_name, 25)
     assert answers == {True, False}
 
 

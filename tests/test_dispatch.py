@@ -7,7 +7,13 @@ from manipdetect import core, detection, oracle, rules
 from manipdetect.core import ElectionInstance
 from manipdetect.detection import DetectionQuery, verify_verdict
 from manipdetect.dispatch import decide_cpm, decide_cpms, decide_cpmsw, decide_cpmw
-from manipdetect.errors import BudgetExceededError, InvalidQueryError, RosterError
+from manipdetect.errors import (
+    BudgetExceededError,
+    ConfigError,
+    DegenerateRosterError,
+    InvalidQueryError,
+    RosterError,
+)
 from manipdetect.generators import random_profile
 from manipdetect.oracle import oracle_cpm, oracle_cpmw, search_coalitions
 from manipdetect.rules import ScoringVector, VotingRule, winner
@@ -64,6 +70,50 @@ def test_routing_methods():
     single = ElectionInstance(("a",), [(0,)] * 2)
     assert decide_cpm(single, stv, (0,)).method == "cpm"
     assert decide_cpms(single, stv, 1).method == "cpms"
+
+
+@pytest.mark.parametrize(
+    "alphas", [(3, 2, 1, 0), (1, 0, 0, 0), (3, 1, 0, 0)], ids=["borda", "plurality", "3-1-0-0"]
+)
+def test_every_decider_refuses_a_vector_that_does_not_fit_the_roster(alphas):
+    # 4 entries for 3 candidates, on every route a scoring rule can take:
+    # the single sweep, the test profile, the capacity count, the greedy,
+    # the closed form, the oracle and the coalition search
+    rule, inst = VotingRule.scoring(ScoringVector(alphas)), e1()
+    for decide in (
+        lambda: decide_cpmw(inst, rule, (0,), 1),
+        lambda: decide_cpmw(inst, rule, (0, 1), 1),
+        lambda: decide_cpm(inst, rule, (0,)),
+        lambda: decide_cpmsw(inst, rule, 1, 2),
+        lambda: decide_cpms(inst, rule, 2),
+        lambda: oracle_cpmw(inst, rule, (0, 1), 1),
+        lambda: search_coalitions(inst, rule, 2),
+    ):
+        with pytest.raises(ConfigError, match="length 4 does not match roster size 3"):
+            decide()
+
+
+def test_a_one_candidate_roster_is_checked_against_the_rule():
+    # no alternative winner, but the rule is still read against the roster:
+    # maximin needs two candidates; STV and Bucklin answer NO
+    single = ElectionInstance(("a",), [(0,)])
+    maximin = VotingRule.maximin()
+    for decide in (
+        lambda: decide_cpm(single, maximin, (0,)),
+        lambda: decide_cpms(single, maximin, 1),
+        lambda: oracle_cpm(single, maximin, (0,)),
+        lambda: search_coalitions(single, maximin, 1),
+    ):
+        with pytest.raises(DegenerateRosterError):
+            decide()
+    for rule in (VotingRule.stv(), VotingRule.bucklin()):
+        for verdict, method in (
+            (decide_cpm(single, rule, (0,)), "cpm"),
+            (decide_cpms(single, rule, 1), "cpms"),
+            (oracle_cpm(single, rule, (0,)), "oracle"),
+            (search_coalitions(single, rule, 1), "oracle"),
+        ):
+            assert (verdict.answer, verdict.method, verdict.current_winner) == (False, method, 0)
 
 
 def test_search_routing():

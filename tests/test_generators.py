@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import manipdetect
 from manipdetect import ballotfile, oracle
+from manipdetect.ballotfile import render_election
 from manipdetect.core import Preference, margin_matrix
 from manipdetect.errors import ValidationError
 from manipdetect.generators import (
@@ -48,10 +54,52 @@ def test_mcgarvey_refuses_more_ballots_than_a_file_may_hold(monkeypatch):
 
 
 def test_random_profile_refuses_more_ballots_than_a_file_may_hold(monkeypatch):
-    monkeypatch.setattr(ballotfile, "MAX_BALLOTS", 10)
+    # the cap counts entries, ballots × candidates: 10 × 3 fit 30, 11 × 3 do not
+    monkeypatch.setattr(ballotfile, "MAX_BALLOTS", 30)
     assert random_profile(3, 10, seed=1).n == 10
-    with pytest.raises(ValidationError, match="11 ballots"):
+    with pytest.raises(ValidationError, match="11 ballots of 3 candidates: 33 entries, past 30"):
         random_profile(3, 11, seed=1)
+
+
+@pytest.mark.parametrize("x3c", [
+    X3CInstance(3, [(1, 2, 3)]),
+    X3CInstance(6, [(1, 2, 3), (4, 5, 6), (1, 5, 6)]),
+])
+def test_x3c_gadget_refuses_more_entries_than_a_file_may_hold(monkeypatch, x3c):
+    # the refusal counts the gadget's ballot lines and roster before it is
+    # built; at a cap of exactly its entries it is built, one less refuses it
+    inst = x3c_to_stv(x3c).instance
+    lines = len(render_election(inst).splitlines()) - 2  # less candidates: and tiebreak:
+    monkeypatch.setattr(ballotfile, "MAX_BALLOTS", lines * inst.m)
+    assert x3c_to_stv(x3c).instance.m == inst.m
+    monkeypatch.setattr(ballotfile, "MAX_BALLOTS", lines * inst.m - 1)
+    with pytest.raises(ValidationError, match=f"{lines} ballots of {inst.m} candidates"):
+        x3c_to_stv(x3c)
+
+
+def test_oversized_generators_are_refused_before_anything_is_built():
+    # a 30,008-candidate gadget of 30,017 lines, and 1,000 ballots of 10^6
+    # candidates, under a 1.5 GB address-space cap set in a child process
+    # only: each must be refused at once, not run out of memory or time
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
+        "from manipdetect.errors import ValidationError\n"
+        "from manipdetect.generators import X3CInstance, random_profile, x3c_to_stv\n"
+        "for build in (lambda: x3c_to_stv(X3CInstance(30000, [(1, 2, 3)])),\n"
+        "              lambda: random_profile(10**6, 1000, 0)):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except ValidationError as exc:\n"
+        "        print('refused:', exc)\n"
+    )
+    src = str(Path(manipdetect.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert [line.split()[0] for line in done.stdout.splitlines()] == ["refused:"] * 2, done.stdout
 
 
 def test_exact_cover_search_past_the_subset_budget_is_refused(monkeypatch):
