@@ -3,6 +3,11 @@
 x is the current winner, y the target, maj = ceil(n/2), and ext[z][l] the
 number of voters outside the coalition M ranking z within their top l.
 
+0. Full-table pass.  The suspects' ballots lower each count by at most
+   |M| and raise none, so the level tests of steps 2 and 4, run on the
+   full-profile table with every cap raised by |M| (y's count as it is),
+   pass wherever they pass on ext.  If no level passes there, the answer
+   is NO before ext is built, in O(m^2) on the query context's table.
 1. Level condition.  y wins iff, for some level beta, y is within the top
    beta of at least maj voters and every z != y within the top s_z of fewer,
    where s_z = beta if z precedes y in the tie-break order, else beta - 1:
@@ -54,18 +59,11 @@ def cpmw_bucklin(query: DetectionQuery) -> DetectionVerdict:
     m, c = inst.m, len(suspects)
     majority = (inst.n + 1) // 2
     tb_rank = inst.tb_rank
-    ext = query.rest
     late = {z for z in range(m) if tb_rank[z] > tb_rank[y]}
-
-    for beta in range(1, m + 1):
-        # x's cap and y's shortfall rule out most levels before any other cap
-        cap_x = majority - 1 - ext[x][beta - (x in late)]
-        helping = min(c, cap_x) if beta > 1 else 0
-        if cap_x < 0 or helping < majority - ext[y][beta]:
-            continue
-        caps = {z: majority - 1 - ext[z][beta - (z in late)] for z in range(m) if z != y}
-        if min(caps.values()) < 0:
-            continue
+    # step 0: a level the full table shuts with every cap c higher is shut for any c voters
+    if next(_levels(query.context.full, c, x, y, late, majority, c), None) is None:
+        return no_verdict(METHOD_BUCKLIN)
+    for beta, caps, helping in _levels(query.rest, 0, x, y, late, majority, c):
         tops = _fit(beta, x, y, caps, late, c, helping)
         if tops is None:
             continue
@@ -77,6 +75,22 @@ def cpmw_bucklin(query: DetectionQuery) -> DetectionVerdict:
         if verdict:
             return verdict
     return no_verdict(METHOD_BUCKLIN)
+
+
+def _levels(table, slack, x, y, late, majority, c):
+    """(beta, caps, helping) for each level beta the top-k `table` leaves
+    open to c suspect ballots, every cap raised by `slack`; y's count is not."""
+    m = len(table)
+    for beta in range(1, m + 1):
+        # x's cap and y's shortfall rule out most levels before any other cap
+        cap_x = majority - 1 - table[x][beta - (x in late)] + slack
+        helping = min(c, cap_x) if beta > 1 else 0
+        if cap_x < 0 or helping < majority - table[y][beta]:
+            continue
+        caps = {z: majority - 1 - table[z][beta - (z in late)] + slack for z in range(m) if z != y}
+        if min(caps.values()) < 0:
+            continue
+        yield beta, caps, helping
 
 
 def _fit(beta, x, y, caps, late, c, helping):

@@ -57,13 +57,12 @@ def mcgarvey_ballots(f: MarginFunction) -> tuple[Preference, ...]:
     the (a, b) margin and cancels everywhere else, so the total ballot count
     is the sum of |margin| over unordered pairs.  An all-zero table yields an
     empty ballot list, which is a valid margin target but not an election.
-    A total past `ballotfile.MAX_BALLOTS` is refused before any ballot is built.
+    Ballots × candidates past `ballotfile.MAX_BALLOTS` entries are refused
+    before any ballot is built.
     """
     m = len(f.margins)
     total = sum(abs(v) for row in f.margins for v in row) // 2
-    if total > ballotfile.MAX_BALLOTS:
-        limit = ballotfile.MAX_BALLOTS
-        raise ValidationError(f"margins need {total} ballots; an election holds at most {limit}")
+    _refuse_oversized(total, m)
     ballots: list[Preference] = []
     for a in range(m):
         for b in range(a + 1, m):

@@ -333,10 +333,16 @@ def test_gen_mcgarvey_refuses_more_ballots_than_a_file_may_hold(monkeypatch, cap
             + [arg for t in ("1,2,3", "2,3,4", "3,4,5", "4,5,6") for arg in ("--triple", t)],
             (oracle, "DEFAULT_SUBSET_BUDGET", 5),
         ),
+        (
+            ["gen", "mcgarvey", "--candidates", ",".join(f"c{i}" for i in range(1000))]
+            + ["--margin", "c0,c1,20000"],
+            (ballotfile, "MAX_BALLOTS", 10_000_000),
+        ),
     ],
 )
 def test_gen_refuses_oversized_elections_before_printing(monkeypatch, capsys, args, cap):
-    # 11 ballots past a cap of 10; C(4, 2) = 6 exact-cover candidates past a budget of 5
+    # 11 ballots past a cap of 10; C(4, 2) = 6 exact-cover candidates past a
+    # budget of 5; 20,000 ballots of 1,000 candidates, 2 * 10^7 entries, past 10^7
     monkeypatch.setattr(*cap)
     assert main(args) == 2
     out, err = capsys.readouterr()

@@ -6,9 +6,10 @@ import pytest
 
 from manipdetect.ballotfile import parse_election
 from manipdetect.core import ElectionInstance
+from manipdetect import detect_bucklin
 from manipdetect.detection import DetectionQuery, verify_verdict
 from manipdetect.detect_bucklin import cpmw_bucklin
-from manipdetect.dispatch import decide_cpm
+from manipdetect.dispatch import decide_cpm, decide_cpmsw
 from manipdetect.errors import InvalidQueryError
 from manipdetect.oracle import oracle_cpm, oracle_cpmw
 from manipdetect.rules import VotingRule, bucklin_levels_from_counts, topk_counts, winner
@@ -176,6 +177,111 @@ def test_landslide_no_rules_out_every_level_before_enumeration(monkeypatch):
             assert not verdict.answer
             assert not oracle_cpmw(inst, BUCKLIN, suspects, y).answer
     assert calls == []
+
+
+def _planted_boundary(rng, m, c, e):
+    """An election that x = c0 wins under both tie-break orders of x and a
+    target y, with c suspects among the t = maj + e + c ballots x tops: once
+    their ballots are out, x tops maj + e, so x's level-1 cap in the
+    full-table pass (x before y) is -1 - e.  Returns (ballots, suspects, y,
+    the tie-break order of the other candidates)."""
+    while True:
+        n = rng.randint(2 * c + 2, 2 * c + 8)
+        t = (n + 1) // 2 + e + c
+        if t > n:
+            continue
+        ballots = [[0] + rng.sample(range(1, m), m - 1) for _ in range(t)]
+        for _ in range(n - t):
+            ranking = rng.sample(range(1, m), m - 1)
+            ranking.insert(rng.randint(1, m - 1), 0)
+            ballots.append(ranking)
+        rng.shuffle(ballots)
+        suspects = tuple(sorted(rng.sample([i for i, b in enumerate(ballots) if b[0] == 0], c)))
+        y = rng.randrange(1, m)
+        others = rng.sample([z for z in range(1, m) if z != y], m - 2)
+        names = [f"c{i}" for i in range(m)]
+        if all(
+            winner(ElectionInstance(names, ballots, tiebreak=[*pair, *others]), BUCKLIN) == 0
+            for pair in ((0, y), (y, 0))
+        ):
+            return ballots, suspects, y, others
+
+
+def _boundary_differential(monkeypatch, m, c, trials):
+    """Bucklin CPMW against the oracle on `_planted_boundary` elections, with
+    x's full-table cap at 1, 0 and -1, under both tie-break orders of x and
+    y; every YES is replayed.  Returns how many verdicts the full-table pass
+    decided alone, how many it let through to the rest-of-profile table,
+    and how many YES there were."""
+    passes = []
+    original = detect_bucklin._levels
+
+    def spy(table, slack, *args):
+        record = [slack, False]  # did any level pass
+        passes.append(record)
+        for level in original(table, slack, *args):
+            record[1] = True
+            yield level
+
+    monkeypatch.setattr(detect_bucklin, "_levels", spy)
+    rng = random.Random(f"boundary-{m}-{c}")
+    names = [f"c{i}" for i in range(m)]
+    bound = through = yes = 0
+    for _ in range(trials):
+        for e in (-2, -1, 0):
+            ballots, suspects, y, others = _planted_boundary(rng, m, c, e)
+            for pair in ((0, y), (y, 0)):
+                inst = ElectionInstance(names, ballots, tiebreak=[*pair, *others])
+                passes.clear()
+                got = cpmw_bucklin(DetectionQuery(inst, BUCKLIN, suspects, actual_winner=y))
+                want = oracle_cpmw(inst, BUCKLIN, suspects, y)
+                assert got.answer == want.answer, (ballots, pair, others, suspects)
+                assert verify_verdict(inst, BUCKLIN, got, suspects=suspects)
+                assert passes[0][0] == c  # the full-table pass runs first, caps raised by |M|
+                if passes[0][1]:
+                    through += 1
+                else:
+                    assert len(passes) == 1 and not got.answer
+                    bound += 1
+                yes += got.answer
+    return bound, through, yes
+
+
+@pytest.mark.parametrize("m, c", [(3, 1), (4, 2), (4, 3), (5, 2)])
+def test_full_table_pass_matches_oracle_at_the_cap_boundary(monkeypatch, m, c):
+    bound, through, yes = _boundary_differential(monkeypatch, m, c, trials=6)
+    assert bound and through and yes
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_full_table_pass_matches_oracle_at_the_cap_boundary_long(monkeypatch, m, c):
+    # the oracle walks about C(362, 3) = 7.8 * 10^6 leaves per NO at m = 6
+    trials = {(6, 3): 1, (6, 2): 4, (5, 3): 4}.get((m, c), 12)
+    bound, through, _ = _boundary_differential(monkeypatch, m, c, trials)
+    assert bound and through
+
+
+def test_full_table_no_never_builds_the_rest_of_profile_table(monkeypatch):
+    # x tops 7 of 10 ballots, so no two voters take x under a majority at
+    # any level: CPMW, CPM and CPMSW answer NO before any `rest` is read
+    def unread(query):
+        raise AssertionError("rest-of-profile table built")
+
+    monkeypatch.setattr(DetectionQuery, "rest", property(unread))
+    m = 5
+    inst = ElectionInstance(
+        [f"c{i}" for i in range(m)],
+        [(0, 1, 2, 3, 4), (0, 2, 1, 4, 3), (0, 3, 4, 1, 2), (0, 4, 3, 2, 1)]
+        + [(0, 1, 2, 3, 4), (0, 2, 1, 4, 3), (0, 3, 4, 1, 2)]
+        + [(1, 2, 0, 3, 4), (2, 1, 3, 0, 4), (3, 4, 1, 2, 0)],
+    )
+    assert winner(inst, BUCKLIN) == 0
+    for y in range(1, m):
+        assert not cpmw_bucklin(DetectionQuery(inst, BUCKLIN, (0, 9), actual_winner=y)).answer
+        assert not decide_cpmsw(inst, BUCKLIN, y, 2).answer
+    assert not decide_cpm(inst, BUCKLIN, (0, 9)).answer
 
 
 # Two skewed NO instances on which a search over x's positions with a

@@ -46,10 +46,11 @@ def test_mcgarvey_condorcet_cycle():
 
 
 def test_mcgarvey_refuses_more_ballots_than_a_file_may_hold(monkeypatch):
-    # a total of sum |margin| = 6 + 4 ballots fits a cap of 10; 20 does not
-    monkeypatch.setattr(ballotfile, "MAX_BALLOTS", 10)
+    # the cap counts entries: sum |margin| = 6 + 4 ballots of 3 candidates
+    # fit 30; 20 ballots, 60 entries, do not
+    monkeypatch.setattr(ballotfile, "MAX_BALLOTS", 30)
     assert len(mcgarvey_ballots(MarginFunction.from_pairs(3, {(0, 1): 6, (2, 1): -4}))) == 10
-    with pytest.raises(ValidationError, match="20 ballots"):
+    with pytest.raises(ValidationError, match="20 ballots of 3 candidates: 60 entries, past 30"):
         mcgarvey_ballots(MarginFunction.from_pairs(3, {(0, 1): 20}))
 
 
